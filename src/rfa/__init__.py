@@ -3,9 +3,9 @@ asymmetric basis number.
 
 The package splits into three layers plus a command-line front end:
 
-- ``rfa.core``: the basis number, coefficient-pair arithmetic (a field
-  mirroring complex arithmetic), norms, polar form, alpha-cuts and the sup
-  metric.
+- ``rfa.core``: the basis number, the element type (a coefficient pair
+  backed by a Python ``complex``), norms, polar form, alpha-cuts and the
+  sup metric.
 - ``rfa.analytic``: elementary mappings (exp, log, powers, polynomials),
   finite-difference Cauchy-Riemann derivatives and contour integration.
 - ``rfa.dynamics``: fuzzy curves, closed-form linear flows under the field
@@ -39,10 +39,8 @@ from .core import (
     alpha_cut,
     conjugate,
     d_infty,
-    div,
     from_polar,
     is_asymmetric,
-    mul,
     norm_phi,
     nth_root,
     pow_int,

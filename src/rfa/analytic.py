@@ -23,18 +23,13 @@ __all__ = [
     "FuzzyMapping",
     "Path",
     "check_chain_rule",
-    "compose",
     "contour_integral",
     "derivative_cr",
-    "exp_map",
     "exp_rfa",
-    "identity_map",
     "constant_map",
     "log_rfa",
     "poly_eval",
-    "polynomial_map",
     "pow_real",
-    "power_map",
     "solve_linear_mapping_ode",
 ]
 
@@ -139,33 +134,8 @@ class FuzzyMapping:
         return cls(lambda z: LcNumber(u(z.re, z.fu), v(z.re, z.fu)), domain=domain)
 
 
-def compose(outer: MapLike, inner: MapLike) -> FuzzyMapping:
-    return FuzzyMapping(lambda z: outer(inner(z)))
-
-
-def identity_map() -> FuzzyMapping:
-    return FuzzyMapping(lambda z: z)
-
-
 def constant_map(k: LcNumber) -> FuzzyMapping:
     return FuzzyMapping(lambda z: k)
-
-
-def exp_map() -> FuzzyMapping:
-    return FuzzyMapping(exp_rfa)
-
-
-def log_map(n: int = 0) -> FuzzyMapping:
-    return FuzzyMapping(lambda z: log_rfa(z, n))
-
-
-def power_map(a: float) -> FuzzyMapping:
-    return FuzzyMapping(lambda z: pow_real(z, a))
-
-
-def polynomial_map(coeffs) -> FuzzyMapping:
-    frozen = tuple(coeffs)
-    return FuzzyMapping(lambda z: poly_eval(frozen, z))
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,28 @@ multiple, real exponents the principal logarithm) and the functions
 ``A`` is bound to the pure fuzzy unit unless the caller rebinds it.
 ``polar(z)`` packs ``(modulus, argument)`` into the component slots so it
 can be displayed like any other value.
+
+An expression is compiled once into a tree of closures from bindings to
+an element, so evaluating it again (at every quadrature sample, say) costs
+closure calls only.  The same tokenizer and parser read fuzzy literals
+(``rfa.cli.literals``) through a constants-only production.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from dataclasses import astuple
+from functools import lru_cache
+from typing import Callable
 
 from ..analytic import exp_rfa, log_rfa, pow_real
-from ..core import LcNumber, norm_phi, nth_root, pow_int, to_polar
+from ..core import LcNumber, conjugate, norm_phi, nth_root, pow_int, to_polar
 from ..dynamics import cross_product_psi
 
 __all__ = ["ExprError", "UnboundVariableError", "eval_expression"]
+
+Compiled = Callable[[dict], LcNumber]
 
 
 class ExprError(ValueError):
@@ -35,38 +46,58 @@ class UnboundVariableError(ExprError):
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),;])"
+    r"|(?P<bad>\S))"
 )
 
+# Deepest nesting of parentheses, calls, signs and powers.  Each level
+# costs a few interpreter frames when parsing and evaluating, so the bound
+# keeps both far below Python's recursion limit.
+_MAX_DEPTH = 100
 
-def _tokenize(text: str):
-    text = text.replace("−", "-")
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """``(kind, value, offset)`` triples ending in an ``end`` token.
+
+    A character that starts no token is a ``bad`` token; no production
+    accepts one, so the parser reports it once it gets there.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text.replace("−", "-")):
+        kind = m.lastgroup
+        value = float(m.group(kind)) if kind == "num" else m.group(kind)
+        tokens.append((kind, value, m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list, producing nested tuples."""
+_UNARY = {
+    "exp": exp_rfa,
+    "log": log_rfa,
+    "sqrt": lambda z: nth_root(z, 2, 0),
+    "conj": conjugate,
+    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
+    "polar": lambda z: LcNumber(*astuple(to_polar(z))),
+}
+_ADDITIVE = {"+": operator.add, "-": operator.sub}
+_MULTIPLICATIVE = {"*": operator.mul, "/": operator.truediv}
 
-    def __init__(self, tokens):
-        self.tokens = tokens
+
+class _Parser:
+    """Recursive descent over the token list.
+
+    Expression productions return compiled closures ``env -> LcNumber``;
+    ``rfa.cli.literals`` adds the constants-only productions.  ``error`` is
+    the exception class raised for malformed input.
+    """
+
+    error = ExprError
+
+    def __init__(self, text: str, a1: float = 0.0):
+        self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        self.a1 = a1
 
     def peek(self):
         return self.tokens[self.i]
@@ -76,157 +107,169 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, symbol: str):
-        kind, value, pos = self.take()
-        if kind != "op" or value != symbol:
-            raise ExprError(f"expected {symbol!r}", pos)
+    def fail(self, message: str, token):
+        kind, value, pos = token
+        if kind == "bad":
+            message = f"unexpected character {value!r}"
+        raise self.error(message, pos)
 
-    def parse(self):
+    def at_op(self, symbol: str) -> bool:
+        kind, value, _ = self.peek()
+        return kind == "op" and value == symbol
+
+    def expect_op(self, symbol: str) -> None:
+        if not self.at_op(symbol):
+            self.fail(f"expected {symbol!r}", self.peek())
+        self.take()
+
+    def expect_end(self) -> None:
+        if self.peek()[0] != "end":
+            self.fail("unexpected trailing input", self.peek())
+
+    # -- expressions -----------------------------------------------------
+
+    def parse(self) -> Compiled:
         node = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ExprError("unexpected trailing input", pos)
+        self.expect_end()
         return node
 
-    def expr(self):
-        node = self.term()
+    def _chain(self, operand, ops) -> Compiled:
+        """Left-associative run of binary operators, evaluated in a loop."""
+        first = operand()
+        rest = []
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                node = ("bin", value, node, self.term(), pos)
-            else:
-                return node
+            kind, value, _ = self.peek()
+            if kind != "op" or value not in ops:
+                break
+            self.take()
+            rest.append((ops[value], operand()))
+        if not rest:
+            return first
 
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                node = ("bin", value, node, self.unary(), pos)
-            else:
-                return node
+        def chain(env):
+            acc = first(env)
+            for op, node in rest:
+                acc = op(acc, node(env))
+            return acc
 
-    def unary(self):
-        kind, value, pos = self.peek()
+        return chain
+
+    def expr(self) -> Compiled:
+        return self._chain(self.term, _ADDITIVE)
+
+    def term(self) -> Compiled:
+        return self._chain(self.unary, _MULTIPLICATIVE)
+
+    def unary(self) -> Compiled:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail("expression nests too deeply", self.peek())
+        kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.take()
             node = self.unary()
-            return ("neg", node) if value == "-" else node
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            return ("bin", "^", node, self.unary(), pos)
+            if value == "-":
+                node = _negated(node)
+        else:
+            node = self.power()
+        self.depth -= 1
         return node
 
-    def atom(self):
-        kind, value, pos = self.take()
+    def power(self) -> Compiled:
+        base = self.atom()
+        if not self.at_op("^"):
+            return base
+        pos = self.take()[2]
+        exponent = self.unary()
+
+        def power(env):
+            lhs = base(env)
+            rhs = exponent(env)
+            if rhs.fu != 0.0:
+                raise ExprError("exponent must be crisp", pos)
+            if rhs.re == int(rhs.re):
+                return pow_int(lhs, int(rhs.re))
+            return pow_real(lhs, rhs.re)
+
+        return power
+
+    def atom(self) -> Compiled:
+        token = self.take()
+        kind, value, pos = token
         if kind == "num":
-            return ("num", value)
+            constant = LcNumber(value, 0.0)
+            return lambda env: constant
         if kind == "name":
-            nxt_kind, nxt_value, _ = self.peek()
-            if nxt_kind == "op" and nxt_value == "(":
+            if self.at_op("("):
                 self.take()
                 args = []
-                if not self._at_op(")"):
+                if not self.at_op(")"):
                     args.append(self.expr())
-                    while self._at_op(","):
+                    while self.at_op(","):
                         self.take()
                         args.append(self.expr())
                 self.expect_op(")")
-                return ("call", value, args, pos)
-            return ("var", value, pos)
+                return self.call(value, args, pos)
+
+            def variable(env):
+                try:
+                    return env[value]
+                except KeyError:
+                    raise UnboundVariableError(f"unbound variable {value!r}", pos) from None
+
+            return variable
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprError("expected a value", pos)
+        self.fail("expected a value", token)
 
-    def _at_op(self, symbol: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "op" and value == symbol
+    def call(self, name: str, args: list[Compiled], pos: int) -> Compiled:
+        if name == "psi_mul":
+            if len(args) != 2:
+                raise ExprError(f"psi_mul takes 2 argument(s), got {len(args)}", pos)
+            b, c, a1 = args[0], args[1], self.a1
+            return lambda env: cross_product_psi(b(env), c(env), a1)
+        if name == "log" and len(args) == 2:
+            z, branch = args
 
+            def log_branch(env):
+                zv, n = z(env), branch(env)
+                if n.fu != 0.0 or n.re != int(n.re):
+                    raise ExprError("log branch must be a crisp integer", pos)
+                return log_rfa(zv, int(n.re))
 
-def _call(name: str, args, pos: int, a1: float) -> LcNumber:
-    def arity(n):
-        if len(args) != n:
-            raise ExprError(f"{name} takes {n} argument(s), got {len(args)}", pos)
-
-    if name == "exp":
-        arity(1)
-        return exp_rfa(args[0])
-    if name == "log":
-        if len(args) == 1:
-            return log_rfa(args[0], 0)
-        if len(args) == 2:
-            branch = args[1]
-            if branch.fu != 0.0 or branch.re != int(branch.re):
-                raise ExprError("log branch must be a crisp integer", pos)
-            return log_rfa(args[0], int(branch.re))
-        raise ExprError(f"log takes 1 or 2 arguments, got {len(args)}", pos)
-    if name == "sqrt":
-        arity(1)
-        return nth_root(args[0], 2, 0)
-    if name == "conj":
-        arity(1)
-        return args[0].conjugate()
-    if name == "norm":
-        arity(1)
-        return LcNumber(norm_phi(args[0]), 0.0)
-    if name == "polar":
-        arity(1)
-        p = to_polar(args[0])
-        return LcNumber(p.modulus, p.argument)
-    if name == "psi_mul":
-        arity(2)
-        return cross_product_psi(args[0], args[1], a1)
-    raise ExprError(f"unknown function {name!r}", pos)
+            return log_branch
+        if name not in _UNARY:
+            raise ExprError(f"unknown function {name!r}", pos)
+        if len(args) != 1:
+            takes = "1 or 2 arguments" if name == "log" else "1 argument(s)"
+            raise ExprError(f"{name} takes {takes}, got {len(args)}", pos)
+        fn, arg = _UNARY[name], args[0]
+        return lambda env: fn(arg(env))
 
 
-def _eval(node, env, a1: float) -> LcNumber:
-    tag = node[0]
-    if tag == "num":
-        return LcNumber(node[1], 0.0)
-    if tag == "var":
-        _, name, pos = node
-        if name not in env:
-            raise UnboundVariableError(f"unbound variable {name!r}", pos)
-        return env[name]
-    if tag == "neg":
-        return -_eval(node[1], env, a1)
-    if tag == "call":
-        _, name, raw_args, pos = node
-        return _call(name, [_eval(a, env, a1) for a in raw_args], pos, a1)
-    _, op, left, right, pos = node
-    lhs = _eval(left, env, a1)
-    rhs = _eval(right, env, a1)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    if rhs.fu != 0.0:
-        raise ExprError("exponent must be crisp", pos)
-    if rhs.re == int(rhs.re):
-        return pow_int(lhs, int(rhs.re))
-    return pow_real(lhs, rhs.re)
+def _negated(node: Compiled) -> Compiled:
+    return lambda env: -node(env)
+
+
+_FUZZY_UNIT = LcNumber(0.0, 1.0)
+
+
+@lru_cache(maxsize=64)
+def _compile(expr: str, a1: float) -> Compiled:
+    """``expr`` as a closure over bindings; ``a1`` is baked in for ``psi_mul``."""
+    return _Parser(expr, a1).parse()
 
 
 def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:
     """Evaluate ``expr`` with ``A`` and any caller bindings in scope.
 
-    ``a1`` is the basis 1-level used by ``psi_mul``.
+    ``a1`` is the basis 1-level used by ``psi_mul``.  The compiled form of
+    ``expr`` is cached, so repeated calls skip parsing; an unbound name
+    raises ``UnboundVariableError`` when evaluation reaches it.
     """
-    env = {"A": LcNumber(0.0, 1.0)}
+    env = {"A": _FUZZY_UNIT}
     if bindings:
         env.update(bindings)
-    ast = _Parser(_tokenize(expr)).parse()
-    return _eval(ast, env, a1)
+    return _compile(expr, a1)(env)

@@ -5,18 +5,20 @@ elements written ``r``, ``r + q*A`` or ``r - q*A``.  Whitespace is free,
 scientific notation is accepted, and the unicode minus sign is treated as
 ``-``.  Parse errors carry the character offset of the first offending
 position.
+
+Literals are read by the expression tokenizer and parser
+(``rfa.cli.expressions``) through its constants-only productions: a
+signed number is a ``+``/``-`` token immediately followed by a number
+token, so ``2 + -3*A`` has the fuzzy coefficient ``-3`` while ``- 3`` is
+rejected.
 """
 
 from __future__ import annotations
 
-import re
-
 from ..core import BasisNumber, LcNumber
+from .expressions import _Parser
 
 __all__ = ["LiteralError", "parse_fuzzy_literal", "print_literal"]
-
-_REAL = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_WS = re.compile(r"\s*")
 
 
 class LiteralError(ValueError):
@@ -27,71 +29,60 @@ class LiteralError(ValueError):
         super().__init__(f"{message} (at offset {position})")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _LiteralParser(_Parser):
+    """The constants-only productions of the expression grammar."""
 
-    def skip_ws(self) -> None:
-        self.pos = _WS.match(self.text, self.pos).end()
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise LiteralError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
+    error = LiteralError
 
     def real(self) -> float:
-        self.skip_ws()
-        m = _REAL.match(self.text, self.pos)
-        if m is None:
-            raise LiteralError("expected a real number", self.pos)
-        self.pos = m.end()
-        return float(m.group())
+        """A number token, optionally signed by an operator right before it."""
+        token = self.take()
+        kind, value, pos = token
+        if kind == "op" and value in "+-":
+            kind, number, number_pos = self.peek()
+            if kind == "num" and number_pos == pos + 1:
+                self.take()
+                return -number if value == "-" else number
+        elif kind == "num":
+            return value
+        self.fail("expected a real number", token)
 
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise LiteralError("unexpected trailing input", self.pos)
+    def literal(self):
+        kind, value, pos = self.peek()
+        if kind == "name" and value in ("tri", "trap"):
+            self.take()
+            self.expect_op("(")
+            values = [self.real()]
+            for _ in range(2 if value == "tri" else 3):
+                self.expect_op(";")
+                values.append(self.real())
+            self.expect_op(")")
+            self.expect_end()
+            try:
+                if value == "tri":
+                    return BasisNumber.triangular(*values)
+                return BasisNumber.trapezoidal(*values)
+            except ValueError as exc:
+                raise LiteralError(str(exc), pos) from exc
+        re_part = self.real()
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            self.take()
+            fu_part = (-1.0 if value == "-" else 1.0) * self.real()
+            self.expect_op("*")
+            kind, name, _ = self.peek()
+            if kind != "name" or name != "A":
+                self.fail("expected 'A'", self.peek())
+            self.take()
+            self.expect_end()
+            return LcNumber(re_part, fu_part)
+        self.expect_end()
+        return LcNumber(re_part, 0.0)
 
 
 def parse_fuzzy_literal(text: str):
     """Parse a literal into a BasisNumber or an LcNumber."""
-    cleaned = text.replace("−", "-")
-    sc = _Scanner(cleaned)
-    sc.skip_ws()
-    if cleaned.startswith("tri", sc.pos) or cleaned.startswith("trap", sc.pos):
-        kind = "trap" if cleaned.startswith("trap", sc.pos) else "tri"
-        start = sc.pos
-        sc.pos += len(kind)
-        sc.expect("(")
-        values = [sc.real()]
-        for _ in range(2 if kind == "tri" else 3):
-            sc.expect(";")
-            values.append(sc.real())
-        sc.expect(")")
-        sc.end()
-        try:
-            if kind == "tri":
-                return BasisNumber.triangular(*values)
-            return BasisNumber.trapezoidal(*values)
-        except ValueError as exc:
-            raise LiteralError(str(exc), start) from exc
-    re_part = sc.real()
-    sc.skip_ws()
-    if sc.peek() in ("+", "-"):
-        sign = -1.0 if sc.peek() == "-" else 1.0
-        sc.pos += 1
-        fu_part = sign * sc.real()
-        sc.expect("*")
-        sc.expect("A")
-        sc.end()
-        return LcNumber(re_part, fu_part)
-    sc.end()
-    return LcNumber(re_part, 0.0)
+    return _LiteralParser(text).literal()
 
 
 def print_literal(value) -> str:

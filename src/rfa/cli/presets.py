@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -30,6 +32,7 @@ from ..dynamics import (
     OscillatorParams,
     Trajectory,
     linearized_lv,
+    phase_portrait,
     simulate_system,
 )
 from .exports import band_color, emit_svg, export_csv, export_json, trajectory_table
@@ -55,7 +58,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Textual description of one run; every literal is parsed at run time."""
+    """Textual description of one run; every literal is parsed at run time.
+
+    The system name is normalised on construction, so ``"lv"`` and
+    ``"lotka_volterra"`` build equal configurations.
+    """
 
     system: str
     basis: str
@@ -71,6 +78,9 @@ class ScenarioConfig:
     stride: int | None = None
     out_dir: str | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "system", _normalize_system(self.system))
+
 
 _SYSTEM_ALIASES = {
     "lv": "lotka_volterra",
@@ -82,21 +92,7 @@ _SYSTEM_ALIASES = {
     "oscillator": "oscillator",
 }
 
-_CONFIG_KEYS = {
-    "system",
-    "basis",
-    "params",
-    "initial",
-    "t_span",
-    "dt",
-    "alphas",
-    "formats",
-    "name",
-    "method",
-    "plot",
-    "stride",
-    "out_dir",
-}
+_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def load_config(source) -> ScenarioConfig:
@@ -109,25 +105,41 @@ def load_config(source) -> ScenarioConfig:
         try:
             with open(source) as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a scenario must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}")
     if "system" not in raw or "basis" not in raw:
         raise ConfigError("a scenario needs at least 'system' and 'basis'")
-    raw["system"] = _normalize_system(raw["system"])
     for key in ("t_span", "alphas", "formats"):
-        if key in raw:
+        if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
     return ScenarioConfig(**raw)
 
 
-def _normalize_system(system: str) -> str:
-    try:
-        return _SYSTEM_ALIASES[system]
-    except KeyError:
-        raise ConfigError(f"unknown system {system!r}") from None
+def _normalize_system(system) -> str:
+    if not isinstance(system, str) or system not in _SYSTEM_ALIASES:
+        raise ConfigError(f"unknown system {system!r}")
+    return _SYSTEM_ALIASES[system]
+
+
+def _real(label: str, value) -> float:
+    """A finite number as a float; strings and booleans are refused."""
+    if isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{label} must be a finite number, got {value!r}")
+
+
+def _checked_formats(formats) -> tuple[str, ...]:
+    if not isinstance(formats, (list, tuple)):
+        raise ConfigError(f"formats must be a list, got {formats!r}")
+    for fmt in formats:
+        if fmt not in ("csv", "json", "svg"):
+            raise ConfigError(f"unknown output format {fmt!r}")
+    return tuple(formats)
 
 
 def _parse_element(cfg_field: str, text) -> LcNumber:
@@ -141,35 +153,51 @@ def _parse_element(cfg_field: str, text) -> LcNumber:
 
 
 def _validated(cfg: ScenarioConfig):
+    """Check every field before anything runs; returns the basis and alphas."""
     try:
-        basis = parse_fuzzy_literal(cfg.basis)
+        basis = parse_fuzzy_literal(str(cfg.basis))
     except LiteralError as exc:
         raise ConfigError(f"bad basis literal: {exc}") from exc
     if not isinstance(basis, BasisNumber):
         raise ConfigError("the 'basis' entry must be a tri(...) or trap(...) literal")
     if not is_asymmetric(basis):
         raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected")
-    if len(cfg.t_span) != 2 or not cfg.t_span[1] > cfg.t_span[0]:
+    if not isinstance(cfg.params, dict) or not isinstance(cfg.initial, dict):
+        raise ConfigError("'params' and 'initial' must map names to literals")
+    if not isinstance(cfg.t_span, (list, tuple)) or len(cfg.t_span) != 2:
+        raise ConfigError(f"t_span must be a pair of times, got {cfg.t_span!r}")
+    t0, t1 = (_real("t_span", t) for t in cfg.t_span)
+    if not t1 > t0:
         raise ConfigError(f"t_span must be a nonempty increasing interval, got {cfg.t_span}")
-    if cfg.dt <= 0.0:
+    if _real("dt", cfg.dt) <= 0.0:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
-    if not cfg.alphas:
-        raise ConfigError("alpha grid must not be empty")
-    alphas = tuple(float(a) for a in cfg.alphas)
+    if not isinstance(cfg.alphas, (list, tuple)) or not cfg.alphas:
+        raise ConfigError(f"alpha grid must be a nonempty list, got {cfg.alphas!r}")
+    alphas = tuple(_real("alpha", a) for a in cfg.alphas)
     if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
         raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
-    for fmt in cfg.formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+    if cfg.method not in ("auto", "analytic", "rk4"):
+        raise ConfigError(f"unknown method {cfg.method!r}")
+    if cfg.method == "analytic" and cfg.system not in ("linear", "linear_psi"):
+        raise ConfigError(f"{cfg.system} has no analytic solution; use rk4")
+    if cfg.stride is not None and (
+        not isinstance(cfg.stride, Integral) or isinstance(cfg.stride, bool) or cfg.stride < 1
+    ):
+        raise ConfigError(f"stride must be a positive integer, got {cfg.stride!r}")
+    name = cfg.name
+    if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
+        raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
+    if not isinstance(cfg.plot, str) or not isinstance(cfg.out_dir, (str, type(None))):
+        raise ConfigError(f"plot and out_dir must be strings, got {cfg.plot!r}, {cfg.out_dir!r}")
     return basis, alphas
 
 
 def _build_params(cfg: ScenarioConfig):
-    system = _normalize_system(cfg.system)
+    system = cfg.system
     if system in ("linear", "linear_psi"):
         if "lambda" not in cfg.params or "w" not in cfg.initial:
             raise ConfigError(f"{system} needs params['lambda'] and initial['w']")
-        return system, LinearParams(
+        return LinearParams(
             _parse_element("lambda", cfg.params["lambda"]),
             _parse_element("w", cfg.initial["w"]),
         )
@@ -181,33 +209,27 @@ def _build_params(cfg: ScenarioConfig):
             kwargs["c1"] = _parse_element("c1", cfg.params["c1"])
         if "c2" in cfg.params:
             kwargs["c2"] = _parse_element("c2", cfg.params["c2"])
-        return system, OscillatorParams(
+        return OscillatorParams(
             _parse_element("x", cfg.initial["x"]),
             _parse_element("y", cfg.initial["y"]),
             **kwargs,
         )
-    if system == "lotka_volterra":
-        needed = ("alpha", "beta", "a", "b")
-        if any(k not in cfg.params for k in needed) or any(
-            k not in cfg.initial for k in ("x", "y")
-        ):
-            raise ConfigError("lotka_volterra needs params alpha/beta/a/b and initial x/y")
-        return system, LvParams(
-            _parse_element("alpha", cfg.params["alpha"]),
-            _parse_element("beta", cfg.params["beta"]),
-            _parse_element("a", cfg.params["a"]),
-            _parse_element("b", cfg.params["b"]),
-            _parse_element("x", cfg.initial["x"]),
-            _parse_element("y", cfg.initial["y"]),
-        )
-    raise ConfigError(f"unknown system {cfg.system!r}")
+    needed = ("alpha", "beta", "a", "b")
+    if any(k not in cfg.params for k in needed) or any(k not in cfg.initial for k in ("x", "y")):
+        raise ConfigError("lotka_volterra needs params alpha/beta/a/b and initial x/y")
+    return LvParams(
+        _parse_element("alpha", cfg.params["alpha"]),
+        _parse_element("beta", cfg.params["beta"]),
+        _parse_element("a", cfg.params["a"]),
+        _parse_element("b", cfg.params["b"]),
+        _parse_element("x", cfg.initial["x"]),
+        _parse_element("y", cfg.initial["y"]),
+    )
 
 
 def _export_indices(n: int, stride: int | None) -> list[int]:
     if stride is None:
         stride = max(1, math.ceil((n - 1) / (MAX_EXPORT_ROWS - 1))) if n > 1 else 1
-    if stride < 1:
-        raise ConfigError(f"stride must be positive, got {stride}")
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
@@ -222,16 +244,16 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
     return path
 
 
-def _svg_series(cfg: ScenarioConfig, traj: Trajectory, idx):
+def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory, idx):
     """Polyline series plus axis labels for the configured plot kind."""
     sel = np.asarray(idx)
     ts = traj.times[sel]
-    kind, _, detail = cfg.plot.partition(":")
+    kind, _, detail = plot.partition(":")
     series = []
     if kind == "time-series":
         name = detail or traj.names[0]
         if name not in traj.names:
-            raise ConfigError(f"unknown variable {name!r} in plot {cfg.plot!r}")
+            raise ConfigError(f"unknown variable {name!r} in plot {plot!r}")
         bands = traj.bands[name]
         for j, alpha in enumerate(traj.alphas):
             stroke = band_color(alpha)
@@ -240,31 +262,25 @@ def _svg_series(cfg: ScenarioConfig, traj: Trajectory, idx):
         series.append((ts, traj.component(name)[0][sel], "#000000", 1.6))
         return series, "t", name
     if kind == "phase":
-        if len(traj.names) != 2:
-            raise ConfigError("phase plots need a two-variable system")
-        x_name, y_name = traj.names
-        if detail == "x-vs-s":
-            fuzzy, crisp, fuzzy_horizontal = x_name, y_name, True
-        elif detail == "r-vs-y":
-            fuzzy, crisp, fuzzy_horizontal = y_name, x_name, False
-        else:
-            raise ConfigError(f"unknown phase projection {detail!r}")
-        bands = traj.bands[fuzzy]
-        crisp_re = traj.component(crisp)[0][sel]
-        fuzzy_re = traj.component(fuzzy)[0][sel]
-        for j, alpha in enumerate(traj.alphas):
+        rows = Trajectory(ts, traj.names, traj.coeffs[sel])
+        try:
+            portrait = phase_portrait(rows, detail, basis, traj.alphas)
+        except ValueError as exc:
+            raise ConfigError(f"cannot draw plot {plot!r}: {exc}") from exc
+        crisp = portrait.crisp
+        fuzzy_re = rows.component(portrait.fuzzy_label)[0]
+        # "x-vs-s" puts the banded coordinate on the horizontal axis
+        horizontal = detail == "x-vs-s"
+        for j, alpha in enumerate(portrait.alphas):
             stroke = band_color(alpha)
             for edge in (0, 1):
-                band = bands[sel, j, edge]
-                if fuzzy_horizontal:
-                    series.append((band, crisp_re, stroke, 1.0))
-                else:
-                    series.append((crisp_re, band, stroke, 1.0))
-        if fuzzy_horizontal:
-            series.append((fuzzy_re, crisp_re, "#000000", 1.6))
-            return series, fuzzy, crisp
-        series.append((crisp_re, fuzzy_re, "#000000", 1.6))
-        return series, crisp, fuzzy
+                band = portrait.bands[:, j, edge]
+                series.append((band, crisp, stroke, 1.0) if horizontal else (crisp, band, stroke, 1.0))
+        if horizontal:
+            series.append((fuzzy_re, crisp, "#000000", 1.6))
+            return series, portrait.fuzzy_label, portrait.crisp_label
+        series.append((crisp, fuzzy_re, "#000000", 1.6))
+        return series, portrait.crisp_label, portrait.fuzzy_label
     if kind == "components":
         strokes = ("#000000", "#777777", "#222266", "#884444")
         k = 0
@@ -274,16 +290,20 @@ def _svg_series(cfg: ScenarioConfig, traj: Trajectory, idx):
             series.append((ts, fu[sel], strokes[(k + 1) % 4], 1.2))
             k += 2
         return series, "t", "coefficients"
-    raise ConfigError(f"unknown plot kind {cfg.plot!r}")
+    raise ConfigError(f"unknown plot kind {plot!r}")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
-    """Validate, simulate, export.  Returns ``(table, written paths)``."""
+    """Validate, simulate, export.  Returns ``(table, written paths)``.
+
+    Every check, the plot's included, runs before the first file is
+    written.
+    """
+    chosen = _checked_formats(cfg.formats if formats is None else formats)
     basis, alphas = _validated(cfg)
-    system, params = _build_params(cfg)
     traj = simulate_system(
-        system,
-        params,
+        cfg.system,
+        _build_params(cfg),
         cfg.t_span,
         dt=cfg.dt,
         method=cfg.method,
@@ -292,10 +312,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
     )
     idx = _export_indices(len(traj), cfg.stride)
     table = trajectory_table(traj, idx)
-    chosen = tuple(formats) if formats is not None else cfg.formats
-    for fmt in chosen:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+    if "svg" in chosen:
+        series, x_label, y_label = _svg_series(cfg.plot, basis, traj, idx)
     written: list[FsPath] = []
     if chosen:
         directory = resolve_out_dir(out_dir, cfg.out_dir)
@@ -309,7 +327,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
             written.append(target)
         if "svg" in chosen:
             target = directory / f"{cfg.name}.svg"
-            series, x_label, y_label = _svg_series(cfg, traj, idx)
             emit_svg(series, target, x_label, y_label)
             written.append(target)
     return table, written

@@ -1,10 +1,11 @@
 """Field arithmetic on fuzzy numbers linearly correlated with a basis.
 
 Fix an asymmetric fuzzy number ``A``.  Every element handled here has the
-form ``z = re + fu*A`` and is stored as the coefficient pair ``(re, fu)``.
-Asymmetry of the basis makes that pair unique, and the coefficient algebra
-is then exactly the algebra of ``re + fu*i``: addition, multiplication,
-division, norm and polar decomposition all mirror their complex
+form ``z = re + fu*A``.  Asymmetry of the basis makes the coefficient pair
+``(re, fu)`` unique, and the coefficient algebra is then exactly the
+algebra of ``re + fu*i``.  So ``LcNumber`` holds one Python ``complex`` and
+hands addition, multiplication, division, negation, modulus, equality and
+hashing to it; norm and polar decomposition mirror their complex
 counterparts.  The basis itself never enters the arithmetic; it is only
 needed to materialise alpha-cuts, the sup metric and exports.
 """
@@ -12,6 +13,7 @@ needed to materialise alpha-cuts, the sup metric and exports.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -23,10 +25,6 @@ __all__ = [
     "PolarForm",
     "ZERO",
     "ONE",
-    "add",
-    "sub",
-    "mul",
-    "div",
     "norm_phi",
     "conjugate",
     "to_polar",
@@ -159,78 +157,48 @@ def is_asymmetric(basis: BasisNumber, grid_size: int = 101, eps: float = 1e-9) -
     return deviation > eps
 
 
-@dataclass(frozen=True)
-class LcNumber:
-    """Element ``re + fu*A``, stored as its coefficient pair.
+def _quotient(num: complex, den: complex) -> complex:
+    if not den:
+        raise ZeroDivisionError("division by the zero element")
+    return num / den
 
-    Arithmetic never inspects the basis: the operators below act on the
-    coefficients exactly as complex arithmetic acts on ``re + fu*i``.
+
+class LcNumber:
+    """Element ``re + fu*A``, held as the complex number ``re + fu*i``.
+
+    Arithmetic never inspects the basis: the operators delegate to the
+    complex value, so the field operations are CPython's own.  Like
+    ``fractions.Fraction``, instances are immutable values: ``re`` and
+    ``fu`` are read-only and the hash is that of the complex value.
     """
 
-    re: float
-    fu: float
+    __slots__ = ("_z",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "fu", float(self.fu))
+    def __init__(self, re: float, fu: float):
+        self._z = complex(float(re), float(fu))
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, LcNumber):
-            return value
-        if isinstance(value, (int, float)):
-            return LcNumber(float(value), 0.0)
-        return None
+    re = property(operator.attrgetter("_z.real"), doc="The real coefficient.")
+    fu = property(operator.attrgetter("_z.imag"), doc="The fuzzy coefficient, the multiple of ``A``.")
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LcNumber(self.re + other.re, self.fu + other.fu)
+    def _arithmetic(op):
+        def method(self, other):
+            other = _as_complex(other)
+            if other is None:
+                return NotImplemented
+            return _wrap(op(self._z, other))
 
-    __radd__ = __add__
+        return method
+
+    __add__ = __radd__ = _arithmetic(operator.add)
+    __sub__ = _arithmetic(operator.sub)
+    __rsub__ = _arithmetic(lambda z, other: other - z)
+    __mul__ = __rmul__ = _arithmetic(operator.mul)
+    __truediv__ = _arithmetic(_quotient)
+    __rtruediv__ = _arithmetic(lambda z, other: _quotient(other, z))
+    del _arithmetic
 
     def __neg__(self):
-        return LcNumber(-self.re, -self.fu)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LcNumber(self.re - other.re, self.fu - other.fu)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        r, q = self.re, self.fu
-        s, p = other.re, other.fu
-        return LcNumber(r * s - q * p, s * q + r * p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        r, q = self.re, self.fu
-        s, p = other.re, other.fu
-        denom = s * s + p * p
-        if denom == 0.0:
-            raise ZeroDivisionError("division by the zero element")
-        return LcNumber((r * s + q * p) / denom, (q * s - r * p) / denom)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return _wrap(-self._z)
 
     def __pow__(self, n):
         if isinstance(n, int):
@@ -238,39 +206,41 @@ class LcNumber:
         return NotImplemented
 
     def __abs__(self) -> float:
-        return math.hypot(self.re, self.fu)
+        return abs(self._z)
 
-    def norm(self) -> float:
-        return math.hypot(self.re, self.fu)
+    def __eq__(self, other):
+        if isinstance(other, LcNumber):
+            return self._z == other._z
+        return NotImplemented
 
-    def conjugate(self) -> "LcNumber":
-        return LcNumber(self.re, -self.fu)
+    def __hash__(self):
+        return hash(self._z)
 
     def is_zero(self) -> bool:
-        return self.re == 0.0 and self.fu == 0.0
+        return not self._z
 
     def __repr__(self):
         return f"LcNumber({self.re!r}, {self.fu!r})"
 
 
+def _wrap(value: complex) -> LcNumber:
+    """An LcNumber around ``value`` without re-validating its parts."""
+    z = object.__new__(LcNumber)
+    z._z = value
+    return z
+
+
+def _as_complex(value):
+    """The complex value of an operand; reals embed as ``(value, 0)``."""
+    if isinstance(value, LcNumber):
+        return value._z
+    if isinstance(value, (int, float)):
+        return complex(float(value), 0.0)
+    return None
+
+
 ZERO = LcNumber(0.0, 0.0)
 ONE = LcNumber(1.0, 0.0)
-
-
-def add(b: LcNumber, c: LcNumber) -> LcNumber:
-    return b + c
-
-
-def sub(b: LcNumber, c: LcNumber) -> LcNumber:
-    return b - c
-
-
-def mul(b: LcNumber, c: LcNumber) -> LcNumber:
-    return b * c
-
-
-def div(b: LcNumber, c: LcNumber) -> LcNumber:
-    return b / c
 
 
 def norm_phi(z: LcNumber) -> float:

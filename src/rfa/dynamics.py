@@ -306,25 +306,46 @@ def matrix_field(matrix) -> Field:
     return fieldfn
 
 
-def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
-    """Classical 4th-order Runge-Kutta with a shortened final step.
+def _grid(t_span, dt: float) -> tuple[list[float], int]:
+    """Grid times over ``t_span`` and the number of full ``dt`` steps.
 
-    Returns ``(times, states)`` arrays; the last time lands exactly on the
-    end of the span.  A non-finite state aborts with the offending time.
+    A span that is a whole number of steps (to a relative 1e-9) ends with
+    a full step landing exactly on ``t1``; otherwise a shortened last step
+    from the last full one reaches ``t1``.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
+    if t1 <= t0:
         raise ValueError(f"time span must be increasing, got [{t0}, {t1}]")
-    s = tuple(float(v) for v in s0)
-    idx = range(len(s))
     span = t1 - t0
     n_full = int(round(span / dt))
-    exact = abs(n_full * dt - span) <= 1e-9 * max(dt, span)
+    exact = n_full > 0 and abs(n_full * dt - span) <= 1e-9 * max(dt, span)
     if not exact:
         n_full = int(math.floor(span / dt))
-    times = [t0]
+    ts = [t0 + j * dt for j in range(n_full + 1)]
+    if exact or ts[-1] >= t1:
+        ts[-1] = t1
+    else:
+        ts.append(t1)
+    return ts, n_full
+
+
+def time_grid(t_span, dt: float) -> np.ndarray:
+    """The grid rk4_integrate visits, for analytic solutions to share."""
+    return np.asarray(_grid(t_span, dt)[0])
+
+
+def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
+    """Classical 4th-order Runge-Kutta on the ``time_grid`` of the span.
+
+    Returns ``(times, states)`` arrays; the last time lands exactly on the
+    end of the span, reached by a shortened step where ``dt`` does not
+    divide it.  A non-finite state aborts with the offending time.
+    """
+    ts, n_full = _grid(t_span, dt)
+    s = tuple(float(v) for v in s0)
+    idx = range(len(s))
     states = [s]
 
     def step(t, s, h):
@@ -337,42 +358,13 @@ def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
         k4 = fieldfn(t + h, s4)
         return tuple(s[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in idx)
 
-    t = t0
-    for j in range(n_full):
-        s = step(t, s, dt)
-        t = t1 if (exact and j == n_full - 1) else t0 + (j + 1) * dt
+    for j in range(len(ts) - 1):
+        s = step(ts[j], s, dt if j < n_full else ts[-1] - ts[j])
         for v in s:
             if not math.isfinite(v):
-                raise IntegrationAbort(t)
-        times.append(t)
+                raise IntegrationAbort(ts[j + 1])
         states.append(s)
-    if not exact and t1 - t > 0.0:
-        s = step(t, s, t1 - t)
-        for v in s:
-            if not math.isfinite(v):
-                raise IntegrationAbort(t1)
-        times.append(t1)
-        states.append(s)
-    return np.asarray(times), np.asarray(states)
-
-
-def time_grid(t_span, dt: float) -> np.ndarray:
-    """The grid rk4_integrate would visit, for analytic solutions to share."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 <= t0:
-        raise ValueError(f"time span must be increasing, got [{t0}, {t1}]")
-    span = t1 - t0
-    n_full = int(round(span / dt))
-    exact = abs(n_full * dt - span) <= 1e-9 * max(dt, span)
-    if not exact:
-        n_full = int(math.floor(span / dt))
-    ts = [t0 + j * dt for j in range(n_full)]
-    ts.append(t1)
-    if not exact and t1 - (t0 + n_full * dt) > 0.0:
-        ts.insert(-1, t0 + n_full * dt)
-    return np.asarray(ts)
+    return np.asarray(ts), np.asarray(states)
 
 
 # ---------------------------------------------------------------------------

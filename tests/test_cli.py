@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfa.cli.main import main
 
@@ -166,3 +172,87 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "preset", "fig2", "--formats", "csv")
     assert code == 0
     assert (tmp_path / "from_env" / "fig2.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"dt": "0.001"}, "dt must be a finite number"),
+        ({"alphas": ["x"]}, "alpha must be a finite number"),
+        ([1, 2], "must be a JSON object"),
+        ({"name": "../escaped"}, "plain file name"),
+        ({"t_span": 5}, "pair of times"),
+        ({"stride": "2"}, "stride must be a positive integer"),
+        ({"method": "euler"}, "unknown method"),
+        ({"plot": "phase:x-vs-s"}, "two-variable"),
+    ],
+    ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
+         "string-stride", "unknown-method", "phase-of-one-variable"],
+)
+def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
+    if isinstance(config, dict):
+        target = linear_config(tmp_path, **config)
+    else:
+        target = tmp_path / "config.json"
+        target.write_text(json.dumps(config))
+    out_dir = tmp_path / "out" / "nested"
+    code, out, err = run(capsys, "solve", "linear", "--config", str(target), "--out-dir", str(out_dir))
+    assert code == 2, err
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
+    assert code == 2
+    assert "nests too deeply" in err
+
+
+def test_long_flat_sums_still_evaluate(capsys):
+    code, out, _ = run(capsys, "eval", "+".join(["1"] * 5000))
+    assert code == 0
+    assert out.strip() == "5000.0"
+
+
+def test_non_finite_result_exits_3(capsys):
+    code, out, err = run(capsys, "eval", "1e308*10")
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "0.0", ".5", "5."]),
+)
+_ATOMS = st.one_of(_NUMBERS, st.sampled_from(["A", "z", "ghost", "(1 + 2*A)"]))
+_FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul", "mystery")
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^"]), inner).map(" ".join),
+        st.tuples(st.sampled_from(["-", "+", "("]), inner).map(lambda p: p[0] + p[1]),
+        inner.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(_FUNCTIONS), st.lists(inner, max_size=3)).map(
+            lambda p: f"{p[0]}({', '.join(p[1])})"
+        ),
+        st.tuples(inner, st.sampled_from([")", ",", "$", ";", "*", "2"])).map("".join),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _compound, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPRESSIONS)
+def test_eval_keeps_the_exit_code_contract(expr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--bind", "z=0.5 - 0.25*A", "--", expr])
+    assert code in (0, 2, 3, 4)
+    assert (code == 0) == bool(out.getvalue())
+    assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -118,6 +119,15 @@ def test_norm_examples():
     assert norm_phi(LcNumber(3, 4)) == 5.0
     assert norm_phi(LcNumber(0, 0)) == 0.0
     assert norm_phi(LcNumber(1, math.sqrt(3))) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_elements_are_immutable_values():
+    z = LcNumber(1, 2)
+    with pytest.raises(AttributeError):
+        z.re = 3.0
+    assert hash(z) == hash(LcNumber(1.0, 2.0))
+    assert len({z, LcNumber(1.0, 2.0), LcNumber(2, 1)}) == 2
+    assert pickle.loads(pickle.dumps(z)) == z
 
 
 def test_conjugate_examples():

@@ -253,6 +253,21 @@ def test_rk4_rejects_bad_steps():
         rk4_integrate(lambda t, s: s, (1.0,), (0.0, 1.0), 0.0)
 
 
+def test_empty_span_is_rejected_by_integrator_and_grid():
+    for run in (
+        lambda: rk4_integrate(lambda t, s: s, (1.0,), (1.0, 1.0), 0.1),
+        lambda: time_grid((1.0, 1.0), 0.1),
+    ):
+        with pytest.raises(ValueError, match="increasing"):
+            run()
+
+
+def test_span_far_below_one_step_is_one_step():
+    times, states = rk4_integrate(lambda t, s: (1.0,), (0.0,), (0.0, 1e-12), 1e-3)
+    assert times.tolist() == [0.0, 1e-12] == time_grid((0.0, 1e-12), 1e-3).tolist()
+    assert states[-1][0] == pytest.approx(1e-12)
+
+
 # ---------------------------------------------------------------------------
 # predator-prey
 

@@ -47,6 +47,40 @@ def test_literal_errors_carry_positions():
         parse_fuzzy_literal("tri(1;2)")
 
 
+@pytest.mark.parametrize(
+    "text, re, fu",
+    [
+        ("-0.0 + 1*A", -0.0, 1.0),
+        ("1 - 0*A", 1.0, -0.0),
+        ("1 - -0*A", 1.0, 0.0),
+        ("2 + -3*A", 2.0, -3.0),
+        ("2 - -3*A", 2.0, 3.0),
+        ("+1.5 + +2*A", 1.5, 2.0),
+        ("-0.0", -0.0, 0.0),
+        (".5-.25*A", 0.5, -0.25),
+        ("1e300 + 1e-300*A", 1e300, 1e-300),
+    ],
+)
+def test_literal_signs_are_bit_exact(text, re, fu):
+    z = parse_fuzzy_literal(text)
+    assert (z.re.hex(), z.fu.hex()) == (re.hex(), fu.hex())
+
+
+def test_basis_literal_keeps_signed_zero():
+    basis = parse_fuzzy_literal(" tri ( -0 ; 0 ; 1 ) ")
+    assert [p.hex() for p in basis.points] == [(-0.0).hex(), (0.0).hex(), (1.0).hex()]
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("- 2", 0), ("--2", 0), ("2 + - 3*A", 4), ("1 + 2*A$", 7), ("tri(1;2;3", 9), ("1;2", 1)],
+)
+def test_literal_sign_must_touch_its_number(text, position):
+    with pytest.raises(LiteralError) as info:
+        parse_fuzzy_literal(text)
+    assert info.value.position == position
+
+
 def test_print_parse_round_trip():
     rng = random.Random(2024)
     for _ in range(1000):
