@@ -162,8 +162,8 @@ def derivative_cr(f: MapLike, z0: LcNumber, h: float = 1e-5) -> CrReport:
     The derivative is ``u_x + v_x*A``; evaluation failures inside the
     stencil propagate unchanged.
     """
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     x0, y0 = z0.re, z0.fu
     f_xp = f(LcNumber(x0 + h, y0))
     f_xm = f(LcNumber(x0 - h, y0))

@@ -43,18 +43,24 @@ class ExportTable:
                 raise ValueError(f"row {i} has {len(row)} cells, header has {width}")
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+        k = self.columns.index(name)
+        return np.array([row[k] for row in self.rows])
 
 
 def alpha_key(alpha: float) -> str:
     return f"{alpha:g}"
 
 
-def trajectory_table(traj: Trajectory, indices=None) -> ExportTable:
-    """Flatten a trajectory (bands included when attached) into a table."""
-    if indices is None:
-        indices = range(len(traj))
+def trajectory_table(traj: Trajectory) -> ExportTable:
+    """One row per time step of ``traj``, bands included when attached.
+
+    The row is the time, then each variable's ``re``/``fu`` pair, then, when
+    bands are attached, each variable's ``lo``/``hi`` edge per alpha level.
+    Every step becomes a row, so a caller that exports fewer rows samples
+    the trajectory first (and attaches the bands to the sample).
+    """
     columns = ["t"]
+    blocks = [traj.times[:, None], traj.coeffs]
     band_columns: dict = {}
     for name in traj.names:
         columns.extend([f"{name}_re", f"{name}_fu"])
@@ -62,22 +68,15 @@ def trajectory_table(traj: Trajectory, indices=None) -> ExportTable:
         for name in traj.names:
             band_columns[name] = {}
             for alpha in traj.alphas:
-                lo = f"{name}_a{alpha_key(alpha)}_lo"
-                hi = f"{name}_a{alpha_key(alpha)}_hi"
-                band_columns[name][alpha_key(alpha)] = [lo, hi]
-                columns.extend([lo, hi])
+                key = alpha_key(alpha)
+                band_columns[name][key] = [f"{name}_a{key}_lo", f"{name}_a{key}_hi"]
+                columns.extend(band_columns[name][key])
+            # (n, alphas, 2) -> lo, hi of each alpha in turn, as in the header
+            blocks.append(traj.bands[name].reshape(len(traj), -1))
+    # a slice at a time, so no float64 copy of the whole table sits next to its floats
     rows = []
-    for i in indices:
-        row = [float(traj.times[i])]
-        for k in range(len(traj.names)):
-            row.extend([float(traj.coeffs[i, 2 * k]), float(traj.coeffs[i, 2 * k + 1])])
-        if traj.bands is not None:
-            for name in traj.names:
-                for j in range(len(traj.alphas)):
-                    row.extend(
-                        [float(traj.bands[name][i, j, 0]), float(traj.bands[name][i, j, 1])]
-                    )
-        rows.append(row)
+    for i in range(0, len(traj), 1024):
+        rows.extend(np.hstack([block[i : i + 1024] for block in blocks]).tolist())
     return ExportTable(columns, rows, tuple(traj.alphas or ()), band_columns)
 
 

@@ -54,6 +54,20 @@ def _formats(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _above(convert, low):
+    """An argparse type: ``convert(text)``, finite and greater than ``low``."""
+
+    def parse(text: str):
+        try:
+            if low < (value := convert(text)) < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a finite {convert.__name__} above {low}, got {text!r}")
+
+    return parse
+
+
 def _finite(value: LcNumber) -> LcNumber:
     """``value`` itself; an overflowed or undefined result is a numeric failure."""
     if not (math.isfinite(value.re) and math.isfinite(value.fu)):
@@ -159,14 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_derive = sub.add_parser("derive", help="finite-difference derivative of an expression in z")
     p_derive.add_argument("expr")
     p_derive.add_argument("--at", required=True, help="element literal to differentiate at")
-    p_derive.add_argument("--step", type=float, default=1e-5)
+    p_derive.add_argument("--step", type=_above(float, 0.0), default=1e-5)
     add_expr_options(p_derive)
     p_derive.set_defaults(handler=_cmd_derive)
 
     p_int = sub.add_parser("integrate", help="contour integral of an expression in z")
     p_int.add_argument("expr")
     p_int.add_argument("--path", required=True, help="comma-separated element literals")
-    p_int.add_argument("--samples", type=int, default=10001)
+    p_int.add_argument("--samples", type=_above(int, 1), default=10001)
     p_int.add_argument("--scheme", choices=("trapezoid", "simpson"), default="trapezoid")
     add_expr_options(p_int)
     p_int.set_defaults(handler=_cmd_integrate)

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path as FsPath
-
-import numpy as np
 
 from ..core import BasisNumber, LcNumber, is_asymmetric
 from ..dynamics import (
@@ -50,6 +48,10 @@ __all__ = [
 
 DEFAULT_ALPHAS = tuple(i / 10 for i in range(11))
 MAX_EXPORT_ROWS = 2001
+# budgets checked before anything is simulated: RK4 keeps every state
+# (about 430 bytes a step), and the export table is built in memory
+MAX_STEPS = 10**6
+MAX_CELLS = 10**7
 
 
 class ConfigError(ValueError):
@@ -82,14 +84,24 @@ class ScenarioConfig:
         object.__setattr__(self, "system", _normalize_system(self.system))
 
 
-_SYSTEM_ALIASES = {
-    "lv": "lotka_volterra",
-    "lotka-volterra": "lotka_volterra",
-    "lotka_volterra": "lotka_volterra",
-    "linear": "linear",
-    "linear-psi": "linear_psi",
-    "linear_psi": "linear_psi",
-    "oscillator": "oscillator",
+# the spellings of a system name other than its own
+_SYSTEM_ALIASES = {"lv": "lotka_volterra", "lotka-volterra": "lotka_volterra", "linear-psi": "linear_psi"}
+
+# system -> params class and the (section, key) config entry of each of its
+# fields, in field order; entries whose field has a default may be left out
+_LINEAR_ENTRIES = (LinearParams, (("params", "lambda"), ("initial", "w")))
+_PARAM_ENTRIES = {
+    "linear": _LINEAR_ENTRIES,
+    "linear_psi": _LINEAR_ENTRIES,
+    "oscillator": (
+        OscillatorParams,
+        (("initial", "x"), ("initial", "y"), ("params", "c1"), ("params", "c2")),
+    ),
+    "lotka_volterra": (
+        LvParams,
+        (("params", "alpha"), ("params", "beta"), ("params", "a"), ("params", "b"))
+        + (("initial", "x"), ("initial", "y")),
+    ),
 }
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -121,9 +133,10 @@ def load_config(source) -> ScenarioConfig:
 
 
 def _normalize_system(system) -> str:
-    if not isinstance(system, str) or system not in _SYSTEM_ALIASES:
+    name = _SYSTEM_ALIASES.get(system, system) if isinstance(system, str) else None
+    if name not in _PARAM_ENTRIES:
         raise ConfigError(f"unknown system {system!r}")
-    return _SYSTEM_ALIASES[system]
+    return name
 
 
 def _real(label: str, value) -> float:
@@ -153,7 +166,7 @@ def _parse_element(cfg_field: str, text) -> LcNumber:
 
 
 def _validated(cfg: ScenarioConfig):
-    """Check every field before anything runs; returns the basis and alphas."""
+    """Check every field before anything runs; returns the basis, alphas and params."""
     try:
         basis = parse_fuzzy_literal(str(cfg.basis))
     except LiteralError as exc:
@@ -169,8 +182,12 @@ def _validated(cfg: ScenarioConfig):
     t0, t1 = (_real("t_span", t) for t in cfg.t_span)
     if not t1 > t0:
         raise ConfigError(f"t_span must be a nonempty increasing interval, got {cfg.t_span}")
-    if _real("dt", cfg.dt) <= 0.0:
+    dt = _real("dt", cfg.dt)
+    if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
+    steps = (t1 - t0) / dt
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"t_span at dt {cfg.dt} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
     if not isinstance(cfg.alphas, (list, tuple)) or not cfg.alphas:
         raise ConfigError(f"alpha grid must be a nonempty list, got {cfg.alphas!r}")
     alphas = tuple(_real("alpha", a) for a in cfg.alphas)
@@ -184,56 +201,41 @@ def _validated(cfg: ScenarioConfig):
         not isinstance(cfg.stride, Integral) or isinstance(cfg.stride, bool) or cfg.stride < 1
     ):
         raise ConfigError(f"stride must be a positive integer, got {cfg.stride!r}")
+    # an upper bound: the grid has at most int(steps) + 2 points, and each
+    # variable has one "initial" entry and 2 + 2 * len(alphas) columns
+    points = int(steps) + 2
+    rows = min(points, MAX_EXPORT_ROWS) if cfg.stride is None else points // cfg.stride + 2
+    variables = sum(section == "initial" for section, _ in _PARAM_ENTRIES[cfg.system][1])
+    cells = rows * (1 + 2 * variables * (1 + len(alphas)))
+    if cells > MAX_CELLS:
+        raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
     name = cfg.name
     if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
         raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
     if not isinstance(cfg.plot, str) or not isinstance(cfg.out_dir, (str, type(None))):
         raise ConfigError(f"plot and out_dir must be strings, got {cfg.plot!r}, {cfg.out_dir!r}")
-    return basis, alphas
+    return basis, alphas, _build_params(cfg.system, cfg.params, cfg.initial)
 
 
-def _build_params(cfg: ScenarioConfig):
-    system = cfg.system
-    if system in ("linear", "linear_psi"):
-        if "lambda" not in cfg.params or "w" not in cfg.initial:
-            raise ConfigError(f"{system} needs params['lambda'] and initial['w']")
-        return LinearParams(
-            _parse_element("lambda", cfg.params["lambda"]),
-            _parse_element("w", cfg.initial["w"]),
-        )
-    if system == "oscillator":
-        if "x" not in cfg.initial or "y" not in cfg.initial:
-            raise ConfigError("oscillator needs initial['x'] and initial['y']")
-        kwargs = {}
-        if "c1" in cfg.params:
-            kwargs["c1"] = _parse_element("c1", cfg.params["c1"])
-        if "c2" in cfg.params:
-            kwargs["c2"] = _parse_element("c2", cfg.params["c2"])
-        return OscillatorParams(
-            _parse_element("x", cfg.initial["x"]),
-            _parse_element("y", cfg.initial["y"]),
-            **kwargs,
-        )
-    needed = ("alpha", "beta", "a", "b")
-    if any(k not in cfg.params for k in needed) or any(k not in cfg.initial for k in ("x", "y")):
-        raise ConfigError("lotka_volterra needs params alpha/beta/a/b and initial x/y")
-    return LvParams(
-        _parse_element("alpha", cfg.params["alpha"]),
-        _parse_element("beta", cfg.params["beta"]),
-        _parse_element("a", cfg.params["a"]),
-        _parse_element("b", cfg.params["b"]),
-        _parse_element("x", cfg.initial["x"]),
-        _parse_element("y", cfg.initial["y"]),
-    )
+def _build_params(system: str, params: dict, initial: dict):
+    """The system's params dataclass, parsed from its ``params``/``initial`` entries."""
+    cls, entries = _PARAM_ENTRIES[system]
+    given = {"params": params, "initial": initial}
+    unknown = [f"{sec}[{key!r}]" for sec, values in given.items() for key in values if (sec, key) not in entries]
+    if unknown:
+        raise ConfigError(f"unknown entries for {system}: {', '.join(unknown)}")
+    kwargs = {}
+    for f, (section, key) in zip(fields(cls), entries):
+        if key in given[section]:
+            kwargs[f.name] = _parse_element(key, given[section][key])
+        elif f.default is MISSING:
+            raise ConfigError(f"{system} needs {section}[{key!r}]")
+    return cls(**kwargs)
 
 
 def _export_indices(n: int, stride: int | None) -> list[int]:
-    if stride is None:
-        stride = max(1, math.ceil((n - 1) / (MAX_EXPORT_ROWS - 1))) if n > 1 else 1
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return idx
+    stride = stride or max(1, math.ceil((n - 1) / (MAX_EXPORT_ROWS - 1)))
+    return list(range(0, n, stride)) + ([n - 1] if (n - 1) % stride else [])
 
 
 def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
@@ -244,10 +246,9 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
     return path
 
 
-def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory, idx):
+def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
     """Polyline series plus axis labels for the configured plot kind."""
-    sel = np.asarray(idx)
-    ts = traj.times[sel]
+    ts = traj.times
     kind, _, detail = plot.partition(":")
     series = []
     if kind == "time-series":
@@ -257,18 +258,17 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory, idx):
         bands = traj.bands[name]
         for j, alpha in enumerate(traj.alphas):
             stroke = band_color(alpha)
-            series.append((ts, bands[sel, j, 0], stroke, 1.0))
-            series.append((ts, bands[sel, j, 1], stroke, 1.0))
-        series.append((ts, traj.component(name)[0][sel], "#000000", 1.6))
+            series.append((ts, bands[:, j, 0], stroke, 1.0))
+            series.append((ts, bands[:, j, 1], stroke, 1.0))
+        series.append((ts, traj.component(name)[0], "#000000", 1.6))
         return series, "t", name
     if kind == "phase":
-        rows = Trajectory(ts, traj.names, traj.coeffs[sel])
         try:
-            portrait = phase_portrait(rows, detail, basis, traj.alphas)
+            portrait = phase_portrait(traj, detail, basis, traj.alphas)
         except ValueError as exc:
             raise ConfigError(f"cannot draw plot {plot!r}: {exc}") from exc
         crisp = portrait.crisp
-        fuzzy_re = rows.component(portrait.fuzzy_label)[0]
+        fuzzy_re = traj.component(portrait.fuzzy_label)[0]
         # "x-vs-s" puts the banded coordinate on the horizontal axis
         horizontal = detail == "x-vs-s"
         for j, alpha in enumerate(portrait.alphas):
@@ -286,8 +286,8 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory, idx):
         k = 0
         for name in traj.names:
             re, fu = traj.component(name)
-            series.append((ts, re[sel], strokes[k % 4], 1.2))
-            series.append((ts, fu[sel], strokes[(k + 1) % 4], 1.2))
+            series.append((ts, re, strokes[k % 4], 1.2))
+            series.append((ts, fu, strokes[(k + 1) % 4], 1.2))
             k += 2
         return series, "t", "coefficients"
     raise ConfigError(f"unknown plot kind {plot!r}")
@@ -300,36 +300,24 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
     written.
     """
     chosen = _checked_formats(cfg.formats if formats is None else formats)
-    basis, alphas = _validated(cfg)
-    traj = simulate_system(
-        cfg.system,
-        _build_params(cfg),
-        cfg.t_span,
-        dt=cfg.dt,
-        method=cfg.method,
-        basis=basis,
-        alphas=alphas,
-    )
+    basis, alphas, params = _validated(cfg)
+    # the basis is for linear_psi's 1-level; bands go on the exported rows only
+    traj = simulate_system(cfg.system, params, cfg.t_span, dt=cfg.dt, method=cfg.method, basis=basis)
     idx = _export_indices(len(traj), cfg.stride)
-    table = trajectory_table(traj, idx)
+    rows = Trajectory(traj.times[idx], traj.names, traj.coeffs[idx]).attach_bands(basis, alphas)
+    table = trajectory_table(rows)
     if "svg" in chosen:
-        series, x_label, y_label = _svg_series(cfg.plot, basis, traj, idx)
-    written: list[FsPath] = []
-    if chosen:
-        directory = resolve_out_dir(out_dir, cfg.out_dir)
-        if "csv" in chosen:
-            target = directory / f"{cfg.name}.csv"
-            export_csv(table, target)
-            written.append(target)
-        if "json" in chosen:
-            target = directory / f"{cfg.name}.json"
-            export_json(table, target)
-            written.append(target)
-        if "svg" in chosen:
-            target = directory / f"{cfg.name}.svg"
-            emit_svg(series, target, x_label, y_label)
-            written.append(target)
-    return table, written
+        series, x_label, y_label = _svg_series(cfg.plot, basis, rows)
+    writers = {
+        "csv": lambda target: export_csv(table, target),
+        "json": lambda target: export_json(table, target),
+        "svg": lambda target: emit_svg(series, target, x_label, y_label),
+    }
+    directory = resolve_out_dir(out_dir, cfg.out_dir) if chosen else None
+    written = {fmt: directory / f"{cfg.name}.{fmt}" for fmt in writers if fmt in chosen}
+    for fmt, target in written.items():
+        writers[fmt](target)
+    return table, list(written.values())
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +348,7 @@ _OSC_KWARGS = dict(
 
 
 def _linearized_lv_config() -> ScenarioConfig:
-    lv = LvParams(
-        alpha=_parse_element("alpha", _LV_KWARGS["params"]["alpha"]),
-        beta=_parse_element("beta", _LV_KWARGS["params"]["beta"]),
-        a=_parse_element("a", _LV_KWARGS["params"]["a"]),
-        b=_parse_element("b", _LV_KWARGS["params"]["b"]),
-        x0=_parse_element("x", _LV_KWARGS["initial"]["x"]),
-        y0=_parse_element("y", _LV_KWARGS["initial"]["y"]),
-    )
-    osc = linearized_lv(lv)
+    osc = linearized_lv(_build_params("lotka_volterra", _LV_KWARGS["params"], _LV_KWARGS["initial"]))
     return ScenarioConfig(
         system="oscillator",
         basis=_DECAY_BASIS,

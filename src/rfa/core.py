@@ -293,7 +293,10 @@ def pow_int(z: LcNumber, n: int) -> LcNumber:
     if n < 0:
         return ONE / pow_int(z, -n)
     p = to_polar(z)
-    m = p.modulus**n
+    try:
+        m = p.modulus**n
+    except OverflowError as exc:
+        raise OverflowError(f"power {z!r}^{n} is out of range") from exc
     return LcNumber(m * math.cos(n * p.argument), m * math.sin(n * p.argument))
 
 

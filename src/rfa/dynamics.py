@@ -102,8 +102,8 @@ class FuzzyCurve:
 
 def curve_derivative(w: FuzzyCurve, t0: float, h: float = 1e-5) -> LcNumber:
     """Componentwise central difference ``x'(t0) + y'(t0)*A``."""
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     if w.domain is not None and not (w.domain[0] <= t0 - h and t0 + h <= w.domain[1]):
         raise ValueError(f"stencil [{t0 - h}, {t0 + h}] leaves the curve domain {w.domain}")
     inv = 0.5 / h

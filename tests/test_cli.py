@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -15,17 +18,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+LINEAR_CONFIG = {
+    "system": "linear",
+    "basis": "tri(-0.5;0;0.51)",
+    "params": {"lambda": "-0.5 + 0.8*A"},
+    "initial": {"w": "2 + 2*A"},
+    "t_span": [0.0, 1.0],
+    "dt": 0.01,
+    "name": "quick",
+}
+
+
 def linear_config(tmp_path, **overrides):
-    cfg = {
-        "system": "linear",
-        "basis": "tri(-0.5;0;0.51)",
-        "params": {"lambda": "-0.5 + 0.8*A"},
-        "initial": {"w": "2 + 2*A"},
-        "t_span": [0.0, 1.0],
-        "dt": 0.01,
-        "name": "quick",
-    }
-    cfg.update(overrides)
+    cfg = {**LINEAR_CONFIG, **overrides}
     target = tmp_path / "config.json"
     target.write_text(json.dumps(cfg))
     return target
@@ -185,9 +190,17 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"stride": "2"}, "stride must be a positive integer"),
         ({"method": "euler"}, "unknown method"),
         ({"plot": "phase:x-vs-s"}, "two-variable"),
+        ({"dt": 1e-7}, "steps, over the budget of 1000000"),
+        (
+            {"t_span": [0.0, 100.0], "dt": 0.001, "stride": 1, "alphas": [i / 50 for i in range(51)]},
+            "cells, over the budget of 10000000",
+        ),
+        ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, "unknown entries for linear: params['c3']"),
+        ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
-         "string-stride", "unknown-method", "phase-of-one-variable"],
+         "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
+         "cell-budget", "unknown-param", "unknown-initial"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):
@@ -201,6 +214,32 @@ def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config,
     assert err.startswith("error: ") and message in err
     assert out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "z", "--path", "0,1", "--samples", "1"],
+        ["integrate", "z", "--path", "0,1", "--samples", "0"],
+        ["derive", "z", "--at", "1", "--step", "0"],
+        ["derive", "z", "--at", "1", "--step", "-1"],
+        ["derive", "z", "--at", "1", "--step", "nan"],
+        ["derive", "z", "--at", "1", "--step", "inf"],
+    ],
+    ids=["samples-1", "samples-0", "step-0", "step-negative", "step-nan", "step-inf"],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_power_overflow_names_the_power(capsys):
+    code, out, err = run(capsys, "eval", "2^1e20")
+    assert code == 3
+    assert out == ""
+    assert err == "numeric error: power LcNumber(2.0, 0.0)^100000000000000000000 is out of range\n"
 
 
 def test_deep_nesting_is_a_parse_error(capsys):
@@ -256,3 +295,57 @@ def test_eval_keeps_the_exit_code_contract(expr):
     assert (code == 0) == bool(out.getvalue())
     assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# Per-field pools of good and bad values.  Good spans and steps keep an
+# accepted run at 1000 steps or fewer; the tiny steps and huge spans exceed
+# the step budget with every good partner.
+_FIELD_POOLS = {
+    "system": ["linear", "linear_psi", "oscillator", "heat", 3, None],
+    "basis": ["tri(-0.5;0;0.51)", "trap(-1;0;0;1.5)", "tri(-1;0;1)", "tri(1;0;-1)", "2 + A", 5, ""],
+    "params": [
+        {"lambda": "-0.5 + 0.8*A"}, {"lambda": "2"}, {"lambda": 7}, {"lambda": "1e308*A"},
+        {"lambda": "nan"}, {}, {"lambda": "-0.5", "mu": "1"}, ["lambda"], "lambda",
+    ],
+    "initial": [{"w": "2 + 2*A"}, {"w": "0"}, {}, {"w": "2", "x": "1"}, {"w": None}, {"w": []}, [], None],
+    "t_span": [
+        [0.0, 1.0], [-1, 1], [0, 10], [1.0, 0.0], [0, 0], [], [0, 1, 2], "0,1", [0, math.nan],
+        [0, 1e7], [0, 1e308], [-1e308, 1e308],
+    ],
+    "dt": [0.01, 0.1, 1, 1e-7, 1e-300, 5e-324, 0, -0.01, math.nan, math.inf, "0.01", None, True],
+    "alphas": [[0, 0.5, 1], [1.0], [], [0.5, 0.2], [math.nan], [2], ["x"], "0.5", None],
+    "formats": [["csv"], ["json", "svg"], [], ["pdf"], "csv", None],
+    "name": ["quick", "", "..", "a/b", 5, None],
+    "method": ["auto", "analytic", "rk4", "euler", 1],
+    "plot": ["time-series", "time-series:w", "components", "phase:x-vs-s", "time-series:q", "bogus", 3],
+    "stride": [None, 1, 3, 0, -1, 1.5, "2", True],
+    "out_dir": [None, 5],
+    "colour": ["red"],
+}
+_EDITS = st.lists(
+    st.one_of(*(st.tuples(st.just(key), st.sampled_from(pool)) for key, pool in _FIELD_POOLS.items())),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda edit: edit[0],
+)
+_CONFIGS = st.one_of(
+    _EDITS.map(lambda edits: {**LINEAR_CONFIG, **dict(edits)}),
+    st.sampled_from([[1, 2], "linear", 3, None]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CONFIGS)
+def test_solve_keeps_the_exit_code_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "config.json")
+        with open(target, "w") as fh:
+            json.dump(config, fh)
+        out_dir = os.path.join(tmp, "out")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "linear", "--config", target, "--out-dir", out_dir])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert not os.path.exists(out_dir)

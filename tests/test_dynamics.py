@@ -32,6 +32,7 @@ from rfa import (
     solve_linear_analytic,
     solve_linear_psi_analytic,
 )
+from rfa.analytic import derivative_cr
 from rfa.dynamics import (
     check_curve_chain_rule,
     fuzzify_pair,
@@ -73,6 +74,14 @@ def test_curve_derivative_domain():
     w = FuzzyCurve(lambda t: t, lambda t: t, domain=(0.0, 1.0))
     with pytest.raises(ValueError):
         curve_derivative(w, 1.0, h=1e-3)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_derivative_steps_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="finite and positive"):
+        curve_derivative(FuzzyCurve(lambda t: t, lambda t: t), 1.0, h=h)
+    with pytest.raises(ValueError, match="finite and positive"):
+        derivative_cr(lambda z: z, LcNumber(1, 0), h=h)
 
 
 def test_curve_integral_examples():
