@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .analytic import derivative_cr, exp_rfa, log_rfa
+from .analytic import derivative_cr, log_rfa
 from .core import BasisNumber, LcNumber, ONE, ZERO, norm_phi
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "lv_equilibria",
     "matrix_field",
     "oscillator_invariant",
+    "oscillator_matrix",
     "phase_portrait",
     "realify_linear",
     "realify_linear_psi",
@@ -138,7 +139,8 @@ class Trajectory:
     """Discrete solution record: times plus coefficient pairs per variable.
 
     ``coeffs`` holds one row per time with columns ``(re, fu)`` interleaved
-    in the order of ``names``.  Alpha-level bands are attached on demand.
+    in the order of ``names``.  Alpha-level bands are attached on demand,
+    with the basis and alphas they were computed for.
     """
 
     times: np.ndarray
@@ -146,6 +148,7 @@ class Trajectory:
     coeffs: np.ndarray
     alphas: tuple[float, ...] | None = None
     bands: dict[str, np.ndarray] | None = None
+    basis: BasisNumber | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -183,6 +186,7 @@ class Trajectory:
             bands[name] = _band_array(re, fu, basis, alphas)
         self.alphas = alphas
         self.bands = bands
+        self.basis = basis
         return self
 
 
@@ -232,14 +236,23 @@ def realify_linear(lmbda: LcNumber) -> np.ndarray:
 
 
 def solve_linear_analytic(params: LinearParams, ts) -> Trajectory:
-    """Closed-form flow ``w(t) = w0 * e^(lambda t)`` on the given grid."""
+    """Closed-form flow ``w(t) = w0 * e^(lambda t)`` on the given grid.
+
+    Evaluated on the whole grid at once in the order of ``exp_rfa`` and a
+    complex product; an ``e^(re t)`` that is not a finite double raises
+    ``OverflowError`` with the first such time.
+    """
     ts = np.asarray(ts, dtype=float)
     lam, w0 = params.lmbda, params.w0
-    coeffs = np.empty((ts.size, 2))
-    for i, t in enumerate(ts):
-        w = w0 * exp_rfa(LcNumber(lam.re * t, lam.fu * t))
-        coeffs[i, 0] = w.re
-        coeffs[i, 1] = w.fu
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(lam.re * ts)
+        over = ~np.isfinite(scale)
+        if over.any():
+            t = float(ts[np.argmax(over)])
+            raise OverflowError(f"linear flow: e^(lambda*t) with lambda={lam} overflows at t={t}")
+        e_re = scale * np.cos(lam.fu * ts)
+        e_fu = scale * np.sin(lam.fu * ts)
+        coeffs = np.column_stack((w0.re * e_re - w0.fu * e_fu, w0.re * e_fu + w0.fu * e_re))
     return Trajectory(ts, ("w",), coeffs)
 
 
@@ -345,10 +358,21 @@ def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
     """
     ts, n_full = _grid(t_span, dt)
     s = tuple(float(v) for v in s0)
-    idx = range(len(s))
-    states = [s]
+    states = [s] + _rk4_steps(fieldfn, s, ts, n_full, dt, range(len(ts) - 1))
+    return np.asarray(ts), np.asarray(states)
 
-    def step(t, s, h):
+
+def _rk4_steps(fieldfn: Field, s: tuple, ts: list, n_full: int, dt: float, steps: range) -> list:
+    """Stage-by-stage RK4 over grid ``steps`` from the state ``s`` at ``ts[steps[0]]``.
+
+    Step ``j`` goes from ``ts[j]`` to ``ts[j + 1]``, by ``dt`` for the
+    first ``n_full`` steps and by the remainder of the span after them.
+    """
+    idx = range(len(s))
+    states = []
+    for j in steps:
+        t = ts[j]
+        h = dt if j < n_full else ts[-1] - t
         k1 = fieldfn(t, s)
         s2 = tuple(s[i] + 0.5 * h * k1[i] for i in idx)
         k2 = fieldfn(t + 0.5 * h, s2)
@@ -356,15 +380,69 @@ def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
         k3 = fieldfn(t + 0.5 * h, s3)
         s4 = tuple(s[i] + h * k3[i] for i in idx)
         k4 = fieldfn(t + h, s4)
-        return tuple(s[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in idx)
-
-    for j in range(len(ts) - 1):
-        s = step(ts[j], s, dt if j < n_full else ts[-1] - ts[j])
+        s = tuple(s[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in idx)
         for v in s:
             if not math.isfinite(v):
                 raise IntegrationAbort(ts[j + 1])
         states.append(s)
-    return np.asarray(ts), np.asarray(states)
+    return states
+
+
+# steps per block of the linear propagator: P^1 .. P^_BLOCK are stacked once
+_BLOCK = 256
+
+
+def _rk4_polynomial(x: np.ndarray) -> np.ndarray:
+    """RK4's stability function ``I + x + x^2/2 + x^3/6 + x^4/24``, by Horner."""
+    eye = np.eye(len(x))
+    return eye + x @ (eye + x @ (eye + x @ (eye + x / 4.0) / 3.0) / 2.0)
+
+
+def _rk4_linear(matrix, s0: Sequence[float], t_span, dt: float):
+    """``rk4_integrate`` on the linear field ``s' = M s``, as propagator powers.
+
+    One classical RK4 step of length ``h`` maps ``s`` to ``P(hM) s`` exactly,
+    so each block of up to ``_BLOCK`` states is one batched product of the
+    stacked powers of ``P(dt M)`` with the block's start state, and a ragged
+    last step is one product with ``P(h_last M)``.  The powers and the chain
+    of block start states are carried in ``np.longdouble`` (extended
+    precision where the platform has it), so round-off does not build up
+    from block to block.  A block that comes out non-finite is replayed
+    stage by stage from its start, so an overflow aborts at the same grid
+    time as ``rk4_integrate``.
+    """
+    ts, n_full = _grid(t_span, dt)
+    m = np.asarray(matrix, dtype=np.longdouble)
+    states = np.empty((len(ts), len(m)))
+    states[0] = s0
+    start = states[0].astype(np.longdouble)
+
+    def advance(a: int, b: int, powers: np.ndarray) -> None:
+        nonlocal start
+        block = states[a + 1:b + 1]
+        np.matmul(powers.astype(float), states[a], out=block)
+        start = powers[-1] @ start
+        block[-1] = start
+        if not np.isfinite(block).all():
+            block[:] = _rk4_steps(matrix_field(m), tuple(states[a].tolist()), ts, n_full, dt, range(a, b))
+            start = block[-1].astype(np.longdouble)
+
+    with np.errstate(all="ignore"):
+        count = min(_BLOCK, n_full)
+        if count:
+            powers = np.empty((count, len(m), len(m)), dtype=np.longdouble)
+            powers[0] = _rk4_polynomial(dt * m)
+            k = 1
+            while k < count:  # P^(i+1+k) = P^(i+1) P^k, doubling the stack
+                n = min(k, count - k)
+                np.matmul(powers[:n], powers[k - 1], out=powers[k:k + n])
+                k += n
+            for a in range(0, n_full, _BLOCK):
+                b = min(a + _BLOCK, n_full)
+                advance(a, b, powers[:b - a])
+        if len(ts) - 1 > n_full:
+            advance(n_full, n_full + 1, _rk4_polynomial((ts[-1] - ts[n_full]) * m)[None])
+    return np.asarray(ts), states
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +472,23 @@ def realify_oscillator(params: OscillatorParams) -> Field:
         )
 
     return fieldfn
+
+
+def oscillator_matrix(params: OscillatorParams) -> np.ndarray:
+    """Real 4x4 generator of the oscillator on ``(r, s, p, q)``.
+
+    The matrix of the linear field ``realify_oscillator`` evaluates.
+    """
+    c1r, c1f = params.c1.re, params.c1.fu
+    c2r, c2f = params.c2.re, params.c2.fu
+    return np.array(
+        [
+            [0.0, -c1r, 0.0, c1f],
+            [c2r, 0.0, -c2f, 0.0],
+            [0.0, -c1f, 0.0, -c1r],
+            [c2f, 0.0, c2r, 0.0],
+        ]
+    )
 
 
 def oscillator_invariant(x: LcNumber, y: LcNumber) -> LcNumber:
@@ -440,6 +535,72 @@ def realify_lotka_volterra(params: LvParams) -> Field:
         )
 
     return fieldfn
+
+
+def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
+    """``rk4_integrate`` on ``realify_lotka_volterra(params)``, fused into one loop.
+
+    Every stage runs the same float operations in the same order as the
+    generic step on the same field, on locals and with the factors two
+    components share computed once, so the states are bit-identical.  A
+    non-finite state aborts with the first offending grid time.
+    """
+    ts, n_full = _grid(t_span, dt)
+    g_r, g_f = params.alpha.re, params.alpha.fu
+    d_r, d_f = params.beta.re, params.beta.fu
+    a_r, a_f = params.a.re, params.a.fu
+    b_r, b_f = params.b.re, params.b.fu
+    ng_f, nd_r, nd_f = -g_f, -d_r, -d_f
+    r, s, p, q = realify_pair(params.x0, params.y0)
+    states = [(r, s, p, q)]
+    append = states.append
+    h, hh, h6 = dt, 0.5 * dt, dt / 6.0
+    for j in range(len(ts) - 1):
+        if j == n_full:
+            h = ts[-1] - ts[j]
+            hh, h6 = 0.5 * h, h / 6.0
+        # each stage: u and v are the prey and predator rate factors; pairs,
+        # not 4-tuples, are assigned at once, which CPython does without a tuple
+        u = g_r - a_r * s + a_f * q
+        v = nd_r + b_r * r - b_f * p
+        aq, afs = a_r * q, a_f * s
+        bp, bfr = b_r * p, b_f * r
+        k1r, k1s = r * u + p * (ng_f + aq + afs), s * v + q * (d_f - bp - bfr)
+        k1p, k1q = p * u + r * (g_f - aq - afs), q * v + s * (nd_f + bp + bfr)
+        r2, s2 = r + hh * k1r, s + hh * k1s
+        p2, q2 = p + hh * k1p, q + hh * k1q
+        u = g_r - a_r * s2 + a_f * q2
+        v = nd_r + b_r * r2 - b_f * p2
+        aq, afs = a_r * q2, a_f * s2
+        bp, bfr = b_r * p2, b_f * r2
+        k2r, k2s = r2 * u + p2 * (ng_f + aq + afs), s2 * v + q2 * (d_f - bp - bfr)
+        k2p, k2q = p2 * u + r2 * (g_f - aq - afs), q2 * v + s2 * (nd_f + bp + bfr)
+        r3, s3 = r + hh * k2r, s + hh * k2s
+        p3, q3 = p + hh * k2p, q + hh * k2q
+        u = g_r - a_r * s3 + a_f * q3
+        v = nd_r + b_r * r3 - b_f * p3
+        aq, afs = a_r * q3, a_f * s3
+        bp, bfr = b_r * p3, b_f * r3
+        k3r, k3s = r3 * u + p3 * (ng_f + aq + afs), s3 * v + q3 * (d_f - bp - bfr)
+        k3p, k3q = p3 * u + r3 * (g_f - aq - afs), q3 * v + s3 * (nd_f + bp + bfr)
+        r4, s4 = r + h * k3r, s + h * k3s
+        p4, q4 = p + h * k3p, q + h * k3q
+        u = g_r - a_r * s4 + a_f * q4
+        v = nd_r + b_r * r4 - b_f * p4
+        aq, afs = a_r * q4, a_f * s4
+        bp, bfr = b_r * p4, b_f * r4
+        k4r, k4s = r4 * u + p4 * (ng_f + aq + afs), s4 * v + q4 * (d_f - bp - bfr)
+        k4p, k4q = p4 * u + r4 * (g_f - aq - afs), q4 * v + s4 * (nd_f + bp + bfr)
+        r = r + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
+        s = s + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
+        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        q = q + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
+        append((r, s, p, q))
+    states = np.asarray(states)
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise IntegrationAbort(ts[int(np.argmax(bad))])
+    return np.asarray(ts), states
 
 
 def lv_equilibria(params: LvParams):
@@ -507,7 +668,10 @@ def simulate_system(
 
     ``linear`` and ``linear_psi`` default to their closed forms
     (``method="rk4"`` integrates the realified system instead); the
-    oscillator and predator-prey systems always integrate.  Alpha-level
+    oscillator and predator-prey systems always integrate.  RK4 on the
+    linear fields (both flows and the oscillator) runs as powers of the
+    step propagator, on predator-prey as a fused loop; both follow the
+    grid and the abort rule of ``rk4_integrate``.  Alpha-level
     bands are attached when both ``basis`` and ``alphas`` are given.
     ``linear_psi`` needs the basis 1-level, either as ``a1`` or via the
     basis.
@@ -518,12 +682,7 @@ def simulate_system(
         if method in ("auto", "analytic"):
             traj = solve_linear_analytic(params, time_grid(t_span, dt))
         else:
-            times, states = rk4_integrate(
-                matrix_field(realify_linear(params.lmbda)),
-                realify_single(params.w0),
-                t_span,
-                dt,
-            )
+            times, states = _rk4_linear(realify_linear(params.lmbda), realify_single(params.w0), t_span, dt)
             traj = Trajectory(times, ("w",), states)
     elif system == "linear_psi":
         if a1 is None:
@@ -533,26 +692,17 @@ def simulate_system(
         if method in ("auto", "analytic"):
             traj = solve_linear_psi_analytic(params, a1, time_grid(t_span, dt))
         else:
-            times, states = rk4_integrate(
-                matrix_field(realify_linear_psi(params.lmbda, a1)),
-                realify_single(params.w0),
-                t_span,
-                dt,
-            )
+            times, states = _rk4_linear(realify_linear_psi(params.lmbda, a1), realify_single(params.w0), t_span, dt)
             traj = Trajectory(times, ("w",), states)
     elif system == "oscillator":
         if method == "analytic":
             raise ValueError("the oscillator has no analytic path here; use rk4")
-        times, states = rk4_integrate(
-            realify_oscillator(params), realify_pair(params.x0, params.y0), t_span, dt
-        )
+        times, states = _rk4_linear(oscillator_matrix(params), realify_pair(params.x0, params.y0), t_span, dt)
         traj = Trajectory(times, ("x", "y"), states[:, (0, 2, 1, 3)])
     elif system == "lotka_volterra":
         if method == "analytic":
             raise ValueError("the predator-prey system has no analytic path; use rk4")
-        times, states = rk4_integrate(
-            realify_lotka_volterra(params), realify_pair(params.x0, params.y0), t_span, dt
-        )
+        times, states = _rk4_lotka_volterra(params, t_span, dt)
         traj = Trajectory(times, ("x", "y"), states[:, (0, 2, 1, 3)])
     else:
         raise ValueError(f"unknown system {system!r}")
@@ -578,7 +728,8 @@ def phase_portrait(traj: Trajectory, projection: str, basis: BasisNumber, alphas
 
     ``"x-vs-s"`` renders the first variable as alpha-bands against the real
     part of the second; ``"r-vs-y"`` the other way round.  A crisp fuzzy
-    coordinate degenerates to a plain point series.
+    coordinate degenerates to a plain point series.  Bands the trajectory
+    already carries for the same basis and alphas are reused.
     """
     if len(traj.names) != 2:
         raise ValueError("phase portraits need a two-variable trajectory")
@@ -592,13 +743,15 @@ def phase_portrait(traj: Trajectory, projection: str, basis: BasisNumber, alphas
         fuzzy_name, crisp_name = y_name, x_name
     else:
         raise ValueError(f"unknown projection {projection!r}")
-    f_re, f_fu = traj.component(fuzzy_name)
-    c_re, _ = traj.component(crisp_name)
+    if traj.bands is not None and traj.alphas == alphas and traj.basis == basis:
+        bands = traj.bands[fuzzy_name]
+    else:
+        bands = _band_array(*traj.component(fuzzy_name), basis, alphas)
     return PhasePortrait(
         times=traj.times,
         crisp_label=crisp_name,
         fuzzy_label=fuzzy_name,
-        crisp=c_re,
-        bands=_band_array(f_re, f_fu, basis, alphas),
+        crisp=traj.component(crisp_name)[0],
+        bands=bands,
         alphas=alphas,
     )

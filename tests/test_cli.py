@@ -3,12 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rfa
 from rfa.cli.main import main
 
 
@@ -157,6 +160,28 @@ def test_integrator_abort_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "oscillator", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 3
     assert "aborted" in err
+
+
+def test_closed_form_overflow_names_the_flow(capsys, tmp_path):
+    cfg = linear_config(tmp_path, params={"lambda": "800"}, name="overflows")
+    code, out, err = run(capsys, "solve", "linear", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert err == "numeric error: linear flow: e^(lambda*t) with lambda=LcNumber(800.0, 0.0) overflows at t=0.89\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(rfa.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "rfa.cli", "eval", "1+1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2.0\n", "")
 
 
 def test_parse_errors_exit_2(capsys):

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,10 +40,13 @@ from rfa.dynamics import (
     fuzzify_pair,
     fuzzify_single,
     matrix_field,
+    oscillator_matrix,
+    realify_oscillator,
     realify_pair,
     realify_single,
     time_grid,
 )
+from rfa.cli import preset_config, run_scenario
 from helpers import as_complex, assert_components, assert_matches_complex
 
 DECAY_BASIS = BasisNumber.triangular(-0.5, 0, 0.51)
@@ -527,3 +532,157 @@ def test_phase_portrait_needs_two_variables():
     traj = simulate_system("linear", params, (0.0, 1.0), dt=0.1)
     with pytest.raises(ValueError):
         phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# kernels by system class: each is checked against the generic integrator
+
+KERNEL_SPANS = {
+    "exact": (0.0, 10.0),  # 39 full blocks of 256 steps and a partial one
+    "ragged": (0.0, 1.2345),
+    "below-one-step": (0.0, 4e-4),
+}
+
+FUZZY_OSCILLATOR = OscillatorParams(LcNumber(100, 2), LcNumber(100, 2), LcNumber(1.3, 0.2), LcNumber(0.7, -0.1))
+
+
+def _cell_gap(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def _linear_kernel_case(system: str):
+    """``simulate_system`` on one linear field, and the generic RK4 it replaces."""
+    if system == "oscillator":
+        p = FUZZY_OSCILLATOR
+        s0 = realify_pair(p.x0, p.y0)
+        return (
+            lambda span: simulate_system("oscillator", p, span, dt=1e-3).coeffs,
+            lambda span: rk4_integrate(realify_oscillator(p), s0, span, 1e-3)[1][:, (0, 2, 1, 3)],
+        )
+    p = LinearParams(LcNumber(0.5, 1.0), LcNumber(2, 2))
+    matrix = realify_linear(p.lmbda) if system == "linear" else realify_linear_psi(p.lmbda, 0.3)
+    return (
+        lambda span: simulate_system(system, p, span, dt=1e-3, method="rk4", a1=0.3).coeffs,
+        lambda span: rk4_integrate(matrix_field(matrix), realify_single(p.w0), span, 1e-3)[1],
+    )
+
+
+@pytest.mark.parametrize("span", KERNEL_SPANS.values(), ids=KERNEL_SPANS.keys())
+@pytest.mark.parametrize("system", ["linear", "linear_psi", "oscillator"])
+def test_linear_propagator_matches_stage_by_stage_rk4(system, span):
+    kernel, generic = _linear_kernel_case(system)
+    got, ref = kernel(span), generic(span)
+    assert got.shape == ref.shape
+    assert _cell_gap(got, ref) < 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision here")
+@pytest.mark.parametrize("params", [OscillatorParams(LcNumber(100, 2), LcNumber(100, 2)), FUZZY_OSCILLATOR])
+def test_propagator_round_off_does_not_build_up(params):
+    # exact-arithmetic RK4 ends at P(dt M)^n s0; extended precision stands in
+    # for it.  Powers of P rounded to doubles drift to about 4e-13 here.
+    x = 1e-3 * oscillator_matrix(params).astype(np.longdouble)
+    eye = np.eye(4, dtype=np.longdouble)
+    step = eye + x + x @ x / 2 + x @ x @ x / 6 + x @ x @ x @ x / 24
+    exact = np.linalg.matrix_power(step, 50000) @ np.array(realify_pair(params.x0, params.y0), dtype=np.longdouble)
+    got = simulate_system("oscillator", params, (0.0, 50.0), dt=1e-3).coeffs[-1, (0, 2, 1, 3)]
+    assert float(np.max(np.abs(got - exact)) / np.max(np.abs(exact))) < 2e-14
+
+
+def test_oscillator_matrix_is_the_oscillator_field():
+    field = realify_oscillator(FUZZY_OSCILLATOR)
+    rng = random.Random(4)
+    for _ in range(20):
+        s = [rng.uniform(-10, 10) for _ in range(4)]
+        assert np.allclose(oscillator_matrix(FUZZY_OSCILLATOR) @ s, field(0.0, s), rtol=1e-15, atol=1e-13)
+
+
+@pytest.mark.parametrize("span", KERNEL_SPANS.values(), ids=KERNEL_SPANS.keys())
+@pytest.mark.parametrize(
+    "params",
+    [
+        lv_paper_params(),
+        replace(lv_paper_params(), a=LcNumber(0.01, 5e-4), b=LcNumber(0.007, -3e-4)),
+        replace(lv_paper_params(), alpha=LcNumber(0.25, 0), beta=LcNumber(0.18, 0), x0=LcNumber(100, 0), y0=LcNumber(0, 0)),
+    ],
+    ids=["paper", "fuzzy-rates", "no-predators"],
+)
+def test_fused_lotka_volterra_is_bit_identical(params, span):
+    got = simulate_system("lotka_volterra", params, span, dt=1e-3)
+    times, states = rk4_integrate(realify_lotka_volterra(params), realify_pair(params.x0, params.y0), span, 1e-3)
+    assert np.array_equal(got.times, times)
+    assert np.array_equal(got.coeffs.view(np.uint64), states[:, (0, 2, 1, 3)].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "system, params",
+    [
+        ("linear", LinearParams(LcNumber(800, 0), LcNumber(1, 0))),
+        ("linear", LinearParams(LcNumber(1500, 0), LcNumber(1, 0))),
+        ("linear_psi", LinearParams(LcNumber(800, 5), LcNumber(1, 1))),
+        # P(dt M) itself overflows after a few powers
+        ("oscillator", OscillatorParams(LcNumber(1, 0), LcNumber(0, 0), LcNumber(1e4, 0), LcNumber(1e4, 0))),
+    ],
+)
+def test_propagator_aborts_where_stage_by_stage_rk4_does(system, params):
+    span, dt = ((0.0, 100.0), 1.0) if system == "oscillator" else ((0.0, 1.0), 1e-3)
+    if system == "oscillator":
+        field, s0 = realify_oscillator(params), realify_pair(params.x0, params.y0)
+    else:
+        matrix = realify_linear(params.lmbda) if system == "linear" else realify_linear_psi(params.lmbda, 0.3)
+        field, s0 = matrix_field(matrix), realify_single(params.w0)
+    with pytest.raises(IntegrationAbort) as generic:
+        rk4_integrate(field, s0, span, dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationAbort) as kernel:
+            simulate_system(system, params, span, dt=dt, method="rk4", a1=0.3)
+    assert kernel.value.t == generic.value.t
+
+
+def test_propagator_abort_times_of_growing_flows():
+    for rate, t in ((800, 0.879), (1500, 474 * 1e-3)):
+        with pytest.raises(IntegrationAbort) as info:
+            simulate_system("linear", LinearParams(LcNumber(rate, 0), LcNumber(1, 0)), (0.0, 1.0), method="rk4")
+        assert info.value.t == t
+
+
+def test_vectorised_closed_form_matches_the_element_formula():
+    for lam in (LcNumber(-0.5, 0.8), LcNumber(0.5, 1.0)):
+        params = LinearParams(lam, LcNumber(2, 2))
+        ts = time_grid((0.0, 10.0), 1e-2)
+        got = solve_linear_analytic(params, ts).coeffs
+        ref = np.array([(w.re, w.fu) for w in (params.w0 * exp_rfa(LcNumber(lam.re * t, lam.fu * t)) for t in ts)])
+        assert _cell_gap(got, ref) < 1e-12
+
+
+def test_closed_form_overflow_names_the_flow_and_time():
+    params = LinearParams(LcNumber(800, 0), LcNumber(2, 2))
+    with pytest.raises(OverflowError, match=r"linear flow: .* overflows at t=0\.888$"):
+        solve_linear_analytic(params, time_grid((0.0, 1.0), 1e-3))
+
+
+def test_phase_plot_reuses_the_attached_bands(monkeypatch, tmp_path):
+    import rfa.dynamics
+
+    band_array = rfa.dynamics._band_array
+    calls = []
+
+    def counted(re, fu, basis, alphas):
+        calls.append(re.size * len(alphas) * 2)
+        return band_array(re, fu, basis, alphas)
+
+    monkeypatch.setattr(rfa.dynamics, "_band_array", counted)
+    run_scenario(preset_config("fig6"), out_dir=tmp_path, formats=("svg",))
+    assert calls == [2001 * 11 * 2] * 2  # x and y from attach_bands, none for the portrait
+
+    traj = simulate_system("oscillator", FUZZY_OSCILLATOR, (0.0, 1.0), dt=0.01).attach_bands(DECAY_BASIS, (0.0, 1.0))
+    calls.clear()
+    reused = phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 1.0))
+    assert calls == [] and reused.bands is traj.bands["x"]
+    other = BasisNumber.triangular(-1, 0, 1.01)
+    fresh = phase_portrait(traj, "x-vs-s", other, (0.0, 1.0))
+    assert len(calls) == 1
+    assert np.array_equal(fresh.bands, band_array(*traj.component("x"), other, (0.0, 1.0)))
+    phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 0.5, 1.0))
+    assert len(calls) == 2
