@@ -234,6 +234,11 @@ class Path:
         if samples < 2:
             raise ValueError(f"samples must be at least 2, got {samples}")
         lengths = [norm_phi(b - a) for a, b in zip(verts, verts[1:])]
+        for k, ell in enumerate(lengths):
+            if not math.isfinite(ell):
+                raise OverflowError(
+                    f"polyline edge {k} from {verts[k]} to {verts[k + 1]} has a length that is not finite"
+                )
         total = sum(lengths)
         budget = max(samples - 1, len(lengths))
         counts = []

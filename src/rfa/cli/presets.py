@@ -175,6 +175,11 @@ def _validated(cfg: ScenarioConfig):
         raise ConfigError("the 'basis' entry must be a tri(...) or trap(...) literal")
     if not is_asymmetric(basis):
         raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected")
+    if cfg.system == "linear_psi":
+        try:
+            basis.one_level_value()
+        except ValueError as exc:
+            raise ConfigError(f"linear_psi needs a basis with a single-point 1-level: {exc}") from exc
     if not isinstance(cfg.params, dict) or not isinstance(cfg.initial, dict):
         raise ConfigError("'params' and 'initial' must map names to literals")
     if not isinstance(cfg.t_span, (list, tuple)) or len(cfg.t_span) != 2:
@@ -205,8 +210,8 @@ def _validated(cfg: ScenarioConfig):
     # variable has one "initial" entry and 2 + 2 * len(alphas) columns
     points = int(steps) + 2
     rows = min(points, MAX_EXPORT_ROWS) if cfg.stride is None else points // cfg.stride + 2
-    variables = sum(section == "initial" for section, _ in _PARAM_ENTRIES[cfg.system][1])
-    cells = rows * (1 + 2 * variables * (1 + len(alphas)))
+    names = [key for section, key in _PARAM_ENTRIES[cfg.system][1] if section == "initial"]
+    cells = rows * (1 + 2 * len(names) * (1 + len(alphas)))
     if cells > MAX_CELLS:
         raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
     name = cfg.name
@@ -214,6 +219,17 @@ def _validated(cfg: ScenarioConfig):
         raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
     if not isinstance(cfg.plot, str) or not isinstance(cfg.out_dir, (str, type(None))):
         raise ConfigError(f"plot and out_dir must be strings, got {cfg.plot!r}, {cfg.out_dir!r}")
+    kind, _, detail = cfg.plot.partition(":")
+    if kind == "time-series":
+        if detail and detail not in names:
+            raise ConfigError(f"unknown variable {detail!r} in plot {cfg.plot!r}")
+    elif kind == "phase":
+        if len(names) != 2:
+            raise ConfigError(f"cannot draw plot {cfg.plot!r}: phase portraits need a two-variable trajectory")
+        if detail not in ("x-vs-s", "r-vs-y"):
+            raise ConfigError(f"cannot draw plot {cfg.plot!r}: unknown projection {detail!r}")
+    elif kind != "components":
+        raise ConfigError(f"unknown plot kind {cfg.plot!r}")
     return basis, alphas, _build_params(cfg.system, cfg.params, cfg.initial)
 
 
@@ -247,14 +263,12 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
 
 
 def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
-    """Polyline series plus axis labels for the configured plot kind."""
+    """Polyline series plus axis labels for the plot kind ``_validated`` accepted."""
     ts = traj.times
     kind, _, detail = plot.partition(":")
     series = []
     if kind == "time-series":
         name = detail or traj.names[0]
-        if name not in traj.names:
-            raise ConfigError(f"unknown variable {name!r} in plot {plot!r}")
         bands = traj.bands[name]
         for j, alpha in enumerate(traj.alphas):
             stroke = band_color(alpha)
@@ -263,10 +277,7 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
         series.append((ts, traj.component(name)[0], "#000000", 1.6))
         return series, "t", name
     if kind == "phase":
-        try:
-            portrait = phase_portrait(traj, detail, basis, traj.alphas)
-        except ValueError as exc:
-            raise ConfigError(f"cannot draw plot {plot!r}: {exc}") from exc
+        portrait = phase_portrait(traj, detail, basis, traj.alphas)
         crisp = portrait.crisp
         fuzzy_re = traj.component(portrait.fuzzy_label)[0]
         # "x-vs-s" puts the banded coordinate on the horizontal axis
@@ -281,16 +292,14 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
             return series, portrait.fuzzy_label, portrait.crisp_label
         series.append((crisp, fuzzy_re, "#000000", 1.6))
         return series, portrait.crisp_label, portrait.fuzzy_label
-    if kind == "components":
-        strokes = ("#000000", "#777777", "#222266", "#884444")
-        k = 0
-        for name in traj.names:
-            re, fu = traj.component(name)
-            series.append((ts, re, strokes[k % 4], 1.2))
-            series.append((ts, fu, strokes[(k + 1) % 4], 1.2))
-            k += 2
-        return series, "t", "coefficients"
-    raise ConfigError(f"unknown plot kind {plot!r}")
+    strokes = ("#000000", "#777777", "#222266", "#884444")  # components
+    k = 0
+    for name in traj.names:
+        re, fu = traj.component(name)
+        series.append((ts, re, strokes[k % 4], 1.2))
+        series.append((ts, fu, strokes[(k + 1) % 4], 1.2))
+        k += 2
+    return series, "t", "coefficients"
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):

@@ -239,8 +239,9 @@ def solve_linear_analytic(params: LinearParams, ts) -> Trajectory:
     """Closed-form flow ``w(t) = w0 * e^(lambda t)`` on the given grid.
 
     Evaluated on the whole grid at once in the order of ``exp_rfa`` and a
-    complex product; an ``e^(re t)`` that is not a finite double raises
-    ``OverflowError`` with the first such time.
+    complex product.  An ``e^(re t)`` that is not a finite double raises
+    ``OverflowError`` with the first such time, and so does a product with
+    ``w0`` that is not.
     """
     ts = np.asarray(ts, dtype=float)
     lam, w0 = params.lmbda, params.w0
@@ -253,6 +254,14 @@ def solve_linear_analytic(params: LinearParams, ts) -> Trajectory:
         e_re = scale * np.cos(lam.fu * ts)
         e_fu = scale * np.sin(lam.fu * ts)
         coeffs = np.column_stack((w0.re * e_re - w0.fu * e_fu, w0.re * e_fu + w0.fu * e_re))
+    return _finite_flow(f"linear flow: w0*e^(lambda*t) with w0={w0}, lambda={lam}", ts, coeffs)
+
+
+def _finite_flow(label: str, ts: np.ndarray, coeffs: np.ndarray) -> Trajectory:
+    """The closed-form trajectory, or ``OverflowError`` at its first non-finite time."""
+    bad = ~np.isfinite(coeffs).all(axis=1)
+    if bad.any():
+        raise OverflowError(f"{label} overflows at t={float(ts[np.argmax(bad)])}")
     return Trajectory(ts, ("w",), coeffs)
 
 
@@ -285,25 +294,30 @@ def solve_linear_psi_analytic(params: LinearParams, a1: float, ts) -> Trajectory
     For a basis centred at zero (``a1 = 0``) this reduces to the secular
     form ``x0*e^(l1 t) + (y0 + x0 t)*e^(l1 t)*A``, which involves only the
     real part of the rate; that branch is evaluated directly so the
-    reduction is bitwise.
+    reduction is bitwise.  An exponential or a cell that is not a finite
+    double raises ``OverflowError`` with the first such time.
     """
     ts = np.asarray(ts, dtype=float)
     l1, l2 = params.lmbda.re, params.lmbda.fu
     x0, y0 = params.w0.re, params.w0.fu
+    given = f"lambda={params.lmbda}, a1={a1}"
     coeffs = np.empty((ts.size, 2))
-    if a1 == 0.0:
-        for i, t in enumerate(ts):
-            growth = math.exp(l1 * t)
-            coeffs[i, 0] = x0 * growth
-            coeffs[i, 1] = (y0 + x0 * t) * growth
-    else:
-        mu = l1 + a1 * l2
-        lead = x0 + a1 * y0
-        for i, t in enumerate(ts):
-            growth = math.exp(mu * t)
-            coeffs[i, 0] = -a1 * y0 * growth + lead * growth * (1.0 - a1 * t)
-            coeffs[i, 1] = y0 * growth + lead * growth * t
-    return Trajectory(ts, ("w",), coeffs)
+    try:
+        if a1 == 0.0:
+            for i, t in enumerate(ts.tolist()):
+                growth = math.exp(l1 * t)
+                coeffs[i, 0] = x0 * growth
+                coeffs[i, 1] = (y0 + x0 * t) * growth
+        else:
+            mu = l1 + a1 * l2
+            lead = x0 + a1 * y0
+            for i, t in enumerate(ts.tolist()):
+                growth = math.exp(mu * t)
+                coeffs[i, 0] = -a1 * y0 * growth + lead * growth * (1.0 - a1 * t)
+                coeffs[i, 1] = y0 * growth + lead * growth * t
+    except OverflowError:
+        raise OverflowError(f"linear_psi flow: e^((re + a1*fu)*t) with {given} overflows at t={t}") from None
+    return _finite_flow(f"linear_psi flow: the solution with w0={params.w0}, {given}", ts, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -517,90 +531,55 @@ class LvParams:
 def realify_lotka_volterra(params: LvParams) -> Field:
     """The four-component real system on ``(r, s, p, q)``.
 
-    This is the coefficient expansion of the fuzzy predator-prey equations;
-    it agrees with evaluating them through the field product directly.
+    The fuzzy predator-prey equations ``x' = x*(alpha - a*y)`` and
+    ``y' = y*(b*x - beta)`` evaluated in complex arithmetic on the pairs
+    ``x = r + p*i`` and ``y = s + q*i``, which is the field product.
     """
-    g_r, g_f = params.alpha.re, params.alpha.fu
-    d_r, d_f = params.beta.re, params.beta.fu
-    a_r, a_f = params.a.re, params.a.fu
-    b_r, b_f = params.b.re, params.b.fu
+    alpha, beta, a, b = (complex(z.re, z.fu) for z in (params.alpha, params.beta, params.a, params.b))
 
     def fieldfn(t: float, state: Sequence[float]):
         r, s, p, q = state
-        return (
-            r * (g_r - a_r * s + a_f * q) + p * (-g_f + a_r * q + a_f * s),
-            s * (-d_r + b_r * r - b_f * p) + q * (d_f - b_r * p - b_f * r),
-            p * (g_r - a_r * s + a_f * q) + r * (g_f - a_r * q - a_f * s),
-            q * (-d_r + b_r * r - b_f * p) + s * (-d_f + b_r * p + b_f * r),
-        )
+        x, y = complex(r, p), complex(s, q)
+        dx, dy = x * (alpha - a * y), y * (b * x - beta)
+        return (dx.real, dy.real, dx.imag, dy.imag)
 
     return fieldfn
 
 
 def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
-    """``rk4_integrate`` on ``realify_lotka_volterra(params)``, fused into one loop.
+    """``rk4_integrate`` on ``realify_lotka_volterra(params)``, on the complex pair.
 
-    Every stage runs the same float operations in the same order as the
-    generic step on the same field, on locals and with the factors two
-    components share computed once, so the states are bit-identical.  A
+    The stages run on ``x`` and ``y`` as complex locals.  A real step times
+    a complex value rounds like the generic step's per-component products,
+    so the states are bit-identical.  The states come back as rows
+    ``(x.re, x.fu, y.re, y.fu)``, the column order of ``Trajectory``.  A
     non-finite state aborts with the first offending grid time.
     """
     ts, n_full = _grid(t_span, dt)
-    g_r, g_f = params.alpha.re, params.alpha.fu
-    d_r, d_f = params.beta.re, params.beta.fu
-    a_r, a_f = params.a.re, params.a.fu
-    b_r, b_f = params.b.re, params.b.fu
-    ng_f, nd_r, nd_f = -g_f, -d_r, -d_f
-    r, s, p, q = realify_pair(params.x0, params.y0)
-    states = [(r, s, p, q)]
+    alpha, beta, a, b = (complex(z.re, z.fu) for z in (params.alpha, params.beta, params.a, params.b))
+    x, y = complex(params.x0.re, params.x0.fu), complex(params.y0.re, params.y0.fu)
+    states = [(x, y)]
     append = states.append
     h, hh, h6 = dt, 0.5 * dt, dt / 6.0
     for j in range(len(ts) - 1):
         if j == n_full:
             h = ts[-1] - ts[j]
             hh, h6 = 0.5 * h, h / 6.0
-        # each stage: u and v are the prey and predator rate factors; pairs,
-        # not 4-tuples, are assigned at once, which CPython does without a tuple
-        u = g_r - a_r * s + a_f * q
-        v = nd_r + b_r * r - b_f * p
-        aq, afs = a_r * q, a_f * s
-        bp, bfr = b_r * p, b_f * r
-        k1r, k1s = r * u + p * (ng_f + aq + afs), s * v + q * (d_f - bp - bfr)
-        k1p, k1q = p * u + r * (g_f - aq - afs), q * v + s * (nd_f + bp + bfr)
-        r2, s2 = r + hh * k1r, s + hh * k1s
-        p2, q2 = p + hh * k1p, q + hh * k1q
-        u = g_r - a_r * s2 + a_f * q2
-        v = nd_r + b_r * r2 - b_f * p2
-        aq, afs = a_r * q2, a_f * s2
-        bp, bfr = b_r * p2, b_f * r2
-        k2r, k2s = r2 * u + p2 * (ng_f + aq + afs), s2 * v + q2 * (d_f - bp - bfr)
-        k2p, k2q = p2 * u + r2 * (g_f - aq - afs), q2 * v + s2 * (nd_f + bp + bfr)
-        r3, s3 = r + hh * k2r, s + hh * k2s
-        p3, q3 = p + hh * k2p, q + hh * k2q
-        u = g_r - a_r * s3 + a_f * q3
-        v = nd_r + b_r * r3 - b_f * p3
-        aq, afs = a_r * q3, a_f * s3
-        bp, bfr = b_r * p3, b_f * r3
-        k3r, k3s = r3 * u + p3 * (ng_f + aq + afs), s3 * v + q3 * (d_f - bp - bfr)
-        k3p, k3q = p3 * u + r3 * (g_f - aq - afs), q3 * v + s3 * (nd_f + bp + bfr)
-        r4, s4 = r + h * k3r, s + h * k3s
-        p4, q4 = p + h * k3p, q + h * k3q
-        u = g_r - a_r * s4 + a_f * q4
-        v = nd_r + b_r * r4 - b_f * p4
-        aq, afs = a_r * q4, a_f * s4
-        bp, bfr = b_r * p4, b_f * r4
-        k4r, k4s = r4 * u + p4 * (ng_f + aq + afs), s4 * v + q4 * (d_f - bp - bfr)
-        k4p, k4q = p4 * u + r4 * (g_f - aq - afs), q4 * v + s4 * (nd_f + bp + bfr)
-        r = r + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
-        s = s + h6 * (k1s + 2.0 * (k2s + k3s) + k4s)
-        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        q = q + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
-        append((r, s, p, q))
+        k1x, k1y = x * (alpha - a * y), y * (b * x - beta)
+        x2, y2 = x + hh * k1x, y + hh * k1y
+        k2x, k2y = x2 * (alpha - a * y2), y2 * (b * x2 - beta)
+        x3, y3 = x + hh * k2x, y + hh * k2y
+        k3x, k3y = x3 * (alpha - a * y3), y3 * (b * x3 - beta)
+        x4, y4 = x + h * k3x, y + h * k3y
+        k4x, k4y = x4 * (alpha - a * y4), y4 * (b * x4 - beta)
+        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        append((x, y))
     states = np.asarray(states)
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise IntegrationAbort(ts[int(np.argmax(bad))])
-    return np.asarray(ts), states
+    return np.asarray(ts), states.view(float)
 
 
 def lv_equilibria(params: LvParams):
@@ -670,9 +649,10 @@ def simulate_system(
     (``method="rk4"`` integrates the realified system instead); the
     oscillator and predator-prey systems always integrate.  RK4 on the
     linear fields (both flows and the oscillator) runs as powers of the
-    step propagator, on predator-prey as a fused loop; both follow the
-    grid and the abort rule of ``rk4_integrate``.  Alpha-level
-    bands are attached when both ``basis`` and ``alphas`` are given.
+    step propagator, on predator-prey as a loop over the complex pair
+    ``(x, y)``; both follow the grid and the abort rule of
+    ``rk4_integrate``.  Alpha-level bands are attached when both ``basis``
+    and ``alphas`` are given.
     ``linear_psi`` needs the basis 1-level, either as ``a1`` or via the
     basis.
     """
@@ -703,7 +683,7 @@ def simulate_system(
         if method == "analytic":
             raise ValueError("the predator-prey system has no analytic path; use rk4")
         times, states = _rk4_lotka_volterra(params, t_span, dt)
-        traj = Trajectory(times, ("x", "y"), states[:, (0, 2, 1, 3)])
+        traj = Trajectory(times, ("x", "y"), states)
     else:
         raise ValueError(f"unknown system {system!r}")
     if basis is not None and alphas is not None:

@@ -248,6 +248,11 @@ def test_path_validation():
     assert len(param.points) == 11
 
 
+def test_polyline_with_an_edge_too_long_for_a_double_is_a_range_error():
+    with pytest.raises(OverflowError, match=r"^polyline edge 1 from .* has a length that is not finite$"):
+        Path.polyline([LcNumber(0, 0), LcNumber(1e308, 0), LcNumber(-1e308, 0)])
+
+
 def test_parametric_path_rejects_jumps():
     def jumpy(t):
         return LcNumber(t, 0) if t < 0.5 else LcNumber(t + 5, 0)

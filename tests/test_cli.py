@@ -171,6 +171,43 @@ def test_closed_form_overflow_names_the_flow(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cross_product_flow_needs_a_point_one_level(capsys, tmp_path):
+    cfg = linear_config(tmp_path, system="linear_psi", basis="trap(-0.5;0;0.2;0.8)")
+    code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: linear_psi needs a basis with a single-point 1-level: 1-level of the basis is")
+    assert not (tmp_path / "out").exists()
+
+
+def test_closed_form_product_overflow_exits_3_and_writes_nothing(capsys, tmp_path):
+    cfg = linear_config(tmp_path, params={"lambda": "10"}, initial={"w": "1e300"}, t_span=[0, 10], dt=0.5)
+    code, out, err = run(capsys, "solve", "linear", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error: linear flow: w0*e^(lambda*t)") and err.endswith("overflows at t=2.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_path_with_a_non_finite_edge_exits_3(capsys):
+    code, out, err = run(capsys, "integrate", "z", "--path", "1e308, -1e308")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error: polyline edge 0 from") and "not finite" in err
+
+
+def test_plot_variables_are_the_simulated_names():
+    from rfa.cli.presets import _PARAM_ENTRIES, _build_params
+
+    for system, (_, entries) in _PARAM_ENTRIES.items():
+        given = {"params": {}, "initial": {}}
+        for section, key in entries:
+            given[section][key] = "1"
+        params = _build_params(system, given["params"], given["initial"])
+        traj = rfa.simulate_system(system, params, (0.0, 0.01), dt=0.01, a1=0.0)
+        assert traj.names == tuple(given["initial"]), system
+
+
 def test_module_entry_point_runs_the_cli():
     src = os.path.dirname(os.path.dirname(rfa.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -222,10 +259,11 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ),
         ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, "unknown entries for linear: params['c3']"),
         ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
+        ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
-         "cell-budget", "unknown-param", "unknown-initial"],
+         "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):

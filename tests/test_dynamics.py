@@ -662,6 +662,21 @@ def test_closed_form_overflow_names_the_flow_and_time():
         solve_linear_analytic(params, time_grid((0.0, 1.0), 1e-3))
 
 
+@pytest.mark.parametrize("a1", [0.0, 0.1])
+def test_closed_forms_refuse_non_finite_cells(a1):
+    # e^(lambda t) stays finite; its product with w0 does not from t=2
+    params = LinearParams(LcNumber(10, 0), LcNumber(1e300, 0))
+    ts = time_grid((0.0, 10.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^linear flow: w0\*e\^\(lambda\*t\) .* overflows at t=2\.0$"):
+            solve_linear_analytic(params, ts)
+        with pytest.raises(OverflowError, match=r"^linear_psi flow: the solution .* overflows at t=2\.0$"):
+            solve_linear_psi_analytic(params, a1, ts)
+        with pytest.raises(OverflowError, match=r"^linear_psi flow: e\^.* overflows at t=0\.888$"):
+            solve_linear_psi_analytic(LinearParams(LcNumber(800, 0), LcNumber(2, 2)), a1, time_grid((0.0, 1.0), 1e-3))
+
+
 def test_phase_plot_reuses_the_attached_bands(monkeypatch, tmp_path):
     import rfa.dynamics
 
