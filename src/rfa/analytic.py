@@ -39,9 +39,13 @@ MapLike = Callable[[LcNumber], LcNumber]
 def exp_rfa(z: LcNumber) -> LcNumber:
     """Exponential by the Euler-type formula ``e^re * (cos fu + sin fu * A)``.
 
-    ``math.exp`` raises OverflowError when ``e^re`` leaves the double range.
+    An ``e^re`` beyond the double range raises ``OverflowError`` naming the
+    argument.
     """
-    scale = math.exp(z.re)
+    try:
+        scale = math.exp(z.re)
+    except OverflowError as exc:
+        raise OverflowError(f"exp({z!r}) is out of range") from exc
     return LcNumber(scale * math.cos(z.fu), scale * math.sin(z.fu))
 
 
@@ -239,15 +243,17 @@ class Path:
                 raise OverflowError(
                     f"polyline edge {k} from {verts[k]} to {verts[k + 1]} has a length that is not finite"
                 )
-        total = sum(lengths)
+        # shares of the longest edge: their sum cannot overflow as the lengths' can
+        longest = max(lengths)
+        scaled = [ell / longest for ell in lengths] if longest > 0.0 else lengths
+        total = sum(scaled)
         budget = max(samples - 1, len(lengths))
         counts = []
-        for ell in lengths:
+        for ell in scaled:
             share = budget * (ell / total) if total > 0.0 else budget / len(lengths)
             counts.append(max(1, round(share)))
         # absorb rounding drift into the longest edge
-        drift = budget - sum(counts)
-        counts[lengths.index(max(lengths))] += drift
+        counts[lengths.index(longest)] += budget - sum(counts)
         pts: list[LcNumber] = [verts[0]]
         for a, b, n in zip(verts, verts[1:], counts):
             n = max(1, n)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber
-from ..dynamics import IntegrationAbort
 from .expressions import ExprError, eval_expression
 from .literals import LiteralError, parse_fuzzy_literal, print_literal
-from .presets import ConfigError, _normalize_system, load_config, preset_config, run_scenario
+from .presets import ConfigError, _config_text, _normalize_system, _preset_text
+from .presets import load_config, preset_config, run_scenario
 
 __all__ = ["main"]
 
@@ -122,19 +121,19 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _run_and_report(cfg, args) -> int:
-    _, written = run_scenario(cfg, out_dir=args.out_dir, formats=_formats(args.formats))
+def _run_and_report(scenario, args) -> int:
+    _, written = run_scenario(scenario, out_dir=args.out_dir, formats=_formats(args.formats))
     for target in written:
         print(target)
     return 0
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    scenario = load_config(args.config)
     wanted = _normalize_system(args.system)
-    if cfg.system != wanted:
-        raise ConfigError(f"config declares system {cfg.system!r} but the command asked for {wanted!r}")
-    return _run_and_report(cfg, args)
+    if scenario.system != wanted:
+        raise ConfigError(f"config declares system {scenario.system!r} but the command asked for {wanted!r}")
+    return _run_and_report(scenario, args)
 
 
 def _cmd_preset(args) -> int:
@@ -144,9 +143,10 @@ def _cmd_preset(args) -> int:
 def _cmd_phase(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("phase needs exactly one of --preset or --config")
-    cfg = preset_config(args.preset) if args.preset else load_config(args.config)
-    cfg = replace(cfg, plot=f"phase:{args.projection}", name=f"{cfg.name}-phase")
-    return _run_and_report(cfg, args)
+    text = _preset_text(args.preset) if args.preset else _config_text(args.config)
+    name = text.get("name", "scenario")
+    scenario = load_config(text, plot=f"phase:{args.projection}", name=f"{name}-phase")
+    return _run_and_report(scenario, args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except (LiteralError, ExprError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroDivisionError, OverflowError, IntegrationAbort, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,9 +1,11 @@
-"""Scenario configuration, execution and the built-in figure presets.
+"""Scenarios: configs checked and parsed once, runs, and the figure presets.
 
-A scenario is fully textual (literals for the basis, rates and initial
-data) so it can live in a JSON file; running one parses and validates the
-configuration, simulates, attaches alpha-level bands and writes the
-requested CSV/JSON/SVG outputs.
+A scenario's text (literals for the basis, rates and initial data, plus
+plain numbers and names) lives in a JSON file or a dict.  ``load_config``
+checks every entry and parses the literals once, into a frozen
+``Scenario`` of typed values; ``run_scenario`` parses nothing: it
+simulates, attaches alpha-level bands and writes the requested CSV/JSON/SVG
+outputs.
 
 Presets ``fig2`` through ``fig16`` reproduce the library's reference
 figures: fig2-fig5 the decaying and growing linear flows under the two
@@ -11,19 +13,21 @@ products, fig6-fig10 the oscillator (two phase-plane projections, the
 coefficient curves, both solution bands) and fig11-fig15 the same set for
 the predator-prey model; fig16 runs the predator-prey linearisation on the
 oscillator path.  Captions fix the time span only for the dynamic systems
-(``[0, 50]``); the linear-flow presets use ``[0, 10]``.
+(``[0, 50]``); the linear-flow presets use ``[0, 10]``.  Preset texts go
+through ``load_config`` like any other config.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path as FsPath
 
-from ..core import BasisNumber, LcNumber, is_asymmetric
+from ..core import BasisNumber, LcNumber, LcSpace
 from ..dynamics import (
     LinearParams,
     LvParams,
@@ -39,7 +43,7 @@ from .literals import LiteralError, parse_fuzzy_literal, print_literal
 __all__ = [
     "ConfigError",
     "PRESETS",
-    "ScenarioConfig",
+    "Scenario",
     "load_config",
     "preset_config",
     "resolve_out_dir",
@@ -59,17 +63,17 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """Textual description of one run; every literal is parsed at run time.
+class Scenario:
+    """One checked run: every literal parsed, every entry of its final type.
 
-    The system name is normalised on construction, so ``"lv"`` and
-    ``"lotka_volterra"`` build equal configurations.
+    Made by ``load_config`` (``preset_config`` included), which runs every
+    check; build one through it rather than directly or with
+    ``dataclasses.replace``.
     """
 
     system: str
-    basis: str
-    params: dict = field(default_factory=dict)
-    initial: dict = field(default_factory=dict)
+    space: LcSpace
+    params: LinearParams | OscillatorParams | LvParams
     t_span: tuple[float, float] = (0.0, 10.0)
     dt: float = 1e-3
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
@@ -79,9 +83,6 @@ class ScenarioConfig:
     plot: str = "time-series"
     stride: int | None = None
     out_dir: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "system", _normalize_system(self.system))
 
 
 # the spellings of a system name other than its own
@@ -104,32 +105,93 @@ _PARAM_ENTRIES = {
     ),
 }
 
-_CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
+# a config may leave out every entry but "system" and "basis"; the others
+# default to the text of the Scenario field defaults
+_DEFAULTS = {"params": {}, "initial": {}}
+_DEFAULTS.update((f.name, f.default) for f in fields(Scenario) if f.default is not MISSING)
+_CONFIG_KEYS = {"system", "basis", *_DEFAULTS}
 
 
-def load_config(source) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON file path or a plain dict."""
-    import json
-
+def _config_text(source) -> dict:
+    """The entries of a JSON file path or a plain dict, as given."""
     if isinstance(source, dict):
-        raw = dict(source)
-    else:
-        try:
-            with open(source) as fh:
-                raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"a scenario must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - _CONFIG_KEYS
+        return source
+    try:
+        with open(source) as fh:
+            text = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
+    if not isinstance(text, dict):
+        raise ConfigError(f"a scenario must be a JSON object, got {type(text).__name__}")
+    return text
+
+
+def load_config(source, **overrides) -> Scenario:
+    """Check a config and parse it, once, into a ``Scenario``.
+
+    ``source`` is a JSON file path or a plain dict; each override replaces
+    one whole top-level entry before anything is checked.  Every fault,
+    the plot's and the size budgets' included, raises ``ConfigError``.
+    """
+    text = {**_config_text(source), **overrides}
+    unknown = set(text) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}")
-    if "system" not in raw or "basis" not in raw:
+    if "system" not in text or "basis" not in text:
         raise ConfigError("a scenario needs at least 'system' and 'basis'")
+    text = {**_DEFAULTS, **text}
     for key in ("t_span", "alphas", "formats"):
-        if isinstance(raw.get(key), list):
-            raw[key] = tuple(raw[key])
-    return ScenarioConfig(**raw)
+        if isinstance(text[key], list):
+            text[key] = tuple(text[key])
+    system = _normalize_system(text["system"])
+    formats = _checked_formats(text["formats"])
+    space = _parse_space(system, text["basis"])
+    params, initial, t_span, stride, name, plot = (
+        text[key] for key in ("params", "initial", "t_span", "stride", "name", "plot")
+    )
+    if not isinstance(params, dict) or not isinstance(initial, dict):
+        raise ConfigError("'params' and 'initial' must map names to literals")
+    if not isinstance(t_span, tuple) or len(t_span) != 2:
+        raise ConfigError(f"t_span must be a pair of times, got {t_span!r}")
+    t0, t1 = (_real("t_span", t) for t in t_span)
+    if not t1 > t0:
+        raise ConfigError(f"t_span must be a nonempty increasing interval, got {t_span}")
+    dt = _real("dt", text["dt"])
+    if dt <= 0.0:
+        raise ConfigError(f"dt must be positive, got {text['dt']}")
+    steps = (t1 - t0) / dt
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"t_span at dt {text['dt']} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
+    if not isinstance(text["alphas"], tuple) or not text["alphas"]:
+        raise ConfigError(f"alpha grid must be a nonempty list, got {text['alphas']!r}")
+    alphas = tuple(_real("alpha", a) for a in text["alphas"])
+    if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
+        raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
+    method = text["method"]
+    if method not in ("auto", "analytic", "rk4"):
+        raise ConfigError(f"unknown method {method!r}")
+    if method == "analytic" and system not in ("linear", "linear_psi"):
+        raise ConfigError(f"{system} has no analytic solution; use rk4")
+    if stride is not None and (not isinstance(stride, Integral) or isinstance(stride, bool) or stride < 1):
+        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
+    # an upper bound: the grid has at most int(steps) + 2 points, and each
+    # variable has one "initial" entry and 2 + 2 * len(alphas) columns
+    points = int(steps) + 2
+    rows = min(points, MAX_EXPORT_ROWS) if stride is None else points // stride + 2
+    names = [key for section, key in _PARAM_ENTRIES[system][1] if section == "initial"]
+    cells = rows * (1 + 2 * len(names) * (1 + len(alphas)))
+    if cells > MAX_CELLS:
+        raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
+    if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
+        raise ConfigError(f"name must be a plain file name, got {name!r}")
+    if not isinstance(plot, str) or not isinstance(text["out_dir"], (str, type(None))):
+        raise ConfigError(f"plot and out_dir must be strings, got {plot!r}, {text['out_dir']!r}")
+    _check_plot(plot, names)
+    params = _build_params(system, params, initial)
+    return Scenario(
+        system, space, params, t_span=(t0, t1), dt=dt, alphas=alphas, formats=formats,
+        name=name, method=method, plot=plot, stride=stride, out_dir=text["out_dir"],
+    )
 
 
 def _normalize_system(system) -> str:
@@ -165,72 +227,38 @@ def _parse_element(cfg_field: str, text) -> LcNumber:
     return value
 
 
-def _validated(cfg: ScenarioConfig):
-    """Check every field before anything runs; returns the basis, alphas and params."""
+def _parse_space(system: str, text) -> LcSpace:
+    """The basis literal as an ``LcSpace``, with a point 1-level for ``linear_psi``."""
     try:
-        basis = parse_fuzzy_literal(str(cfg.basis))
+        basis = parse_fuzzy_literal(str(text))
     except LiteralError as exc:
         raise ConfigError(f"bad basis literal: {exc}") from exc
     if not isinstance(basis, BasisNumber):
         raise ConfigError("the 'basis' entry must be a tri(...) or trap(...) literal")
-    if not is_asymmetric(basis):
-        raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected")
-    if cfg.system == "linear_psi":
+    try:
+        space = LcSpace(basis)
+    except ValueError:
+        raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected") from None
+    if system == "linear_psi":
         try:
-            basis.one_level_value()
+            space.a1
         except ValueError as exc:
             raise ConfigError(f"linear_psi needs a basis with a single-point 1-level: {exc}") from exc
-    if not isinstance(cfg.params, dict) or not isinstance(cfg.initial, dict):
-        raise ConfigError("'params' and 'initial' must map names to literals")
-    if not isinstance(cfg.t_span, (list, tuple)) or len(cfg.t_span) != 2:
-        raise ConfigError(f"t_span must be a pair of times, got {cfg.t_span!r}")
-    t0, t1 = (_real("t_span", t) for t in cfg.t_span)
-    if not t1 > t0:
-        raise ConfigError(f"t_span must be a nonempty increasing interval, got {cfg.t_span}")
-    dt = _real("dt", cfg.dt)
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {cfg.dt}")
-    steps = (t1 - t0) / dt
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"t_span at dt {cfg.dt} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
-    if not isinstance(cfg.alphas, (list, tuple)) or not cfg.alphas:
-        raise ConfigError(f"alpha grid must be a nonempty list, got {cfg.alphas!r}")
-    alphas = tuple(_real("alpha", a) for a in cfg.alphas)
-    if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
-        raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
-    if cfg.method not in ("auto", "analytic", "rk4"):
-        raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.method == "analytic" and cfg.system not in ("linear", "linear_psi"):
-        raise ConfigError(f"{cfg.system} has no analytic solution; use rk4")
-    if cfg.stride is not None and (
-        not isinstance(cfg.stride, Integral) or isinstance(cfg.stride, bool) or cfg.stride < 1
-    ):
-        raise ConfigError(f"stride must be a positive integer, got {cfg.stride!r}")
-    # an upper bound: the grid has at most int(steps) + 2 points, and each
-    # variable has one "initial" entry and 2 + 2 * len(alphas) columns
-    points = int(steps) + 2
-    rows = min(points, MAX_EXPORT_ROWS) if cfg.stride is None else points // cfg.stride + 2
-    names = [key for section, key in _PARAM_ENTRIES[cfg.system][1] if section == "initial"]
-    cells = rows * (1 + 2 * len(names) * (1 + len(alphas)))
-    if cells > MAX_CELLS:
-        raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
-    name = cfg.name
-    if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
-        raise ConfigError(f"name must be a plain file name, got {cfg.name!r}")
-    if not isinstance(cfg.plot, str) or not isinstance(cfg.out_dir, (str, type(None))):
-        raise ConfigError(f"plot and out_dir must be strings, got {cfg.plot!r}, {cfg.out_dir!r}")
-    kind, _, detail = cfg.plot.partition(":")
+    return space
+
+
+def _check_plot(plot: str, names) -> None:
+    kind, _, detail = plot.partition(":")
     if kind == "time-series":
         if detail and detail not in names:
-            raise ConfigError(f"unknown variable {detail!r} in plot {cfg.plot!r}")
+            raise ConfigError(f"unknown variable {detail!r} in plot {plot!r}")
     elif kind == "phase":
         if len(names) != 2:
-            raise ConfigError(f"cannot draw plot {cfg.plot!r}: phase portraits need a two-variable trajectory")
+            raise ConfigError(f"cannot draw plot {plot!r}: phase portraits need a two-variable trajectory")
         if detail not in ("x-vs-s", "r-vs-y"):
-            raise ConfigError(f"cannot draw plot {cfg.plot!r}: unknown projection {detail!r}")
+            raise ConfigError(f"cannot draw plot {plot!r}: unknown projection {detail!r}")
     elif kind != "components":
-        raise ConfigError(f"unknown plot kind {cfg.plot!r}")
-    return basis, alphas, _build_params(cfg.system, cfg.params, cfg.initial)
+        raise ConfigError(f"unknown plot kind {plot!r}")
 
 
 def _build_params(system: str, params: dict, initial: dict):
@@ -263,7 +291,7 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
 
 
 def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
-    """Polyline series plus axis labels for the plot kind ``_validated`` accepted."""
+    """Polyline series plus axis labels for the plot kind ``load_config`` accepted."""
     ts = traj.times
     kind, _, detail = plot.partition(":")
     series = []
@@ -302,28 +330,30 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
     return series, "t", "coefficients"
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
-    """Validate, simulate, export.  Returns ``(table, written paths)``.
+def run_scenario(scenario: Scenario, out_dir=None, formats=None):
+    """Simulate, attach bands, export.  Returns ``(table, written paths)``.
 
-    Every check, the plot's included, runs before the first file is
-    written.
+    The scenario was checked when it was loaded; a ``formats`` override is
+    checked here, before anything runs.
     """
-    chosen = _checked_formats(cfg.formats if formats is None else formats)
-    basis, alphas, params = _validated(cfg)
+    chosen = scenario.formats if formats is None else _checked_formats(formats)
+    basis = scenario.space.basis
     # the basis is for linear_psi's 1-level; bands go on the exported rows only
-    traj = simulate_system(cfg.system, params, cfg.t_span, dt=cfg.dt, method=cfg.method, basis=basis)
-    idx = _export_indices(len(traj), cfg.stride)
-    rows = Trajectory(traj.times[idx], traj.names, traj.coeffs[idx]).attach_bands(basis, alphas)
+    traj = simulate_system(
+        scenario.system, scenario.params, scenario.t_span, dt=scenario.dt, method=scenario.method, basis=basis
+    )
+    idx = _export_indices(len(traj), scenario.stride)
+    rows = Trajectory(traj.times[idx], traj.names, traj.coeffs[idx]).attach_bands(basis, scenario.alphas)
     table = trajectory_table(rows)
     if "svg" in chosen:
-        series, x_label, y_label = _svg_series(cfg.plot, basis, rows)
+        series, x_label, y_label = _svg_series(scenario.plot, basis, rows)
     writers = {
         "csv": lambda target: export_csv(table, target),
         "json": lambda target: export_json(table, target),
         "svg": lambda target: emit_svg(series, target, x_label, y_label),
     }
-    directory = resolve_out_dir(out_dir, cfg.out_dir) if chosen else None
-    written = {fmt: directory / f"{cfg.name}.{fmt}" for fmt in writers if fmt in chosen}
+    directory = resolve_out_dir(out_dir, scenario.out_dir) if chosen else None
+    written = {fmt: directory / f"{scenario.name}.{fmt}" for fmt in writers if fmt in chosen}
     for fmt, target in written.items():
         writers[fmt](target)
     return table, list(written.values())
@@ -335,7 +365,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, formats=None):
 _DECAY_BASIS = "tri(-0.5;0;0.51)"
 _OSC_BASIS = "tri(-1;0;1.01)"
 
-_LV_KWARGS = dict(
+_LV_TEXT = dict(
     system="lotka_volterra",
     basis=_DECAY_BASIS,
     params={
@@ -348,7 +378,7 @@ _LV_KWARGS = dict(
     t_span=(0.0, 50.0),
 )
 
-_OSC_KWARGS = dict(
+_OSC_TEXT = dict(
     system="oscillator",
     basis=_OSC_BASIS,
     initial={"x": "100 + 2*A", "y": "100 + 2*A"},
@@ -356,9 +386,20 @@ _OSC_KWARGS = dict(
 )
 
 
-def _linearized_lv_config() -> ScenarioConfig:
-    osc = linearized_lv(_build_params("lotka_volterra", _LV_KWARGS["params"], _LV_KWARGS["initial"]))
-    return ScenarioConfig(
+def _linear_text(fig: str, system: str, rate: str) -> dict:
+    return dict(
+        system=system,
+        basis=_DECAY_BASIS,
+        params={"lambda": rate},
+        initial={"w": "2 + 2*A"},
+        name=fig,
+        plot="time-series:w",
+    )
+
+
+def _linearized_lv_text() -> dict:
+    osc = linearized_lv(_build_params("lotka_volterra", _LV_TEXT["params"], _LV_TEXT["initial"]))
+    return dict(
         system="oscillator",
         basis=_DECAY_BASIS,
         params={"c1": print_literal(osc.c1), "c2": print_literal(osc.c2)},
@@ -369,58 +410,37 @@ def _linearized_lv_config() -> ScenarioConfig:
     )
 
 
-PRESETS: dict[str, ScenarioConfig] = {
-    "fig2": ScenarioConfig(
-        system="linear",
-        basis=_DECAY_BASIS,
-        params={"lambda": "-0.5 + 0.8*A"},
-        initial={"w": "2 + 2*A"},
-        name="fig2",
-        plot="time-series:w",
-    ),
-    "fig3": ScenarioConfig(
-        system="linear_psi",
-        basis=_DECAY_BASIS,
-        params={"lambda": "-0.5 + 0.8*A"},
-        initial={"w": "2 + 2*A"},
-        name="fig3",
-        plot="time-series:w",
-    ),
-    "fig4": ScenarioConfig(
-        system="linear",
-        basis=_DECAY_BASIS,
-        params={"lambda": "0.5 + 1*A"},
-        initial={"w": "2 + 2*A"},
-        name="fig4",
-        plot="time-series:w",
-    ),
-    "fig5": ScenarioConfig(
-        system="linear_psi",
-        basis=_DECAY_BASIS,
-        params={"lambda": "0.5 + 1*A"},
-        initial={"w": "2 + 2*A"},
-        name="fig5",
-        plot="time-series:w",
-    ),
-    "fig6": ScenarioConfig(**_OSC_KWARGS, name="fig6", plot="phase:x-vs-s"),
-    "fig7": ScenarioConfig(**_OSC_KWARGS, name="fig7", plot="phase:r-vs-y"),
-    "fig8": ScenarioConfig(**_OSC_KWARGS, name="fig8", plot="components"),
-    "fig9": ScenarioConfig(**_OSC_KWARGS, name="fig9", plot="time-series:x"),
-    "fig10": ScenarioConfig(**_OSC_KWARGS, name="fig10", plot="time-series:y"),
-    "fig11": ScenarioConfig(**_LV_KWARGS, name="fig11", plot="phase:x-vs-s"),
-    "fig12": ScenarioConfig(**_LV_KWARGS, name="fig12", plot="phase:r-vs-y"),
-    "fig13": ScenarioConfig(**_LV_KWARGS, name="fig13", plot="components"),
-    "fig14": ScenarioConfig(**_LV_KWARGS, name="fig14", plot="time-series:x"),
-    "fig15": ScenarioConfig(**_LV_KWARGS, name="fig15", plot="time-series:y"),
-    "fig16": _linearized_lv_config(),
+_PRESET_TEXTS = {
+    "fig2": _linear_text("fig2", "linear", "-0.5 + 0.8*A"),
+    "fig3": _linear_text("fig3", "linear_psi", "-0.5 + 0.8*A"),
+    "fig4": _linear_text("fig4", "linear", "0.5 + 1*A"),
+    "fig5": _linear_text("fig5", "linear_psi", "0.5 + 1*A"),
+    "fig6": dict(_OSC_TEXT, name="fig6", plot="phase:x-vs-s"),
+    "fig7": dict(_OSC_TEXT, name="fig7", plot="phase:r-vs-y"),
+    "fig8": dict(_OSC_TEXT, name="fig8", plot="components"),
+    "fig9": dict(_OSC_TEXT, name="fig9", plot="time-series:x"),
+    "fig10": dict(_OSC_TEXT, name="fig10", plot="time-series:y"),
+    "fig11": dict(_LV_TEXT, name="fig11", plot="phase:x-vs-s"),
+    "fig12": dict(_LV_TEXT, name="fig12", plot="phase:r-vs-y"),
+    "fig13": dict(_LV_TEXT, name="fig13", plot="components"),
+    "fig14": dict(_LV_TEXT, name="fig14", plot="time-series:x"),
+    "fig15": dict(_LV_TEXT, name="fig15", plot="time-series:y"),
+    "fig16": _linearized_lv_text(),
 }
 
 
-def preset_config(fig_id: str, **overrides) -> ScenarioConfig:
+def _preset_text(fig_id: str) -> dict:
     try:
-        cfg = PRESETS[fig_id]
+        return _PRESET_TEXTS[fig_id]
     except KeyError:
         raise ConfigError(
-            f"unknown preset {fig_id!r}; choose one of {', '.join(sorted(PRESETS))}"
+            f"unknown preset {fig_id!r}; choose one of {', '.join(sorted(_PRESET_TEXTS))}"
         ) from None
-    return replace(cfg, **overrides) if overrides else cfg
+
+
+def preset_config(fig_id: str, **overrides) -> Scenario:
+    """Preset ``fig_id`` through ``load_config``, whole entries overridden as there."""
+    return load_config(_preset_text(fig_id), **overrides)
+
+
+PRESETS: dict[str, Scenario] = {fig: load_config(text) for fig, text in _PRESET_TEXTS.items()}

@@ -369,31 +369,17 @@ def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber, grid_size: int = 101) 
 
 @dataclass(frozen=True)
 class LcSpace:
-    """A validated basis plus the helpers that need one.
+    """An asymmetric basis: the space in which coefficient pairs are unique.
 
     Construction is the single choke point that rejects a symmetric basis;
     the coefficient arithmetic itself never looks at it.
     """
 
     basis: BasisNumber
-    grid_size: int = 101
-    eps: float = 1e-9
 
     def __post_init__(self):
-        if not is_asymmetric(self.basis, self.grid_size, self.eps):
+        if not is_asymmetric(self.basis):
             raise ValueError("basis fuzzy number is symmetric; coefficient pairs would not be unique")
-
-    def number(self, re: float, fu: float = 0.0) -> LcNumber:
-        return LcNumber(re, fu)
-
-    def alpha_cut(self, z: LcNumber, alpha: float) -> AlphaBand:
-        return alpha_cut(z, self.basis, alpha)
-
-    def bands(self, z: LcNumber, alphas) -> list[AlphaBand]:
-        return [alpha_cut(z, self.basis, a) for a in alphas]
-
-    def d_infty(self, b: LcNumber, c: LcNumber, grid_size: int | None = None) -> float:
-        return d_infty(b, c, self.basis, grid_size or self.grid_size)
 
     @property
     def a1(self) -> float:

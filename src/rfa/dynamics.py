@@ -36,8 +36,6 @@ __all__ = [
     "cross_product_psi",
     "curve_derivative",
     "curve_integral",
-    "fuzzify_pair",
-    "fuzzify_single",
     "linearized_lv",
     "lv_conserved",
     "lv_equilibria",
@@ -49,8 +47,6 @@ __all__ = [
     "realify_linear_psi",
     "realify_lotka_volterra",
     "realify_oscillator",
-    "realify_pair",
-    "realify_single",
     "rk4_integrate",
     "simulate_system",
     "solve_linear_analytic",
@@ -199,24 +195,6 @@ def _band_array(re: np.ndarray, fu: np.ndarray, basis: BasisNumber, alphas) -> n
         out[:, j, 0] = re + np.minimum(e1, e2)
         out[:, j, 1] = re + np.maximum(e1, e2)
     return out
-
-
-def realify_single(w: LcNumber) -> tuple[float, float]:
-    return (w.re, w.fu)
-
-
-def fuzzify_single(state: Sequence[float]) -> LcNumber:
-    return LcNumber(state[0], state[1])
-
-
-def realify_pair(x: LcNumber, y: LcNumber) -> tuple[float, float, float, float]:
-    """Coefficient vector ``(r, s, p, q)`` of the pair ``x = r + pA, y = s + qA``."""
-    return (x.re, y.re, x.fu, y.fu)
-
-
-def fuzzify_pair(state: Sequence[float]) -> tuple[LcNumber, LcNumber]:
-    r, s, p, q = state
-    return LcNumber(r, p), LcNumber(s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +451,11 @@ class OscillatorParams:
 
 
 def realify_oscillator(params: OscillatorParams) -> Field:
+    """The four-component real system on ``(r, s, p, q)``.
+
+    The state is the coefficient vector of the pair ``x = r + p*A``,
+    ``y = s + q*A``: both real parts, then both fuzzy coefficients.
+    """
     c1r, c1f = params.c1.re, params.c1.fu
     c2r, c2f = params.c2.re, params.c2.fu
 
@@ -531,7 +514,9 @@ class LvParams:
 def realify_lotka_volterra(params: LvParams) -> Field:
     """The four-component real system on ``(r, s, p, q)``.
 
-    The fuzzy predator-prey equations ``x' = x*(alpha - a*y)`` and
+    The state is the coefficient vector of the pair ``x = r + p*A``,
+    ``y = s + q*A``: both real parts, then both fuzzy coefficients.  The
+    fuzzy predator-prey equations ``x' = x*(alpha - a*y)`` and
     ``y' = y*(b*x - beta)`` evaluated in complex arithmetic on the pairs
     ``x = r + p*i`` and ``y = s + q*i``, which is the field product.
     """
@@ -641,7 +626,6 @@ def simulate_system(
     method: str = "auto",
     a1: float | None = None,
     basis: BasisNumber | None = None,
-    alphas=None,
 ) -> Trajectory:
     """Run one of the supported systems and return its trajectory.
 
@@ -651,10 +635,9 @@ def simulate_system(
     linear fields (both flows and the oscillator) runs as powers of the
     step propagator, on predator-prey as a loop over the complex pair
     ``(x, y)``; both follow the grid and the abort rule of
-    ``rk4_integrate``.  Alpha-level bands are attached when both ``basis``
-    and ``alphas`` are given.
-    ``linear_psi`` needs the basis 1-level, either as ``a1`` or via the
-    basis.
+    ``rk4_integrate``.  Bands are attached afterwards, with
+    ``Trajectory.attach_bands``.  ``linear_psi`` needs the basis 1-level,
+    either as ``a1`` or via the basis.
     """
     if method not in ("auto", "analytic", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -662,7 +645,7 @@ def simulate_system(
         if method in ("auto", "analytic"):
             traj = solve_linear_analytic(params, time_grid(t_span, dt))
         else:
-            times, states = _rk4_linear(realify_linear(params.lmbda), realify_single(params.w0), t_span, dt)
+            times, states = _rk4_linear(realify_linear(params.lmbda), (params.w0.re, params.w0.fu), t_span, dt)
             traj = Trajectory(times, ("w",), states)
     elif system == "linear_psi":
         if a1 is None:
@@ -672,12 +655,13 @@ def simulate_system(
         if method in ("auto", "analytic"):
             traj = solve_linear_psi_analytic(params, a1, time_grid(t_span, dt))
         else:
-            times, states = _rk4_linear(realify_linear_psi(params.lmbda, a1), realify_single(params.w0), t_span, dt)
+            times, states = _rk4_linear(realify_linear_psi(params.lmbda, a1), (params.w0.re, params.w0.fu), t_span, dt)
             traj = Trajectory(times, ("w",), states)
     elif system == "oscillator":
         if method == "analytic":
             raise ValueError("the oscillator has no analytic path here; use rk4")
-        times, states = _rk4_linear(oscillator_matrix(params), realify_pair(params.x0, params.y0), t_span, dt)
+        x0, y0 = params.x0, params.y0
+        times, states = _rk4_linear(oscillator_matrix(params), (x0.re, y0.re, x0.fu, y0.fu), t_span, dt)
         traj = Trajectory(times, ("x", "y"), states[:, (0, 2, 1, 3)])
     elif system == "lotka_volterra":
         if method == "analytic":
@@ -686,8 +670,6 @@ def simulate_system(
         traj = Trajectory(times, ("x", "y"), states)
     else:
         raise ValueError(f"unknown system {system!r}")
-    if basis is not None and alphas is not None:
-        traj.attach_bands(basis, alphas)
     return traj
 
 

@@ -253,6 +253,14 @@ def test_polyline_with_an_edge_too_long_for_a_double_is_a_range_error():
         Path.polyline([LcNumber(0, 0), LcNumber(1e308, 0), LcNumber(-1e308, 0)])
 
 
+def test_polyline_shares_samples_when_the_edge_sum_overflows():
+    # each edge is 1.7e308 long, so their sum is not a finite double
+    path = Path.polyline([LcNumber(1e308, 0), LcNumber(-7e307, 0), LcNumber(1e308, 0)], samples=101)
+    turn = [z.re for z in path.points].index(-7e307)
+    assert (turn, len(path.points) - 1 - turn) == (50, 50)
+    assert contour_integral(lambda z: LcNumber(1, 0), path) == LcNumber(0, 0)
+
+
 def test_parametric_path_rejects_jumps():
     def jumpy(t):
         return LcNumber(t, 0) if t < 0.5 else LcNumber(t + 5, 0)

@@ -305,6 +305,18 @@ def test_power_overflow_names_the_power(capsys):
     assert err == "numeric error: power LcNumber(2.0, 0.0)^100000000000000000000 is out of range\n"
 
 
+def test_exp_overflow_names_the_exponential(capsys):
+    code, out, err = run(capsys, "eval", "exp(800)")
+    assert code == 3
+    assert out == ""
+    assert err == "numeric error: exp(LcNumber(800.0, 0.0)) is out of range\n"
+
+
+def test_polyline_edge_sum_overflow_integrates_the_closed_path(capsys):
+    code, out, _ = run(capsys, "integrate", "1", "--path", "1e308, -7e307, 1e308", "--samples", "101")
+    assert (code, out) == (0, "0.0\n")
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     code, _, err = run(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
     assert code == 2
@@ -412,3 +424,38 @@ def test_solve_keeps_the_exit_code_contract(config):
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert not os.path.exists(out_dir)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIGS)
+def test_config_faults_are_found_at_load(config):
+    from rfa.cli.presets import ConfigError, Scenario, load_config, run_scenario
+
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "config.json")
+        with open(target, "w") as fh:
+            json.dump(config, fh)
+        try:
+            scenario = load_config(target)
+        except ConfigError:
+            return
+        assert isinstance(scenario, Scenario)
+        try:
+            run_scenario(scenario, out_dir=os.path.join(tmp, "out"))
+        except ConfigError as exc:
+            pytest.fail(f"run_scenario found a config fault that load_config passed: {exc}")
+        except (ArithmeticError, OSError):
+            pass
+
+
+def test_run_scenario_parses_no_literals(monkeypatch, tmp_path):
+    from rfa.cli import presets
+
+    calls = []
+    parse = presets.parse_fuzzy_literal
+    monkeypatch.setattr(presets, "parse_fuzzy_literal", lambda text: calls.append(text) or parse(text))
+    scenario = presets.load_config(dict(LINEAR_CONFIG))
+    assert calls
+    calls.clear()
+    presets.run_scenario(scenario, out_dir=tmp_path)
+    assert calls == []

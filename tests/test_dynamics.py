@@ -37,13 +37,9 @@ from rfa import (
 from rfa.analytic import derivative_cr
 from rfa.dynamics import (
     check_curve_chain_rule,
-    fuzzify_pair,
-    fuzzify_single,
     matrix_field,
     oscillator_matrix,
     realify_oscillator,
-    realify_pair,
-    realify_single,
     time_grid,
 )
 from rfa.cli import preset_config, run_scenario
@@ -339,7 +335,7 @@ def test_lv_field_vanishes_at_equilibria():
     fieldfn = realify_lotka_volterra(params)
     assert fieldfn(0.0, (0.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0, 0.0)
     _, (eq_x, eq_y) = lv_equilibria(params)
-    out = fieldfn(0.0, realify_pair(eq_x, eq_y))
+    out = fieldfn(0.0, (eq_x.re, eq_y.re, eq_x.fu, eq_y.fu))
     assert max(abs(v) for v in out) < 1e-12
 
 
@@ -357,7 +353,7 @@ def test_lv_field_matches_product_expansion():
         x = LcNumber(rng.uniform(-50, 150), rng.uniform(-10, 10))
         y = LcNumber(rng.uniform(-50, 150), rng.uniform(-10, 10))
         fieldfn = realify_lotka_volterra(params)
-        got = fieldfn(0.0, realify_pair(x, y))
+        got = fieldfn(0.0, (x.re, y.re, x.fu, y.fu))
         # independent route: the fuzzy equations evaluated with the field product
         dx = params.alpha * x - params.a * x * y
         dy = -params.beta * y + params.b * x * y
@@ -481,7 +477,7 @@ def test_simulate_validates():
 def test_simulate_attaches_nested_bands():
     params = LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
     alphas = [i / 10 for i in range(11)]
-    traj = simulate_system("linear", params, (0.0, 2.0), dt=0.01, basis=DECAY_BASIS, alphas=alphas)
+    traj = simulate_system("linear", params, (0.0, 2.0), dt=0.01).attach_bands(DECAY_BASIS, alphas)
     bands = traj.bands["w"]
     assert bands.shape == (len(traj), 11, 2)
     for j in range(10):
@@ -490,13 +486,6 @@ def test_simulate_attaches_nested_bands():
     # the basis 1-level is {0}, so the top band collapses onto the real part
     assert np.array_equal(bands[:, 10, 0], traj.component("w")[0])
     assert np.array_equal(bands[:, 10, 1], traj.component("w")[0])
-
-
-def test_realify_fuzzify_round_trip():
-    w = LcNumber(1.25, -0.5)
-    assert fuzzify_single(realify_single(w)) == w
-    x, y = LcNumber(3, 4), LcNumber(-1, 2)
-    assert fuzzify_pair(realify_pair(x, y)) == (x, y)
 
 
 def test_trajectory_validation():
@@ -554,7 +543,7 @@ def _linear_kernel_case(system: str):
     """``simulate_system`` on one linear field, and the generic RK4 it replaces."""
     if system == "oscillator":
         p = FUZZY_OSCILLATOR
-        s0 = realify_pair(p.x0, p.y0)
+        s0 = (p.x0.re, p.y0.re, p.x0.fu, p.y0.fu)
         return (
             lambda span: simulate_system("oscillator", p, span, dt=1e-3).coeffs,
             lambda span: rk4_integrate(realify_oscillator(p), s0, span, 1e-3)[1][:, (0, 2, 1, 3)],
@@ -563,7 +552,7 @@ def _linear_kernel_case(system: str):
     matrix = realify_linear(p.lmbda) if system == "linear" else realify_linear_psi(p.lmbda, 0.3)
     return (
         lambda span: simulate_system(system, p, span, dt=1e-3, method="rk4", a1=0.3).coeffs,
-        lambda span: rk4_integrate(matrix_field(matrix), realify_single(p.w0), span, 1e-3)[1],
+        lambda span: rk4_integrate(matrix_field(matrix), (p.w0.re, p.w0.fu), span, 1e-3)[1],
     )
 
 
@@ -584,7 +573,8 @@ def test_propagator_round_off_does_not_build_up(params):
     x = 1e-3 * oscillator_matrix(params).astype(np.longdouble)
     eye = np.eye(4, dtype=np.longdouble)
     step = eye + x + x @ x / 2 + x @ x @ x / 6 + x @ x @ x @ x / 24
-    exact = np.linalg.matrix_power(step, 50000) @ np.array(realify_pair(params.x0, params.y0), dtype=np.longdouble)
+    s0 = np.array((params.x0.re, params.y0.re, params.x0.fu, params.y0.fu), dtype=np.longdouble)
+    exact = np.linalg.matrix_power(step, 50000) @ s0
     got = simulate_system("oscillator", params, (0.0, 50.0), dt=1e-3).coeffs[-1, (0, 2, 1, 3)]
     assert float(np.max(np.abs(got - exact)) / np.max(np.abs(exact))) < 2e-14
 
@@ -609,7 +599,8 @@ def test_oscillator_matrix_is_the_oscillator_field():
 )
 def test_fused_lotka_volterra_is_bit_identical(params, span):
     got = simulate_system("lotka_volterra", params, span, dt=1e-3)
-    times, states = rk4_integrate(realify_lotka_volterra(params), realify_pair(params.x0, params.y0), span, 1e-3)
+    s0 = (params.x0.re, params.y0.re, params.x0.fu, params.y0.fu)
+    times, states = rk4_integrate(realify_lotka_volterra(params), s0, span, 1e-3)
     assert np.array_equal(got.times, times)
     assert np.array_equal(got.coeffs.view(np.uint64), states[:, (0, 2, 1, 3)].view(np.uint64))
 
@@ -627,10 +618,10 @@ def test_fused_lotka_volterra_is_bit_identical(params, span):
 def test_propagator_aborts_where_stage_by_stage_rk4_does(system, params):
     span, dt = ((0.0, 100.0), 1.0) if system == "oscillator" else ((0.0, 1.0), 1e-3)
     if system == "oscillator":
-        field, s0 = realify_oscillator(params), realify_pair(params.x0, params.y0)
+        field, s0 = realify_oscillator(params), (params.x0.re, params.y0.re, params.x0.fu, params.y0.fu)
     else:
         matrix = realify_linear(params.lmbda) if system == "linear" else realify_linear_psi(params.lmbda, 0.3)
-        field, s0 = matrix_field(matrix), realify_single(params.w0)
+        field, s0 = matrix_field(matrix), (params.w0.re, params.w0.fu)
     with pytest.raises(IntegrationAbort) as generic:
         rk4_integrate(field, s0, span, dt)
     with warnings.catch_warnings():

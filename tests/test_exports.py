@@ -13,7 +13,7 @@ ALPHAS = tuple(i / 10 for i in range(11))
 
 def crisp_three_step_trajectory():
     params = LinearParams(LcNumber(1, 0), LcNumber(1, 0))
-    return simulate_system("linear", params, (0.0, 0.2), dt=0.1, basis=BASIS, alphas=(0.0, 1.0))
+    return simulate_system("linear", params, (0.0, 0.2), dt=0.1).attach_bands(BASIS, (0.0, 1.0))
 
 
 def test_table_shape_and_row_contract():
@@ -33,7 +33,7 @@ def test_csv_row_count_contract(tmp_path):
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     params = LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
-    traj = simulate_system("linear", params, (0.0, 1.0), dt=0.01, basis=BASIS, alphas=ALPHAS)
+    traj = simulate_system("linear", params, (0.0, 1.0), dt=0.01).attach_bands(BASIS, ALPHAS)
     table = trajectory_table(traj)
     target = tmp_path / "run.csv"
     export_csv(table, target)
@@ -44,7 +44,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
 
 def test_json_round_trip_and_alpha_keys(tmp_path):
     params = LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
-    traj = simulate_system("linear", params, (0.0, 0.5), dt=0.05, basis=BASIS, alphas=ALPHAS)
+    traj = simulate_system("linear", params, (0.0, 0.5), dt=0.05).attach_bands(BASIS, ALPHAS)
     table = trajectory_table(traj)
     target = tmp_path / "run.json"
     export_json(table, target)
@@ -84,16 +84,18 @@ def test_emit_svg_rejects_empty(tmp_path):
 
 
 def test_phase_svg_has_two_polylines_per_level_plus_crisp(tmp_path):
-    from rfa.cli.presets import ScenarioConfig, run_scenario
+    from rfa.cli.presets import load_config, run_scenario
 
-    cfg = ScenarioConfig(
-        system="oscillator",
-        basis="tri(-1;0;1.01)",
-        initial={"x": "100 + 2*A", "y": "100 + 2*A"},
-        t_span=(0.0, 2.0),
-        dt=0.01,
-        name="mini6",
-        plot="phase:x-vs-s",
+    cfg = load_config(
+        dict(
+            system="oscillator",
+            basis="tri(-1;0;1.01)",
+            initial={"x": "100 + 2*A", "y": "100 + 2*A"},
+            t_span=(0.0, 2.0),
+            dt=0.01,
+            name="mini6",
+            plot="phase:x-vs-s",
+        )
     )
     run_scenario(cfg, out_dir=tmp_path, formats=("svg",))
     text = (tmp_path / "mini6.svg").read_text()
@@ -111,9 +113,7 @@ def test_preset_csv_round_trip_matches_memory(tmp_path):
 
 def test_oscillator_table_has_both_variables():
     params = OscillatorParams(LcNumber(1, 1), LcNumber(0, 0))
-    traj = simulate_system(
-        "oscillator", params, (0.0, 0.5), dt=0.1, basis=BASIS, alphas=(0.0, 0.5, 1.0)
-    )
+    traj = simulate_system("oscillator", params, (0.0, 0.5), dt=0.1).attach_bands(BASIS, (0.0, 0.5, 1.0))
     table = trajectory_table(traj)
     assert "x_re" in table.columns and "y_re" in table.columns
     assert "x_a0.5_lo" in table.columns and "y_a0.5_hi" in table.columns
