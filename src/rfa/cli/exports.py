@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +28,10 @@ __all__ = [
     "read_csv",
     "trajectory_table",
 ]
+
+# Rows per formatted or encoded block: a file is written a block at a
+# time, so no writer holds a whole document in memory.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -81,36 +86,57 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
 
 
 def export_csv(table: ExportTable, path) -> None:
+    """Header through ``csv.writer``, then ``%.17g`` cells and ``\\r\\n`` per row.
+
+    Cells are numbers, which never need quoting, so each block of rows is
+    one format of the repeated row pattern and one ``write``.
+    """
+    row_format = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
+    rows = table.rows
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(table.columns)
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[i : i + _BLOCK_ROWS]
+            fh.write((row_format * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def read_csv(path) -> ExportTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         columns = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        rows = [list(map(float, row)) for row in reader]
     return ExportTable(columns, rows)
 
 
 def export_json(table: ExportTable, path) -> None:
-    payload = {
-        "columns": table.columns,
-        "alphas": list(table.alphas),
-        "bands": table.band_columns,
-        "rows": table.rows,
-    }
+    """The bytes of ``json.dump`` of ``{columns, alphas, bands, rows}``.
+
+    ``json.dump`` encodes in pure Python; ``json.dumps`` uses the C
+    encoder.  The head and each block of rows are encoded on their own, so
+    the whole document is never one string.
+    """
+    head = json.dumps({"columns": table.columns, "alphas": list(table.alphas), "bands": table.band_columns})
+    rows = table.rows
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(head[:-1] + ', "rows": [')
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(rows[i : i + _BLOCK_ROWS])[1:-1])
+        fh.write("]}")
 
 
 def band_color(alpha: float) -> str:
     """Grayscale stroke for an alpha level: white at 0 through black at 1."""
     gray = round(235 * (1.0 - alpha))
     return f"#{gray:02x}{gray:02x}{gray:02x}"
+
+
+def _svg_points(px: np.ndarray, py: np.ndarray) -> str:
+    """``x,y`` pairs at 6 significant digits, one format over the interleaved pairs."""
+    xy = np.empty(2 * len(px))
+    xy[0::2], xy[1::2] = px, py
+    return " ".join(["%.6g,%.6g"] * len(px)) % tuple(xy.tolist())
 
 
 def emit_svg(series, path, x_label: str = "", y_label: str = "", size=(800, 600)) -> None:
@@ -153,7 +179,7 @@ def emit_svg(series, path, x_label: str = "", y_label: str = "", size=(800, 600)
     ]
     for xs, ys, stroke, width in series:
         px, py = to_px(xs, ys)
-        pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(px, py))
+        pts = _svg_points(px, py)
         parts.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{width:g}" points="{pts}"/>'
         )

@@ -16,6 +16,7 @@ closure calls only.  The same tokenizer and parser read fuzzy literals
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import astuple
@@ -95,6 +96,9 @@ class _Parser:
 
     def __init__(self, text: str, a1: float = 0.0):
         self.tokens = _tokenize(text)
+        for token in self.tokens:
+            if token[0] == "num" and not math.isfinite(token[1]):
+                self.fail("number is beyond the double range", token)
         self.i = 0
         self.depth = 0
         self.a1 = a1

@@ -260,10 +260,12 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, "unknown entries for linear: params['c3']"),
         ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
         ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
+        ({"initial": {"w": "1e309"}}, "beyond the double range (at offset 0)"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
-         "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot"],
+         "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot",
+         "literal-beyond-double"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):
@@ -327,6 +329,14 @@ def test_long_flat_sums_still_evaluate(capsys):
     code, out, _ = run(capsys, "eval", "+".join(["1"] * 5000))
     assert code == 0
     assert out.strip() == "5000.0"
+
+
+@pytest.mark.parametrize("expr, offset", [("1e309", 0), ("1e309 - 1e309", 0), ("2*A + 1e400", 6)])
+def test_number_beyond_the_double_range_is_a_parse_error(capsys, expr, offset):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2
+    assert out == ""
+    assert f"number is beyond the double range (at offset {offset})" in err
 
 
 def test_non_finite_result_exits_3(capsys):

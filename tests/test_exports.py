@@ -1,10 +1,13 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfa import BasisNumber, LcNumber, LinearParams, OscillatorParams, simulate_system
 from rfa.cli import ExportTable, export_csv, export_json, read_csv, trajectory_table
+from rfa.cli import exports
 from rfa.cli.exports import band_color, emit_svg
 
 BASIS = BasisNumber.triangular(-0.5, 0, 0.51)
@@ -118,3 +121,90 @@ def test_oscillator_table_has_both_variables():
     assert "x_re" in table.columns and "y_re" in table.columns
     assert "x_a0.5_lo" in table.columns and "y_a0.5_hi" in table.columns
     assert len(table.rows) == len(traj)
+
+
+# -- byte oracles: the straightforward writers the fast ones must match ------
+
+
+def reference_csv(table, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+def reference_json(table, path):
+    payload = {
+        "columns": table.columns,
+        "alphas": list(table.alphas),
+        "bands": table.band_columns,
+        "rows": table.rows,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def reference_svg_points(px, py):
+    return " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(px, py))
+
+
+EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 7, float("inf"),
+              float("nan"), -float("inf"), 0.1, 1 / 3, 0.0]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 2500])
+def test_writers_match_the_reference_bytes_on_edge_cells(tmp_path, n_rows):
+    width = len(EDGE_CELLS)
+    # rotate the cells so every column sees every value; 2500 rows span three write blocks
+    rows = [EDGE_CELLS[i % width :] + EDGE_CELLS[: i % width] for i in range(n_rows)]
+    table = ExportTable([f"c{k}" for k in range(width)], rows, (0.0, 0.5, 1.0), {"w": {"0.5": ["c1", "c2"]}})
+    for fast, reference, suffix in ((export_csv, reference_csv, "csv"), (export_json, reference_json, "json")):
+        fast(table, tmp_path / f"fast.{suffix}")
+        reference(table, tmp_path / f"reference.{suffix}")
+        assert (tmp_path / f"fast.{suffix}").read_bytes() == (tmp_path / f"reference.{suffix}").read_bytes()
+
+
+def test_svg_points_match_the_reference_on_edge_values(tmp_path, monkeypatch):
+    xs = np.array([-0.0, 5e-324, 1e-300, 3.0, 1 / 3, 2.5e-7, 1e6])
+    series = [(xs, xs[::-1] * 1e5, "#000000", 1.0), (xs, -xs, "#777777", 1.2), ([0.0], [7], "#222266", 1.6)]
+    emit_svg(series, tmp_path / "fast.svg", "x", "y")
+    monkeypatch.setattr(exports, "_svg_points", reference_svg_points)
+    emit_svg(series, tmp_path / "reference.svg", "x", "y")
+    assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fig, plot",
+    [("fig2", "time-series"), ("fig6", "phase:x-vs-s"), ("fig12", "phase:r-vs-y"), ("fig8", "components")],
+)
+def test_scenario_files_match_the_reference_bytes(tmp_path, monkeypatch, fig, plot):
+    from rfa.cli import presets
+
+    scenario = presets.preset_config(fig, t_span=(0.0, 3.0), dt=0.01, plot=plot)
+    fast = presets.run_scenario(scenario, out_dir=tmp_path / "fast", formats=("csv", "json", "svg"))[1]
+    monkeypatch.setattr(presets, "export_csv", reference_csv)
+    monkeypatch.setattr(presets, "export_json", reference_json)
+    monkeypatch.setattr(exports, "_svg_points", reference_svg_points)
+    reference = presets.run_scenario(scenario, out_dir=tmp_path / "reference", formats=("csv", "json", "svg"))[1]
+    assert [path.name for path in fast] == [path.name for path in reference]
+    for fast_path, reference_path in zip(fast, reference):
+        assert fast_path.read_bytes() == reference_path.read_bytes(), fast_path.name
+
+
+def test_writers_hold_a_block_not_the_document(tmp_path):
+    # 10001 rows x 105 columns: a full-resolution 51-alpha CSV with two variables.
+    # A writer that builds the whole document as one string peaks above the file
+    # size; the block writers measured 20-30% of it.
+    rng = np.random.default_rng(7)
+    row = (rng.standard_normal(105) * 10.0 ** rng.integers(-5, 5, 105)).tolist()
+    table = ExportTable(["t"] + [f"c{k}" for k in range(104)], [row] * 10001)
+    for writer in (export_csv, export_json):
+        target = tmp_path / f"big.{writer.__name__}"
+        tracemalloc.start()
+        try:
+            writer(table, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size / 2, (writer.__name__, peak, target.stat().st_size)

@@ -81,6 +81,15 @@ def test_literal_sign_must_touch_its_number(text, position):
     assert info.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position", [("1e309", 0), ("-1e309", 1), ("2 + 1e400*A", 4), ("tri(-1;0;1e999)", 9)]
+)
+def test_literal_beyond_the_double_range_is_refused(text, position):
+    with pytest.raises(LiteralError, match="beyond the double range") as info:
+        parse_fuzzy_literal(text)
+    assert info.value.position == position
+
+
 def test_print_parse_round_trip():
     rng = random.Random(2024)
     for _ in range(1000):
