@@ -13,10 +13,13 @@ therefore path independent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import LcNumber, norm_phi, to_polar
+import numpy as np
+
+from .core import LcNumber, _as_complex, _wrap, norm_phi, to_polar
 
 __all__ = [
     "CrReport",
@@ -197,38 +200,39 @@ def check_chain_rule(g: MapLike, f: MapLike, z0: LcNumber, h: float = 1e-5) -> f
     return norm_phi(composed - outer * inner)
 
 
-@dataclass(frozen=True)
 class Path:
     """A sampled integration path: at least two points, vertices included.
 
+    The samples are held once, as the read-only ``complex128`` array ``z``
+    (``re + fu*i`` per point); ``points`` is a view of it as ``LcNumber``
+    values.  ``Path(points)`` takes ``LcNumber`` values or complex numbers.
     ``segment`` and ``polyline`` sample piecewise-linearly (polyline
     intervals are distributed proportionally to edge length); ``parametric``
     samples a caller-supplied ``t -> z`` on a uniform grid over [0, 1].
     """
 
-    points: tuple[LcNumber, ...]
+    __slots__ = ("_z",)
 
-    def __post_init__(self):
-        if len(self.points) < 2:
+    def __init__(self, points):
+        z = np.array(points, dtype=np.complex128)
+        if z.ndim != 1 or len(z) < 2:
             raise ValueError("a path needs at least two sample points")
-        for z in self.points:
-            if not (math.isfinite(z.re) and math.isfinite(z.fu)):
-                raise ValueError("path samples must be finite")
+        if not np.isfinite(z).all():
+            raise ValueError("path samples must be finite")
+        z.flags.writeable = False
+        self._z = z
+
+    z = property(operator.attrgetter("_z"), doc="The samples as a read-only complex128 array.")
+
+    @property
+    def points(self) -> tuple[LcNumber, ...]:
+        return tuple(map(_wrap, self._z.tolist()))
 
     @classmethod
     def segment(cls, z_start: LcNumber, z_end: LcNumber, samples: int = 10001) -> "Path":
         if samples < 2:
             raise ValueError(f"samples must be at least 2, got {samples}")
-        n = samples - 1
-        pts = [
-            LcNumber(
-                z_start.re + (z_end.re - z_start.re) * (i / n),
-                z_start.fu + (z_end.fu - z_start.fu) * (i / n),
-            )
-            for i in range(samples)
-        ]
-        pts[0], pts[-1] = z_start, z_end
-        return cls(tuple(pts))
+        return cls(_edge_samples([z_start, z_end], [samples - 1]))
 
     @classmethod
     def polyline(cls, vertices, samples: int = 10001) -> "Path":
@@ -254,28 +258,54 @@ class Path:
             counts.append(max(1, round(share)))
         # absorb rounding drift into the longest edge
         counts[lengths.index(longest)] += budget - sum(counts)
-        pts: list[LcNumber] = [verts[0]]
-        for a, b, n in zip(verts, verts[1:], counts):
-            n = max(1, n)
-            for i in range(1, n + 1):
-                pts.append(
-                    LcNumber(a.re + (b.re - a.re) * (i / n), a.fu + (b.fu - a.fu) * (i / n))
-                )
-            pts[-1] = b
-        return cls(tuple(pts))
+        return cls(_edge_samples(verts, [max(1, n) for n in counts]))
 
     @classmethod
     def parametric(cls, fn: Callable[[float], LcNumber], samples: int = 10001) -> "Path":
         if samples < 2:
             raise ValueError(f"samples must be at least 2, got {samples}")
         n = samples - 1
-        pts = tuple(fn(i / n) for i in range(samples))
-        gaps = [norm_phi(b - a) for a, b in zip(pts, pts[1:])]
-        total = sum(gaps)
+        path = cls([fn(i / n) for i in range(samples)])
+        gaps = np.abs(np.diff(path.z))
+        total = gaps.sum()
         # a jump stays O(1) while the mean gap shrinks with the sample count
-        if total > 0.0 and samples >= 8 and max(gaps) > 10.0 * total / len(gaps):
+        if total > 0.0 and samples >= 8 and gaps.max() > 10.0 * total / len(gaps):
             raise ValueError("parametric path looks discontinuous on its sample grid")
-        return cls(pts)
+        return path
+
+
+def _edge_samples(vertices, counts) -> np.ndarray:
+    """``vertices`` joined by ``counts[k]`` equal steps along edge ``k``.
+
+    Step ``i`` of ``n`` from ``a`` to ``b`` is ``a + (b - a) * (i / n)`` per
+    component, in that order because printed integrals show its rounding,
+    and each edge ends exactly on its vertex.
+    """
+    z = np.empty(sum(counts) + 1, dtype=np.complex128)
+    z[0] = vertices[0]
+    end = 0
+    with np.errstate(all="ignore"):
+        for a, b, n in zip(vertices, vertices[1:], counts):
+            t = np.arange(1, n + 1) / n
+            z.real[end + 1 : end + n + 1] = a.re + (b.re - a.re) * t
+            z.imag[end + 1 : end + n + 1] = a.fu + (b.fu - a.fu) * t
+            end += n
+            z[end] = b
+    return z
+
+
+def _evaluate(f: MapLike, z: np.ndarray) -> np.ndarray:
+    """``f`` called once per sample, in order; real results embed as ``(x, 0)``."""
+    return np.fromiter(map(_as_complex, map(f, map(_wrap, z.tolist()))), np.complex128, len(z))
+
+
+def _sum(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _prod(a, b):
+    """``a * b`` over ``(re, im)`` pairs, rounded as CPython's complex product."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def contour_integral(f: MapLike, path: Path, scheme: str = "trapezoid") -> LcNumber:
@@ -284,26 +314,32 @@ def contour_integral(f: MapLike, path: Path, scheme: str = "trapezoid") -> LcNum
     Per sampled interval the increment is ``mean(f) * dz`` with the mean
     taken by the trapezoid rule or, for ``scheme="simpson"``, Simpson's rule
     with the chord midpoint (exact midpoint for piecewise-linear paths).
-    Components are accumulated with ``fsum`` to keep long paths clean.
+    ``f`` is called once per sample, then once per midpoint, each time with
+    an ``LcNumber``.  The means and increments are array operations that
+    round as the same ``LcNumber`` expressions would, scalars acting as
+    ``(c, 0)``; components are accumulated with ``fsum`` to keep long paths
+    clean.
     """
     if scheme not in ("trapezoid", "simpson"):
         raise ValueError(f"unknown quadrature scheme {scheme!r}")
-    pts = path.points
-    res: list[float] = []
-    fus: list[float] = []
-    values = [f(z) for z in pts]
-    for i in range(len(pts) - 1):
-        z0, z1 = pts[i], pts[i + 1]
-        dz = z1 - z0
+    z = path.z
+    values = _evaluate(f, z)
+    re, im = values.real, values.imag
+    left, right = (re[:-1], im[:-1]), (re[1:], im[1:])
+    if scheme == "simpson":
+        chord = np.empty(len(z) - 1, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            chord.real = 0.5 * (z.real[:-1] + z.real[1:])
+            chord.imag = 0.5 * (z.imag[:-1] + z.imag[1:])
+        mid = _evaluate(f, chord)
+    with np.errstate(all="ignore"):
         if scheme == "trapezoid":
-            mean = 0.5 * (values[i] + values[i + 1])
+            mean = _prod(_sum(left, right), (0.5, 0.0))
         else:
-            mid = f(LcNumber(0.5 * (z0.re + z1.re), 0.5 * (z0.fu + z1.fu)))
-            mean = (values[i] + 4.0 * mid + values[i + 1]) * (1.0 / 6.0)
-        inc = mean * dz
-        res.append(inc.re)
-        fus.append(inc.fu)
-    return LcNumber(math.fsum(res), math.fsum(fus))
+            weighted = _sum(_sum(left, _prod((mid.real, mid.imag), (4.0, 0.0))), right)
+            mean = _prod(weighted, (1.0 / 6.0, 0.0))
+        inc_re, inc_im = _prod(mean, (np.diff(z.real), np.diff(z.imag)))
+    return LcNumber(math.fsum(inc_re.tolist()), math.fsum(inc_im.tolist()))
 
 
 def solve_linear_mapping_ode(

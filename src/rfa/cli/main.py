@@ -21,6 +21,10 @@ from .presets import load_config, preset_config, run_scenario
 
 __all__ = ["main"]
 
+# the most path samples `integrate` builds: a larger count would only
+# surface as a MemoryError while the path is sampled
+MAX_SAMPLES = 10**6
+
 
 def _parse_bindings(pairs):
     env = {}
@@ -53,15 +57,18 @@ def _formats(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _above(convert, low):
-    """An argparse type: ``convert(text)``, finite and greater than ``low``."""
+def _above(convert, low, budget=math.inf):
+    """An argparse type: ``convert(text)``, finite, above ``low`` and at most ``budget``."""
 
     def parse(text: str):
         try:
-            if low < (value := convert(text)) < math.inf:
-                return value
+            value = convert(text)
         except ValueError:
-            pass
+            value = math.nan
+        if value > budget:
+            raise argparse.ArgumentTypeError(f"must be at most the budget of {budget}, got {text!r}")
+        if low < value < math.inf:
+            return value
         raise argparse.ArgumentTypeError(f"must be a finite {convert.__name__} above {low}, got {text!r}")
 
     return parse
@@ -180,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="contour integral of an expression in z")
     p_int.add_argument("expr")
     p_int.add_argument("--path", required=True, help="comma-separated element literals")
-    p_int.add_argument("--samples", type=_above(int, 1), default=10001)
+    p_int.add_argument("--samples", type=_above(int, 1, MAX_SAMPLES), default=10001)
     p_int.add_argument("--scheme", choices=("trapezoid", "simpson"), default="trapezoid")
     add_expr_options(p_int)
     p_int.set_defaults(handler=_cmd_integrate)

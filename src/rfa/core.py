@@ -169,7 +169,8 @@ class LcNumber:
     Arithmetic never inspects the basis: the operators delegate to the
     complex value, so the field operations are CPython's own.  Like
     ``fractions.Fraction``, instances are immutable values: ``re`` and
-    ``fu`` are read-only and the hash is that of the complex value.
+    ``fu`` are read-only and the hash is that of the complex value, which
+    ``complex(z)`` returns (so numpy packs elements into complex arrays).
     """
 
     __slots__ = ("_z",)
@@ -207,6 +208,9 @@ class LcNumber:
 
     def __abs__(self) -> float:
         return abs(self._z)
+
+    def __complex__(self) -> complex:
+        return self._z
 
     def __eq__(self, other):
         if isinstance(other, LcNumber):

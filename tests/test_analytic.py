@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfa import (
     FuzzyMapping,
@@ -282,6 +284,113 @@ def test_polyline_contains_vertices():
     path = Path.polyline(verts, samples=301)
     for v in verts:
         assert any(p == v for p in path.points)
+
+
+def _loop_segment(a, b, samples):
+    """Reference: the per-point ``LcNumber`` sampling of a segment."""
+    n = samples - 1
+    pts = [LcNumber(a.re + (b.re - a.re) * (i / n), a.fu + (b.fu - a.fu) * (i / n)) for i in range(samples)]
+    pts[0], pts[-1] = a, b
+    return pts
+
+
+def _loop_polyline(verts, samples):
+    """Reference: the per-point ``LcNumber`` sampling of a polyline."""
+    lengths = [norm_phi(b - a) for a, b in zip(verts, verts[1:])]
+    longest = max(lengths)
+    scaled = [ell / longest for ell in lengths] if longest > 0.0 else lengths
+    total = sum(scaled)
+    budget = max(samples - 1, len(lengths))
+    counts = []
+    for ell in scaled:
+        share = budget * (ell / total) if total > 0.0 else budget / len(lengths)
+        counts.append(max(1, round(share)))
+    counts[lengths.index(longest)] += budget - sum(counts)
+    pts = [verts[0]]
+    for a, b, n in zip(verts, verts[1:], counts):
+        n = max(1, n)
+        for i in range(1, n + 1):
+            pts.append(LcNumber(a.re + (b.re - a.re) * (i / n), a.fu + (b.fu - a.fu) * (i / n)))
+        pts[-1] = b
+    return pts
+
+
+def _loop_contour_integral(f, pts, scheme):
+    """Reference: the quadrature as one ``LcNumber`` expression per interval."""
+    res, fus = [], []
+    values = [f(z) for z in pts]
+    for i in range(len(pts) - 1):
+        z0, z1 = pts[i], pts[i + 1]
+        dz = z1 - z0
+        if scheme == "trapezoid":
+            mean = 0.5 * (values[i] + values[i + 1])
+        else:
+            mid = f(LcNumber(0.5 * (z0.re + z1.re), 0.5 * (z0.fu + z1.fu)))
+            mean = (values[i] + 4.0 * mid + values[i + 1]) * (1.0 / 6.0)
+        inc = mean * dz
+        res.append(inc.re)
+        fus.append(inc.fu)
+    return LcNumber(math.fsum(res), math.fsum(fus))
+
+
+def _bits(z):
+    return z.re.hex(), z.fu.hex()
+
+
+def _outcome(call):
+    try:
+        return "value", _bits(call())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_C = LcNumber(0.75, -1.25)
+_INTEGRANDS = {
+    "square": lambda z: z * z,
+    "cubic": lambda z: (z * z + _C) * z - 3.0,
+    "exp": lambda z: exp_rfa(_C * z),
+    "pole": lambda z: _C / (z - LcNumber(0.3, 0.7)),
+    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
+    # silent overflow to inf, in one component or both, where the zero terms
+    # of CPython's complex product show
+    "huge": lambda z: z * z * LcNumber(1e300, -1e300),
+    "huge_fu": lambda z: LcNumber(1.0, z.fu * 1e300 * 1e300),
+}
+_PAIR = st.tuples(st.floats(-1.0, 1.0, allow_nan=False), st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _PAIR,
+    # None repeats the previous vertex, so some edges have zero length
+    st.lists(st.one_of(_PAIR, st.none()), min_size=1, max_size=5),
+    st.integers(-8, 8).map(lambda e: 10.0**e),
+    st.integers(2, 2000),
+    st.sampled_from(sorted(_INTEGRANDS)),
+    st.sampled_from(["trapezoid", "simpson"]),
+)
+def test_array_quadrature_matches_the_lcnumber_loop_bit_for_bit(first, rest, scale, samples, name, scheme):
+    verts = [LcNumber(scale * first[0], scale * first[1])]
+    for pair in rest:
+        verts.append(verts[-1] if pair is None else LcNumber(scale * pair[0], scale * pair[1]))
+    path = Path.polyline(verts, samples=samples)
+    pts = _loop_polyline(verts, samples)
+    assert [_bits(p) for p in path.points] == [_bits(p) for p in pts]
+    segment = Path.segment(verts[0], verts[-1], samples=samples)
+    assert [_bits(p) for p in segment.points] == [_bits(p) for p in _loop_segment(verts[0], verts[-1], samples)]
+
+    f = _INTEGRANDS[name]
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return f(z)
+
+    got = _outcome(lambda: contour_integral(counted, path, scheme=scheme))
+    assert got == _outcome(lambda: _loop_contour_integral(f, pts, scheme))
+    if got[0] == "value":
+        # one call per sample, plus one per interval midpoint for Simpson
+        assert len(calls) == (len(pts) if scheme == "trapezoid" else 2 * len(pts) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -286,12 +287,13 @@ def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config,
     [
         ["integrate", "z", "--path", "0,1", "--samples", "1"],
         ["integrate", "z", "--path", "0,1", "--samples", "0"],
+        ["integrate", "z", "--path", "0,1", "--samples", "1000000000000"],
         ["derive", "z", "--at", "1", "--step", "0"],
         ["derive", "z", "--at", "1", "--step", "-1"],
         ["derive", "z", "--at", "1", "--step", "nan"],
         ["derive", "z", "--at", "1", "--step", "inf"],
     ],
-    ids=["samples-1", "samples-0", "step-0", "step-negative", "step-nan", "step-inf"],
+    ids=["samples-1", "samples-0", "samples-over-budget", "step-0", "step-negative", "step-nan", "step-inf"],
 )
 def test_bad_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -380,6 +382,31 @@ def test_eval_keeps_the_exit_code_contract(expr):
     assert (code == 0) == bool(out.getvalue())
     assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+_INTEGRANDS = ["1/z", "log(z)", "z^-3", "norm(z)", "exp(exp(z))", "z/0", "z^2", "sqrt(z)*conj(z)"]
+_VERTEX_LITERALS = ["1e308", "-1e308", "1e155", "1e200+1e200*A", "-0", "1e-320", "0", "1 - 1*A"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_INTEGRANDS),
+    st.lists(st.sampled_from(_VERTEX_LITERALS), min_size=2, max_size=4),
+    st.integers(2, 101),
+    st.sampled_from(["trapezoid", "simpson"]),
+)
+def test_integrate_keeps_the_exit_code_contract(expr, vertices, samples, scheme):
+    argv = ["integrate", expr, f"--path={','.join(vertices)}", "--samples", str(samples), "--scheme", scheme]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
 
 
 # Per-field pools of good and bad values.  Good spans and steps keep an

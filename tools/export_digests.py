@@ -1,10 +1,14 @@
-"""Print the sha256 of every preset export and of four full-resolution CSVs.
+"""Print the sha256 of every preset export, then the calculus reference outputs.
 
 Writes all 15 presets (csv, json and svg) and fig2-fig5 at stride 1 with 51
 alpha levels (10001 rows x 105 columns each) into a temporary directory,
 then prints one ``sha256  filename`` line per file, sorted by name, as
-``sha256sum`` does.  ``rfa`` is imported from ``ROOT/src``, by default the
-checkout this script sits in, so one command compares two checkouts:
+``sha256sum`` does.  Then it runs the fixed ``CALCULUS`` list of ``rfa
+eval``/``derive``/``integrate`` commands in process and prints each
+command with its exit code, stdout and stderr, and last the ``float.hex``
+parts of one ``solve_linear_mapping_ode`` result.  ``rfa`` is imported from
+``ROOT/src``, by default the checkout this script sits in, so one command
+compares the bytes and digits of two checkouts:
 
     diff <(python3 tools/export_digests.py /path/to/other/checkout) \\
          <(python3 tools/export_digests.py)
@@ -13,13 +17,75 @@ checkout this script sits in, so one command compares two checkouts:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import shlex
 import sys
 import tempfile
 from pathlib import Path
 
 FULL_FIGS = ("fig2", "fig3", "fig4", "fig5")
 FULL_ALPHAS = [i / 50 for i in range(51)]
+
+BASIS = ["--basis", "tri(-0.5;0.25;1.1)"]
+POLY = ["--bind", "c0=1 - 1*A", "--bind", "c1=0.5 + 2*A", "--bind", "c2=-1 + 0.25*A"]
+# every function, operator and scheme, multi-vertex and closed paths, and
+# commands that fail with exit 3
+CALCULUS = [
+    ["eval", "(1+2*A) * (2+3*A)"],
+    ["eval", "psi_mul(1+2*A, 2+3*A)"],
+    ["eval", "psi_mul(1+2*A, 2+3*A)", *BASIS],
+    ["eval", "(3 - 4*A) / (1 + 2*A)"],
+    ["eval", "exp(1 + 2*A)"],
+    ["eval", "log(3 - 4*A)"],
+    ["eval", "sqrt(-4)"],
+    ["eval", "conj(2 + 5*A) * (2 + 5*A)"],
+    ["eval", "norm(3 + 4*A)"],
+    ["eval", "polar(-1 - A)"],
+    ["eval", "(1 + A)^7 - (1 + A)^-2"],
+    ["eval", "z^3 / w", "--bind", "z=0.5 - 0.25*A", "--bind", "w=2 + 1*A"],
+    ["eval", "1/0"],
+    ["derive", "exp(z^2 + z)", "--at", "0.5 + 0.25*A"],
+    ["derive", "log(z) * sqrt(z)", "--at", "2 - 1*A"],
+    ["derive", "psi_mul(z, z)", "--at", "1 + 1*A", *BASIS],
+    ["derive", "c2*z^2 + c1*z + c0", "--at", "-0.3 + 0.8*A", "--step", "1e-4", *POLY],
+    ["integrate", "z^2", "--path", "0, 1+1*A", "--samples", "10000"],
+    ["integrate", "z^2", "--path", "0, 1+1*A", "--samples", "10000", "--scheme", "simpson"],
+    ["integrate", "exp(z)", "--path", "0, 1, 1+1*A"],
+    ["integrate", "exp(z)", "--path", "0, 0+1*A, 1+1*A", "--samples", "3001", "--scheme", "simpson"],
+    ["integrate", "1/z", "--path", "1, 0+1*A, -1, 0-1*A, 1", "--samples", "8001"],
+    ["integrate", "1/z", "--path", "1, 0+1*A, -1, 0-1*A, 1", "--samples", "8001", "--scheme", "simpson"],
+    ["integrate", "k*exp(c*z)", "--path", "-1+0.5*A, 0.7-0.2*A, 1.2+1*A",
+     "--bind", "k=1.2 - 0.4*A", "--bind", "c=0.8 + 0.3*A"],
+    ["integrate", "c2*z^2 + c1*z + c0", "--path", "-1.5, 0.4+1*A, 1-0.6*A, 1.5+0.9*A",
+     "--scheme", "simpson", *POLY],
+    ["integrate", "log(z)", "--path", "1, 2+1*A", "--samples", "101"],
+    ["integrate", "sqrt(z) * conj(z)", "--path", "1+1*A, -1+1*A, -1-1*A", "--samples", "2"],
+    ["integrate", "norm(z)", "--path", "0, 3+4*A", "--samples", "17", "--scheme", "simpson"],
+    ["integrate", "polar(z)", "--path", "1, 0+1*A", "--samples", "33"],
+    ["integrate", "psi_mul(z, z)", "--path", "0, 1+1*A, 2", "--samples", "1001", "--scheme", "simpson", *BASIS],
+    ["integrate", "z / (z - (0.5 + 0.5*A))", "--path", "0, 1, 1+1*A, 0+1*A, 0", "--samples", "4001"],
+    ["integrate", "1", "--path", "1e308, -7e307, 1e308", "--samples", "101"],
+    ["integrate", "1/z", "--path=-1, 1", "--samples", "3"],
+    ["integrate", "z^2", "--path", "1e200, 1e200+1e200*A", "--samples", "11"],
+    ["integrate", "z*z", "--path", "1e200, 1e200+1e200*A", "--samples", "11", "--scheme", "simpson"],
+]
+
+
+def print_calculus() -> None:
+    from rfa import LcNumber, solve_linear_mapping_ode
+    from rfa.cli.main import main
+
+    for argv in CALCULUS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        print(f"{code} {out.getvalue()!r} {err.getvalue()!r}  rfa {shlex.join(argv)}")
+    w = solve_linear_mapping_ode(
+        LcNumber(0.6, -0.2), lambda zeta: zeta * zeta, LcNumber(0.1, 0.3), LcNumber(1.0, -0.5), LcNumber(1.2, 0.1)
+    )
+    print(f"{w.re.hex()} {w.fu.hex()}  solve_linear_mapping_ode")
 
 
 def main(argv=None) -> None:
@@ -39,6 +105,7 @@ def main(argv=None) -> None:
             run_scenario(full, out_dir=out)
         for path in sorted(out.iterdir()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    print_calculus()
 
 
 if __name__ == "__main__":
