@@ -12,6 +12,7 @@ therefore path independent.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -207,7 +208,8 @@ class Path:
     (``re + fu*i`` per point); ``points`` is a view of it as ``LcNumber``
     values.  ``Path(points)`` takes ``LcNumber`` values or complex numbers.
     ``segment`` and ``polyline`` sample piecewise-linearly (polyline
-    intervals are distributed proportionally to edge length); ``parametric``
+    intervals are distributed proportionally to edge length, at least one
+    per edge and ``max(samples - 1, edges)`` in all); ``parametric``
     samples a caller-supplied ``t -> z`` on a uniform grid over [0, 1].
     """
 
@@ -256,9 +258,19 @@ class Path:
         for ell in scaled:
             share = budget * (ell / total) if total > 0.0 else budget / len(lengths)
             counts.append(max(1, round(share)))
-        # absorb rounding drift into the longest edge
-        counts[lengths.index(longest)] += budget - sum(counts)
-        return cls(_edge_samples(verts, [max(1, n) for n in counts]))
+        # absorb rounding drift into the longest edge; should that leave it
+        # under one interval, the edges with the most intervals make up the rest
+        k = lengths.index(longest)
+        counts[k] += budget - sum(counts)
+        if counts[k] < 1:
+            most = [(-n, i) for i, n in enumerate(counts) if i != k]
+            heapq.heapify(most)
+            for _ in range(1 - counts[k]):
+                n, i = heapq.heappop(most)
+                counts[i] -= 1
+                heapq.heappush(most, (n + 1, i))
+            counts[k] = 1
+        return cls(_edge_samples(verts, counts))
 
     @classmethod
     def parametric(cls, fn: Callable[[float], LcNumber], samples: int = 10001) -> "Path":

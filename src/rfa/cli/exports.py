@@ -80,8 +80,8 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
             blocks.append(traj.bands[name].reshape(len(traj), -1))
     # a slice at a time, so no float64 copy of the whole table sits next to its floats
     rows = []
-    for i in range(0, len(traj), 1024):
-        rows.extend(np.hstack([block[i : i + 1024] for block in blocks]).tolist())
+    for i in range(0, len(traj), _BLOCK_ROWS):
+        rows.extend(np.hstack([block[i : i + _BLOCK_ROWS] for block in blocks]).tolist())
     return ExportTable(columns, rows, tuple(traj.alphas or ()), band_columns)
 
 

@@ -88,13 +88,13 @@ def parse_fuzzy_literal(text: str):
 def print_literal(value) -> str:
     """Canonical text form; parsing it back reproduces the value."""
     if isinstance(value, BasisNumber):
-        if value.kind == "triangular":
-            a, b, d = value.points
+        # a 0-level and a 1-level; a point 1-level is written as tri
+        if len(value.levels) != 2:
+            raise ValueError("bases tabulated at more than two alpha-levels have no literal form")
+        (_, a, d), (_, b, c) = value.levels
+        if repr(b) == repr(c):
             return f"tri({a!r};{b!r};{d!r})"
-        if value.kind == "trapezoidal":
-            a, b, c, d = value.points
-            return f"trap({a!r};{b!r};{c!r};{d!r})"
-        raise ValueError("tabulated bases have no literal form")
+        return f"trap({a!r};{b!r};{c!r};{d!r})"
     if isinstance(value, LcNumber):
         if value.fu == 0.0:
             return repr(value.re)

@@ -45,16 +45,16 @@ def _require_finite(label: str, values) -> None:
 
 @dataclass(frozen=True)
 class BasisNumber:
-    """A basis fuzzy number described by its alpha-level endpoints.
+    """A basis fuzzy number: its table of alpha-levels.
 
-    Use the ``triangular``, ``trapezoidal`` or ``tabulated`` constructors;
-    ``level(alpha)`` evaluates the closed interval of membership at least
-    ``alpha``.  Tabulated bases interpolate linearly between grid levels.
+    ``levels`` holds rows ``(alpha, lower, upper)`` from alpha 0 to alpha 1;
+    ``level(alpha)`` returns a row's stored endpoints at that row and
+    interpolates linearly between rows.  A triangular or trapezoidal number
+    is two rows, its 0-level and its 1-level.  Use the ``triangular``,
+    ``trapezoidal`` or ``tabulated`` constructors, which check the rows.
     """
 
-    kind: str
-    points: tuple[float, ...] = ()
-    grid: tuple[tuple[float, float, float], ...] = ()
+    levels: tuple[tuple[float, float, float], ...]
 
     @classmethod
     def triangular(cls, a: float, b: float, d: float) -> "BasisNumber":
@@ -62,7 +62,7 @@ class BasisNumber:
         _require_finite("triangular", (a, b, d))
         if not a <= b <= d:
             raise ValueError(f"triangular endpoints must satisfy a <= b <= d, got ({a}; {b}; {d})")
-        return cls("triangular", points=(a, b, d))
+        return cls(((0.0, a, d), (1.0, b, b)))
 
     @classmethod
     def trapezoidal(cls, a: float, b: float, c: float, d: float) -> "BasisNumber":
@@ -72,7 +72,7 @@ class BasisNumber:
             raise ValueError(
                 f"trapezoidal endpoints must satisfy a <= b <= c <= d, got ({a}; {b}; {c}; {d})"
             )
-        return cls("trapezoidal", points=(a, b, c, d))
+        return cls(((0.0, a, d), (1.0, b, c)))
 
     @classmethod
     def tabulated(cls, levels) -> "BasisNumber":
@@ -93,34 +93,26 @@ class BasisNumber:
                 raise ValueError(f"duplicate alpha {a0} in tabulated grid")
             if lo1 < lo0 or hi1 > hi0:
                 raise ValueError("tabulated levels must nest as alpha increases")
-        return cls("tabulated", grid=tuple(rows))
+        return cls(tuple(rows))
 
     def level(self, alpha: float) -> tuple[float, float]:
-        """Endpoints ``[lower(alpha), upper(alpha)]`` of the alpha-level."""
+        """Endpoints ``[lower(alpha), upper(alpha)]`` of the alpha-level.
+
+        Between rows ``(a0, lo0, hi0)`` and ``(a1, lo1, hi1)`` the weight is
+        ``w = (alpha - a0) / (a1 - a0)``, the lower endpoint ``lo0 + w*(lo1 -
+        lo0)`` and the upper ``hi0 - w*(hi0 - hi1)``; on a two-row table
+        these are the usual triangular and trapezoidal formulas.
+        """
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if self.kind == "triangular":
-            a, b, d = self.points
-            return a + alpha * (b - a), d - alpha * (d - b)
-        if self.kind == "trapezoidal":
-            a, b, c, d = self.points
-            return a + alpha * (b - a), d - alpha * (d - c)
-        alphas = [row[0] for row in self.grid]
-        i = bisect_right(alphas, alpha)
-        if i == len(alphas):
-            return self.grid[-1][1], self.grid[-1][2]
-        a0, lo0, hi0 = self.grid[i - 1] if i > 0 else self.grid[0]
-        a1, lo1, hi1 = self.grid[i]
+        rows = self.levels
+        i = bisect_right(rows, alpha, key=operator.itemgetter(0))
+        a0, lo0, hi0 = rows[i - 1]
         if alpha == a0:
             return lo0, hi0
+        a1, lo1, hi1 = rows[i]
         w = (alpha - a0) / (a1 - a0)
-        return lo0 + w * (lo1 - lo0), hi0 + w * (hi1 - hi0)
-
-    def lower(self, alpha: float) -> float:
-        return self.level(alpha)[0]
-
-    def upper(self, alpha: float) -> float:
-        return self.level(alpha)[1]
+        return lo0 + w * (lo1 - lo0), hi0 - w * (hi0 - hi1)
 
     def one_level_value(self) -> float:
         """The single point of the 1-level; raises if it is an interval."""
@@ -130,31 +122,20 @@ class BasisNumber:
         return lo
 
 
-def is_asymmetric(basis: BasisNumber, grid_size: int = 101, eps: float = 1e-9) -> bool:
+# Largest variation of the endpoint sum that still counts as symmetric.
+_ASYMMETRY_EPS = 1e-9
+
+
+def is_asymmetric(basis: BasisNumber) -> bool:
     """Whether ``lower(alpha) + upper(alpha)`` actually varies with alpha.
 
     A constant endpoint sum would make coefficient pairs non-unique, so all
-    constructions on this space require the test to pass.  Triangular and
-    trapezoidal shapes are decided in closed form (the endpoint sum is
-    linear in alpha); tabulated shapes are sampled on a ``grid_size`` grid.
+    constructions on this space require the test to pass.  The sum is linear
+    between the rows of ``basis.levels``, so the rows decide it exactly.
     """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be at least 3, got {grid_size}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if basis.kind == "triangular":
-        a, b, d = basis.points
-        return abs(2.0 * b - a - d) > eps
-    if basis.kind == "trapezoidal":
-        a, b, c, d = basis.points
-        return abs((b + c) - (a + d)) > eps
-    lo0, hi0 = basis.level(0.0)
+    (_, lo0, hi0), *rest = basis.levels
     base = lo0 + hi0
-    deviation = 0.0
-    for i in range(grid_size):
-        lo, hi = basis.level(i / (grid_size - 1))
-        deviation = max(deviation, abs((lo + hi) - base))
-    return deviation > eps
+    return any(abs((lo + hi) - base) > _ASYMMETRY_EPS for _, lo, hi in rest)
 
 
 def _quotient(num: complex, den: complex) -> complex:
@@ -335,12 +316,6 @@ class AlphaBand:
         if self.lower > self.upper:
             raise ValueError(f"band endpoints out of order: [{self.lower}, {self.upper}]")
 
-    def contains(self, other: "AlphaBand") -> bool:
-        return self.lower <= other.lower and other.upper <= self.upper
-
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def alpha_cut(z: LcNumber, basis: BasisNumber, alpha: float) -> AlphaBand:
     """The alpha-level of ``z``: ``{re + fu*x : x in [A]_alpha}``.
@@ -354,13 +329,14 @@ def alpha_cut(z: LcNumber, basis: BasisNumber, alpha: float) -> AlphaBand:
     return AlphaBand(alpha, z.re + z.fu * hi, z.re + z.fu * lo)
 
 
-def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber, grid_size: int = 101) -> float:
-    """Sup metric: largest endpoint distance of the alpha-levels over a grid."""
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber) -> float:
+    """Sup metric: the largest endpoint distance of the alpha-levels.
+
+    Every endpoint is linear in alpha between the rows of ``basis.levels``,
+    so the supremum is taken at a row.
+    """
     worst = 0.0
-    for i in range(grid_size):
-        alpha = i / (grid_size - 1)
+    for alpha, _, _ in basis.levels:
         band_b = alpha_cut(b, basis, alpha)
         band_c = alpha_cut(c, basis, alpha)
         worst = max(

@@ -305,10 +305,15 @@ def _loop_polyline(verts, samples):
     for ell in scaled:
         share = budget * (ell / total) if total > 0.0 else budget / len(lengths)
         counts.append(max(1, round(share)))
-    counts[lengths.index(longest)] += budget - sum(counts)
+    k = lengths.index(longest)
+    counts[k] += budget - sum(counts)
+    while counts[k] < 1:
+        # one interval back from the first edge with the most
+        counts[k] += 1
+        others = counts[:k] + [0] + counts[k + 1 :]
+        counts[others.index(max(others))] -= 1
     pts = [verts[0]]
     for a, b, n in zip(verts, verts[1:], counts):
-        n = max(1, n)
         for i in range(1, n + 1):
             pts.append(LcNumber(a.re + (b.re - a.re) * (i / n), a.fu + (b.fu - a.fu) * (i / n)))
         pts[-1] = b
@@ -391,6 +396,27 @@ def test_array_quadrature_matches_the_lcnumber_loop_bit_for_bit(first, rest, sca
     if got[0] == "value":
         # one call per sample, plus one per interval midpoint for Simpson
         assert len(calls) == (len(pts) if scheme == "trapezoid" else 2 * len(pts) - 1)
+
+
+def test_polyline_keeps_its_sample_count_when_rounding_drift_exceeds_the_longest_edge():
+    # lengths 1, 0.9, ..., 0.9: each 0.9 edge rounds its share of 16 up from
+    # 1.58 to 2, and the drift of -4 would leave the longest edge -2 intervals
+    verts = [LcNumber(0, 0)] + [LcNumber(1 + 0.9 * k, 0) for k in range(10)]
+    path = Path.polyline(verts, samples=17)
+    assert len(path.points) == 17
+    re = [z.re for z in path.points]
+    at = [re.index(v.re) for v in verts]
+    assert [j - i for i, j in zip(at, at[1:])] == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_PAIR, st.none()), min_size=1, max_size=15), st.integers(2, 64))
+def test_polyline_takes_exactly_its_sample_budget(rest, samples):
+    verts = [LcNumber(0, 0)]
+    for pair in rest:
+        verts.append(verts[-1] if pair is None else LcNumber(*pair))
+    path = Path.polyline(verts, samples=samples)
+    assert len(path.z) == max(samples - 1, len(verts) - 1) + 1
 
 
 # ---------------------------------------------------------------------------

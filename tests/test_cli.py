@@ -54,6 +54,13 @@ def test_eval_with_bindings_and_basis(capsys):
     assert out.strip() == "0.0 + 4.0*A"
 
 
+def test_psi_mul_reads_the_exact_one_level_of_a_triangular_basis(capsys):
+    # a + 1.0*(b - a) is 1.1750000000000003 for this basis, not b
+    code, out, err = run(capsys, "eval", "psi_mul(1+2*A, 2+3*A)", "--basis", "tri(-0.4;1.175;1.33)")
+    assert (code, err) == (0, "")
+    assert out.strip() == "-6.283750000000001 + 21.1*A"
+
+
 def test_derive_command(capsys):
     code, out, _ = run(capsys, "derive", "z^2", "--at", "1 + 1*A")
     assert code == 0
@@ -179,6 +186,16 @@ def test_cross_product_flow_needs_a_point_one_level(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: linear_psi needs a basis with a single-point 1-level: 1-level of the basis is")
     assert not (tmp_path / "out").exists()
+
+
+def test_cross_product_flow_on_a_triangular_basis_with_an_inexact_one_level(capsys, tmp_path):
+    cfg = linear_config(tmp_path, system="linear_psi", basis="tri(-0.4;1.175;1.33)")
+    scenario = rfa.cli.load_config(cfg)
+    assert scenario.space.a1 == 1.175
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert (code, err) == (0, "")
+    assert (out_dir / "quick.csv").exists()
 
 
 def test_closed_form_product_overflow_exits_3_and_writes_nothing(capsys, tmp_path):

@@ -21,7 +21,7 @@ from helpers import assert_components
 def test_literal_examples():
     basis = parse_fuzzy_literal("tri(-0.5;0;0.51)")
     assert isinstance(basis, BasisNumber)
-    assert basis.points == (-0.5, 0.0, 0.51)
+    assert basis.levels == ((0.0, -0.5, 0.51), (1.0, 0.0, 0.0))
     assert parse_fuzzy_literal("100 + 2*A") == LcNumber(100, 2)
     assert parse_fuzzy_literal("3") == LcNumber(3, 0)
 
@@ -31,7 +31,8 @@ def test_literal_variants():
     assert parse_fuzzy_literal("  -2.5 - 3*A ") == LcNumber(-2.5, -3)
     assert parse_fuzzy_literal("−0.5 + 1*A") == LcNumber(-0.5, 1)
     trap = parse_fuzzy_literal("trap(0;1;2;3)")
-    assert isinstance(trap, BasisNumber) and trap.kind == "trapezoidal"
+    assert trap == BasisNumber.trapezoidal(0, 1, 2, 3)
+    assert trap.levels == ((0.0, 0.0, 3.0), (1.0, 1.0, 2.0))
 
 
 def test_literal_errors_carry_positions():
@@ -68,7 +69,8 @@ def test_literal_signs_are_bit_exact(text, re, fu):
 
 def test_basis_literal_keeps_signed_zero():
     basis = parse_fuzzy_literal(" tri ( -0 ; 0 ; 1 ) ")
-    assert [p.hex() for p in basis.points] == [(-0.0).hex(), (0.0).hex(), (1.0).hex()]
+    rows = [[x.hex() for x in row] for row in basis.levels]
+    assert rows == [[(0.0).hex(), (-0.0).hex(), (1.0).hex()], [(1.0).hex(), (0.0).hex(), (0.0).hex()]]
 
 
 @pytest.mark.parametrize(
@@ -108,6 +110,20 @@ def test_basis_print_round_trip():
     assert parse_fuzzy_literal(print_literal(basis)) == basis
     trap = BasisNumber.trapezoidal(-1, -0.25, 0.5, 2)
     assert parse_fuzzy_literal(print_literal(trap)) == trap
+
+
+def test_basis_print_is_canonical():
+    trap = BasisNumber.trapezoidal(-1, 0.25, 0.25, 2)
+    assert print_literal(trap) == "tri(-1.0;0.25;2.0)"
+    assert trap == BasisNumber.triangular(-1, 0.25, 2)
+    # a signed-zero 1-level is an interval in bits, so it stays a trapezoid
+    signed = BasisNumber.trapezoidal(-1, -0.0, 0.0, 2)
+    assert print_literal(signed) == "trap(-1.0;-0.0;0.0;2.0)"
+    back = parse_fuzzy_literal(print_literal(signed))
+    assert [[x.hex() for x in row] for row in back.levels] == [[x.hex() for x in row] for row in signed.levels]
+    assert print_literal(BasisNumber.tabulated([(0.0, -2.0, 4.0), (1.0, 0.0, 0.0)])) == "tri(-2.0;0.0;4.0)"
+    with pytest.raises(ValueError):
+        print_literal(BasisNumber.tabulated([(0.0, -0.5, 1.0), (0.5, -0.25, 0.5), (1.0, 0.0, 0.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ CALCULUS = [
     ["eval", "(1+2*A) * (2+3*A)"],
     ["eval", "psi_mul(1+2*A, 2+3*A)"],
     ["eval", "psi_mul(1+2*A, 2+3*A)", *BASIS],
+    # a + 1.0*(b - a) misses b here, so the 1-level must be the stored one
+    ["eval", "psi_mul(1+2*A, 2+3*A)", "--basis", "tri(-0.4;1.175;1.33)"],
+    ["eval", "psi_mul(1+2*A, 2+3*A)", "--basis", "trap(-0.4;1.175;1.175;1.33)"],
     ["eval", "(3 - 4*A) / (1 + 2*A)"],
     ["eval", "exp(1 + 2*A)"],
     ["eval", "log(3 - 4*A)"],
