@@ -56,6 +56,13 @@ class BasisNumber:
 
     levels: tuple[tuple[float, float, float], ...]
 
+    def __post_init__(self):
+        # the levels nest, so a finite 0-level span keeps every difference
+        # that ``level`` takes finite
+        _, lo, hi = self.levels[0]
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"basis 0-level [{lo}, {hi}] has a span {hi - lo} that is not a finite double")
+
     @classmethod
     def triangular(cls, a: float, b: float, d: float) -> "BasisNumber":
         a, b, d = float(a), float(b), float(d)

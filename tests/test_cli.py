@@ -226,17 +226,27 @@ def test_plot_variables_are_the_simulated_names():
         assert traj.names == tuple(given["initial"]), system
 
 
-def test_module_entry_point_runs_the_cli():
+def _python(*args):
+    """A fresh interpreter run with ``rfa`` importable from this checkout."""
     src = os.path.dirname(os.path.dirname(rfa.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-m", "rfa.cli", "eval", "1+1"],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "2.0\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_module_entry_point_runs_the_cli():
+    assert _python("-m", "rfa.cli", "eval", "1+1") == (0, "2.0\n", "")
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, rfa.cli.main; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python("-c", probe) == (0, "[]\n", "")
 
 
 def test_parse_errors_exit_2(capsys):
@@ -279,11 +289,12 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
         ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
         ({"initial": {"w": "1e309"}}, "beyond the double range (at offset 0)"),
+        ({"basis": "tri(-1.7e308;-1.7e308;1.7e308)"}, "span inf that is not a finite double"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
          "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot",
-         "literal-beyond-double"],
+         "literal-beyond-double", "basis-span-overflow"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):

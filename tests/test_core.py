@@ -57,6 +57,21 @@ def test_basis_validation():
         BasisNumber.tabulated([(0.0, 0.0, 0.5), (1.0, -1.0, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BasisNumber.triangular(-1.7e308, -1.7e308, 1.7e308),
+        lambda: BasisNumber.trapezoidal(-1e308, 0.0, 0.0, 1e308),
+        lambda: BasisNumber.tabulated([(0.0, -1e308, 1e308), (0.5, -1.0, 1.0), (1.0, 0.0, 0.0)]),
+    ],
+    ids=["triangular", "trapezoidal", "tabulated"],
+)
+def test_basis_span_must_be_a_finite_double(build):
+    # level(0.5) of the triangle was (-1.7e+308, -inf): d - b overflowed
+    with pytest.raises(ValueError, match=r"span inf that is not a finite double"):
+        build()
+
+
 def test_tabulated_interpolation_is_linear():
     table = BasisNumber.tabulated([(0.0, -2.0, 4.0), (1.0, 0.0, 0.0)])
     tri = BasisNumber.triangular(-2, 0, 4)
@@ -100,11 +115,14 @@ _ENDPOINTS = st.one_of(
 @example([-0.4, 1.175, 1.175, 1.33], 0.5)
 def test_two_row_levels_are_the_stored_endpoints_and_the_closed_forms(values, alpha):
     points = sorted(values)
+    build = BasisNumber.triangular if len(points) == 3 else BasisNumber.trapezoidal
+    if not math.isfinite(points[-1] - points[0]):
+        with pytest.raises(ValueError, match="not a finite double"):
+            build(*points)
+        return
+    basis = build(*points)
     if len(points) == 3:
-        basis = BasisNumber.triangular(*points)
         assert basis.one_level_value().hex() == points[1].hex()
-    else:
-        basis = BasisNumber.trapezoidal(*points)
     assert _hex(basis.level(0.0)) == _hex((points[0], points[-1]))
     assert _hex(basis.level(1.0)) == _hex((points[1], points[-2]))
     assert _hex(basis.level(alpha)) == _hex(_kind_level(points, alpha))

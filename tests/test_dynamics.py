@@ -98,6 +98,20 @@ def test_curve_integral_examples():
         curve_integral(const, 0, 1, samples=1)
 
 
+@pytest.mark.parametrize("samples", [2, 3, 268, 1001])
+def test_curve_integral_is_exact_for_cubics(samples):
+    # Simpson's rule with interval midpoints, so even sample counts too
+    squared = FuzzyCurve(lambda t: 1 - t * t, lambda t: 2 * t)
+    assert norm_phi(curve_integral(squared, 0, 1, samples) - LcNumber(2 / 3, 1)) < 1e-15
+
+
+def test_curve_integral_stays_in_the_curve_domain():
+    w = FuzzyCurve(lambda t: t, lambda t: 1.0, domain=(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"interval \[2, 5\] leaves the curve domain \(0.0, 1.0\)"):
+        curve_integral(w, 2, 5)
+    assert norm_phi(curve_integral(w, 0.0, 1.0, samples=7) - LcNumber(0.5, 1.0)) < 1e-15
+
+
 def test_curve_products_integrate_like_the_example():
     # (1 + tA)^2 as the square of the curve (1, t)
     base = FuzzyCurve(lambda t: 1.0, lambda t: t)

@@ -1,8 +1,10 @@
 """Print the sha256 of every preset export, then the calculus reference outputs.
 
-Writes all 15 presets (csv, json and svg) and fig2-fig5 at stride 1 with 51
-alpha levels (10001 rows x 105 columns each) into a temporary directory,
-then prints one ``sha256  filename`` line per file, sorted by name, as
+First prints one ``#`` line naming the ``np.longdouble`` format, which the
+linear propagator keeps its powers in.  Then writes all 15 presets (csv,
+json and svg) and fig2-fig5 at stride 1 with 51 alpha levels (10001 rows x
+105 columns each) into a temporary directory, and prints one ``sha256
+filename`` line per file, sorted by name, as
 ``sha256sum`` does.  Then it runs the fixed ``CALCULUS`` list of ``rfa
 eval``/``derive``/``integrate`` commands in process and prints each
 command with its exit code, stdout and stderr, and last the ``float.hex``
@@ -12,6 +14,12 @@ compares the bytes and digits of two checkouts:
 
     diff <(python3 tools/export_digests.py /path/to/other/checkout) \\
          <(python3 tools/export_digests.py)
+
+``tests/golden/export_digests.txt`` holds this output, and
+``tests/test_golden.py`` checks it in process.  A change that moves an
+output on purpose rewrites the file with
+
+    python3 tools/export_digests.py > tests/golden/export_digests.txt
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 FULL_FIGS = ("fig2", "fig3", "fig4", "fig5")
 FULL_ALPHAS = [i / 50 for i in range(51)]
@@ -76,19 +86,39 @@ CALCULUS = [
 ]
 
 
-def print_calculus() -> None:
+def platform_line() -> str:
+    """The long double format, which the propagator's powers are taken in."""
+    info = np.finfo(np.longdouble)
+    return f"# np.finfo(np.longdouble): dtype={info.dtype} nmant={info.nmant} nexp={info.nexp}"
+
+
+def export_lines(out: Path) -> list[str]:
+    """Write every preset export into ``out``; one ``sha256  filename`` per file."""
+    from rfa.cli.presets import PRESETS, preset_config, run_scenario
+
+    for fig in PRESETS:
+        run_scenario(preset_config(fig), out_dir=out, formats=("csv", "json", "svg"))
+    for fig in FULL_FIGS:
+        full = preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv"], name=f"{fig}-full")
+        run_scenario(full, out_dir=out)
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}" for path in sorted(out.iterdir())]
+
+
+def calculus_lines() -> list[str]:
     from rfa import LcNumber, solve_linear_mapping_ode
     from rfa.cli.main import main
 
+    lines = []
     for argv in CALCULUS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        print(f"{code} {out.getvalue()!r} {err.getvalue()!r}  rfa {shlex.join(argv)}")
+        lines.append(f"{code} {out.getvalue()!r} {err.getvalue()!r}  rfa {shlex.join(argv)}")
     w = solve_linear_mapping_ode(
         LcNumber(0.6, -0.2), lambda zeta: zeta * zeta, LcNumber(0.1, 0.3), LcNumber(1.0, -0.5), LcNumber(1.2, 0.1)
     )
-    print(f"{w.re.hex()} {w.fu.hex()}  solve_linear_mapping_ode")
+    lines.append(f"{w.re.hex()} {w.fu.hex()}  solve_linear_mapping_ode")
+    return lines
 
 
 def main(argv=None) -> None:
@@ -97,18 +127,9 @@ def main(argv=None) -> None:
                         help="checkout whose src/ provides rfa (default: this one)")
     root = parser.parse_args(argv).root
     sys.path.insert(0, str(root.resolve() / "src"))
-    from rfa.cli.presets import PRESETS, preset_config, run_scenario
-
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        for fig in PRESETS:
-            run_scenario(preset_config(fig), out_dir=out, formats=("csv", "json", "svg"))
-        for fig in FULL_FIGS:
-            full = preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv"], name=f"{fig}-full")
-            run_scenario(full, out_dir=out)
-        for path in sorted(out.iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
-    print_calculus()
+        lines = [platform_line(), *export_lines(Path(tmp)), *calculus_lines()]
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":
