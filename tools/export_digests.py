@@ -83,6 +83,18 @@ CALCULUS = [
     ["integrate", "1/z", "--path=-1, 1", "--samples", "3"],
     ["integrate", "z^2", "--path", "1e200, 1e200+1e200*A", "--samples", "11"],
     ["integrate", "z*z", "--path", "1e200, 1e200+1e200*A", "--samples", "11", "--scheme", "simpson"],
+    # nodes and branches of the array evaluation no line above reaches
+    ["integrate", "z^-3", "--path", "1, 0+1*A, -1, 0-1*A, 1", "--samples", "4001"],
+    ["integrate", "z^0.5", "--path", "1, 2+1*A", "--samples", "1001"],
+    ["integrate", "z^2.5", "--path", "-1+1*A, 2-1*A", "--samples", "1001", "--scheme", "simpson"],
+    ["integrate", "log(z, 1)", "--path", "1, 0+1*A, -1+0.5*A", "--samples", "2001"],
+    ["integrate", "--path", "0, 2+1*A, -1", "--samples", "2001", "--", "-z*exp(-z)"],
+    # starts on -1 - 0*A, where atan2 gives -pi, and meets -1 + 0*A mid-edge
+    ["integrate", "sqrt(z)", "--path", "-1-0*A, -1+1*A, -1-1*A", "--samples", "301"],
+    ["integrate", "exp(z)", "--path", "0, 800+0*A", "--samples", "101"],
+    ["integrate", "q*z", "--path", "0, 1"],
+    ["integrate", "z^(1+z)", "--path", "1, 1+1*A", "--samples", "11"],
+    ["integrate", "z^norm(z)", "--path", "1, 2+1*A", "--samples", "101"],
 ]
 
 
