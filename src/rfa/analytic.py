@@ -20,7 +20,19 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LcNumber, _as_complex, _wrap, norm_phi, to_polar
+from .core import (
+    LcNumber,
+    _as_complex,
+    _difference,
+    _each,
+    _join,
+    _prod,
+    _sum,
+    _to_polar_batch,
+    _wrap,
+    norm_phi,
+    to_polar,
+)
 
 __all__ = [
     "CrReport",
@@ -53,6 +65,12 @@ def exp_rfa(z: LcNumber) -> LcNumber:
     return LcNumber(scale * math.cos(z.fu), scale * math.sin(z.fu))
 
 
+def _exp_rfa_batch(z):
+    """``exp_rfa`` per entry of an ``(re, fu)`` array pair (see ``rfa.core._each``)."""
+    scale = _each(math.exp, z[0])
+    return scale * _each(math.cos, z[1]), scale * _each(math.sin, z[1])
+
+
 def log_rfa(z: LcNumber, n: int = 0) -> LcNumber:
     """Logarithm branch ``n``: ``(ln ||z||, arg z + 2*pi*n)``."""
     if z.is_zero():
@@ -61,11 +79,22 @@ def log_rfa(z: LcNumber, n: int = 0) -> LcNumber:
     return LcNumber(math.log(p.modulus), p.argument + 2.0 * math.pi * n)
 
 
+def _log_rfa_batch(z, n: int = 0):
+    """``log_rfa`` per entry."""
+    modulus, arg = _to_polar_batch(z)
+    return _each(math.log, modulus), arg + 2.0 * math.pi * n
+
+
 def pow_real(z: LcNumber, a: float) -> LcNumber:
     """Real power through the principal logarithm: ``exp(a * log z)``."""
     if z.is_zero():
         raise ValueError("real power of the zero element is undefined")
     return exp_rfa(float(a) * log_rfa(z, 0))
+
+
+def _pow_real_batch(z, a: float):
+    """``pow_real`` per entry; the real ``a`` multiplies as ``(a, 0)``, zero terms included."""
+    return _exp_rfa_batch(_prod(_log_rfa_batch(z, 0), (float(a), 0.0)))
 
 
 def poly_eval(coeffs, z: LcNumber) -> LcNumber:
@@ -307,17 +336,23 @@ def _edge_samples(vertices, counts) -> np.ndarray:
 
 
 def _evaluate(f: MapLike, z: np.ndarray) -> np.ndarray:
-    """``f`` called once per sample, in order; real results embed as ``(x, 0)``."""
+    """``f`` at every sample of ``z``, as a complex128 array.
+
+    When ``f`` has a ``batch`` attribute, ``f.batch(z)`` returns all values
+    at once, bit for bit those ``f`` gives.  Should it raise
+    ``ArithmeticError`` or ``ValueError``, its result is dropped and ``f``
+    is called once per sample, in order, so the error raised is the first
+    one ``f`` raises; other exceptions propagate.  Real results embed as
+    ``(x, 0)``.
+    """
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        try:
+            with np.errstate(all="ignore"):
+                return batch(z)
+        except (ArithmeticError, ValueError):
+            pass
     return np.fromiter(map(_as_complex, map(f, map(_wrap, z.tolist()))), np.complex128, len(z))
-
-
-def _sum(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _prod(a, b):
-    """``a * b`` over ``(re, im)`` pairs, rounded as CPython's complex product."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def contour_integral(f: MapLike, path: Path, scheme: str = "trapezoid") -> LcNumber:
@@ -326,8 +361,11 @@ def contour_integral(f: MapLike, path: Path, scheme: str = "trapezoid") -> LcNum
     Per sampled interval the increment is ``mean(f) * dz`` with the mean
     taken by the trapezoid rule or, for ``scheme="simpson"``, Simpson's rule
     with the chord midpoint (exact midpoint for piecewise-linear paths).
-    ``f`` is called once per sample, then once per midpoint, each time with
-    an ``LcNumber``.  The means and increments are array operations that
+    A plain callable ``f`` is called once per sample, then once per
+    midpoint, each time with an ``LcNumber``; an ``f`` with a ``batch``
+    attribute is evaluated over all samples, then all midpoints, in one
+    array pass each, falling back to the calls when that pass raises (see
+    ``_evaluate``).  The means and increments are array operations that
     round as the same ``LcNumber`` expressions would, scalars acting as
     ``(c, 0)``; components are accumulated with ``fsum`` to keep long paths
     clean.
@@ -367,10 +405,23 @@ def solve_linear_mapping_ode(
     Evaluates ``e^{-b(z - z0)} (w0 + integral of e^{b(zeta - z0)} f(zeta))``
     with the integral taken along the straight segment from ``z0`` to ``z``.
     ``f=None`` selects the homogeneous case and skips quadrature entirely.
+    The exponential is taken over all samples in one array pass, and ``f``
+    is called once per sample; should either raise, the samples are
+    replayed one by one, calling ``f`` again, so the first error is the one
+    the per-sample kernel raises.
     """
     decay = exp_rfa(-(b * (z - z0)))
     if f is None:
         return w0 * decay
-    kernel = lambda zeta: exp_rfa(b * (zeta - z0)) * f(zeta)
+
+    def kernel(zeta):
+        return exp_rfa(b * (zeta - z0)) * f(zeta)
+
+    def kernel_batch(zeta):
+        scale = _exp_rfa_batch(_prod((b.re, b.fu), _difference((zeta.real, zeta.imag), (z0.re, z0.fu))))
+        values = _evaluate(f, zeta)
+        return _join(*_prod(scale, (values.real, values.imag)))
+
+    kernel.batch = kernel_batch
     integral = contour_integral(kernel, Path.segment(z0, z, samples))
     return decay * (w0 + integral)

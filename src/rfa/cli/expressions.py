@@ -9,8 +9,11 @@ multiple, real exponents the principal logarithm) and the functions
 can be displayed like any other value.
 
 An expression is compiled once into a tree of closures from bindings to
-an element, so evaluating it again (at every quadrature sample, say) costs
-closure calls only.  The same tokenizer and parser read fuzzy literals
+an element, so evaluating it again costs closure calls only.  Each closure
+also carries an array form, ``batch``, that evaluates the node at many
+samples in one pass over float64 arrays and rounds every sample as the
+closure does; ``eval_expression_batch`` runs it (at every quadrature
+sample, say).  The same tokenizer and parser read fuzzy literals
 (``rfa.cli.literals``) through a constants-only production.
 """
 
@@ -23,12 +26,33 @@ from dataclasses import astuple
 from functools import lru_cache
 from typing import Callable
 
-from ..analytic import exp_rfa, log_rfa, pow_real
-from ..core import LcNumber, conjugate, norm_phi, nth_root, pow_int, to_polar
-from ..dynamics import cross_product_psi
+import numpy as np
 
-__all__ = ["ExprError", "UnboundVariableError", "eval_expression"]
+from ..analytic import _exp_rfa_batch, _log_rfa_batch, _pow_real_batch, exp_rfa, log_rfa, pow_real
+from ..core import (
+    LcNumber,
+    _as_complex,
+    _difference,
+    _each,
+    _join,
+    _nth_root_batch,
+    _pow_int_batch,
+    _prod,
+    _quotient_batch,
+    _sum,
+    _to_polar_batch,
+    conjugate,
+    norm_phi,
+    nth_root,
+    pow_int,
+    to_polar,
+)
+from ..dynamics import _cross_product_psi_parts, cross_product_psi
 
+__all__ = ["ExprError", "UnboundVariableError", "eval_expression", "eval_expression_batch"]
+
+# ``env -> LcNumber``, with the array form ``batch(env, n)`` attached: there
+# ``env`` binds names to ``(re, fu)`` pairs of float64 arrays of length n
 Compiled = Callable[[dict], LcNumber]
 
 
@@ -72,16 +96,36 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# each name or symbol maps to its scalar function and its array form
 _UNARY = {
-    "exp": exp_rfa,
-    "log": log_rfa,
-    "sqrt": lambda z: nth_root(z, 2, 0),
-    "conj": conjugate,
-    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
-    "polar": lambda z: LcNumber(*astuple(to_polar(z))),
+    "exp": (exp_rfa, _exp_rfa_batch),
+    "log": (log_rfa, _log_rfa_batch),
+    "sqrt": (lambda z: nth_root(z, 2, 0), lambda z: _nth_root_batch(z, 2, 0)),
+    "conj": (conjugate, lambda z: (z[0], -z[1])),
+    "norm": (lambda z: LcNumber(norm_phi(z), 0.0), lambda z: (_each(math.hypot, *z), np.zeros_like(z[0]))),
+    "polar": (lambda z: LcNumber(*astuple(to_polar(z))), _to_polar_batch),
 }
-_ADDITIVE = {"+": operator.add, "-": operator.sub}
-_MULTIPLICATIVE = {"*": operator.mul, "/": operator.truediv}
+_ADDITIVE = {"+": (operator.add, _sum), "-": (operator.sub, _difference)}
+_MULTIPLICATIVE = {"*": (operator.mul, _prod), "/": (operator.truediv, _quotient_batch)}
+
+
+def _node(scalar, batch) -> Compiled:
+    """``scalar`` with its array form attached as ``scalar.batch``."""
+    scalar.batch = batch
+    return scalar
+
+
+def _crisp_constant(value, what: str, pos: int) -> float:
+    """The one finite real that every sample of ``value`` holds.
+
+    Anything else raises, and the per-sample evaluation decides the
+    outcome sample by sample.
+    """
+    re, fu = value
+    x = float(re[0])
+    if fu.any() or not (re == x).all() or not math.isfinite(x):
+        raise ExprError(f"{what} is not the same finite crisp number at every sample", pos)
+    return x
 
 
 class _Parser:
@@ -140,13 +184,16 @@ class _Parser:
     def _chain(self, operand, ops) -> Compiled:
         """Left-associative run of binary operators, evaluated in a loop."""
         first = operand()
-        rest = []
+        rest, batch_rest = [], []
         while True:
             kind, value, _ = self.peek()
             if kind != "op" or value not in ops:
                 break
             self.take()
-            rest.append((ops[value], operand()))
+            node = operand()
+            op, batch_op = ops[value]
+            rest.append((op, node))
+            batch_rest.append((batch_op, node.batch))
         if not rest:
             return first
 
@@ -156,7 +203,13 @@ class _Parser:
                 acc = op(acc, node(env))
             return acc
 
-        return chain
+        def chain_batch(env, n):
+            acc = first.batch(env, n)
+            for op, batch in batch_rest:
+                acc = op(acc, batch(env, n))
+            return acc
+
+        return _node(chain, chain_batch)
 
     def expr(self) -> Compiled:
         return self._chain(self.term, _ADDITIVE)
@@ -195,14 +248,21 @@ class _Parser:
                 return pow_int(lhs, int(rhs.re))
             return pow_real(lhs, rhs.re)
 
-        return power
+        def power_batch(env, n):
+            lhs = base.batch(env, n)
+            x = _crisp_constant(exponent.batch(env, n), "exponent", pos)
+            if x == int(x):
+                return _pow_int_batch(lhs, int(x))
+            return _pow_real_batch(lhs, x)
+
+        return _node(power, power_batch)
 
     def atom(self) -> Compiled:
         token = self.take()
         kind, value, pos = token
         if kind == "num":
             constant = LcNumber(value, 0.0)
-            return lambda env: constant
+            return _node(lambda env: constant, lambda env, n: (np.full(n, value), np.zeros(n)))
         if kind == "name":
             if self.at_op("("):
                 self.take()
@@ -221,7 +281,7 @@ class _Parser:
                 except KeyError:
                     raise UnboundVariableError(f"unbound variable {value!r}", pos) from None
 
-            return variable
+            return _node(variable, lambda env, n: variable(env))
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
@@ -233,7 +293,10 @@ class _Parser:
             if len(args) != 2:
                 raise ExprError(f"psi_mul takes 2 argument(s), got {len(args)}", pos)
             b, c, a1 = args[0], args[1], self.a1
-            return lambda env: cross_product_psi(b(env), c(env), a1)
+            return _node(
+                lambda env: cross_product_psi(b(env), c(env), a1),
+                lambda env, n: _cross_product_psi_parts(b.batch(env, n), c.batch(env, n), a1),
+            )
         if name == "log" and len(args) == 2:
             z, branch = args
 
@@ -243,18 +306,25 @@ class _Parser:
                     raise ExprError("log branch must be a crisp integer", pos)
                 return log_rfa(zv, int(n.re))
 
-            return log_branch
+            def log_branch_batch(env, n):
+                zv = z.batch(env, n)
+                k = _crisp_constant(branch.batch(env, n), "log branch", pos)
+                if k != int(k):
+                    raise ExprError("log branch must be a crisp integer", pos)
+                return _log_rfa_batch(zv, int(k))
+
+            return _node(log_branch, log_branch_batch)
         if name not in _UNARY:
             raise ExprError(f"unknown function {name!r}", pos)
         if len(args) != 1:
             takes = "1 or 2 arguments" if name == "log" else "1 argument(s)"
             raise ExprError(f"{name} takes {takes}, got {len(args)}", pos)
-        fn, arg = _UNARY[name], args[0]
-        return lambda env: fn(arg(env))
+        (fn, batch_fn), arg = _UNARY[name], args[0]
+        return _node(lambda env: fn(arg(env)), lambda env, n: batch_fn(arg.batch(env, n)))
 
 
 def _negated(node: Compiled) -> Compiled:
-    return lambda env: -node(env)
+    return _node(lambda env: -node(env), lambda env, n: tuple(-part for part in node.batch(env, n)))
 
 
 _FUZZY_UNIT = LcNumber(0.0, 1.0)
@@ -277,3 +347,27 @@ def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:
     if bindings:
         env.update(bindings)
     return _compile(expr, a1)(env)
+
+
+def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndarray:
+    """``eval_expression`` at n samples at once, as a complex128 array.
+
+    ``bindings`` maps names to elements or to complex128 arrays of length
+    n, at least one of them an array; entry ``i`` of the result is bit for
+    bit ``eval_expression`` with entry ``i`` of each array bound, its
+    ``re`` and ``fu`` as real and imaginary parts.  Where
+    ``eval_expression`` raises at some sample, this raises
+    ``ArithmeticError`` or ``ValueError`` too, and so may it where
+    ``eval_expression`` does not (a zero base under a power, an exponent
+    that varies between samples); evaluate per sample then.  Run it under
+    ``np.errstate(all="ignore")``, as overflow to ``inf`` is not an error.
+    """
+    n = next(len(v) for v in bindings.values() if isinstance(v, np.ndarray))
+    env = {"A": (np.zeros(n), np.ones(n))}
+    for name, value in bindings.items():
+        if isinstance(value, np.ndarray):
+            env[name] = value.real, value.imag
+        else:
+            z = _as_complex(value)
+            env[name] = np.full(n, z.real), np.full(n, z.imag)
+    return _join(*_compile(expr, a1).batch(env, n))

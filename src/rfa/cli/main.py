@@ -14,7 +14,7 @@ import sys
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber
-from .expressions import ExprError, eval_expression
+from .expressions import ExprError, eval_expression, eval_expression_batch
 from .literals import LiteralError, parse_fuzzy_literal, print_literal
 from .presets import ConfigError, _config_text, _normalize_system, _preset_text
 from .presets import load_config, preset_config, run_scenario
@@ -119,10 +119,13 @@ def _cmd_integrate(args) -> int:
     if len(vertices) < 2:
         raise ConfigError("an integration path needs at least two vertices")
 
-    # compiled once on the first sample, as in _cmd_derive
+    # compiled once on the first sample, as in _cmd_derive; contour_integral
+    # evaluates all samples through mapping.batch and calls mapping itself
+    # only to replay the samples one by one when that raises
     def mapping(z):
         return eval_expression(args.expr, {**env, "z": z}, a1=a1)
 
+    mapping.batch = lambda z: eval_expression_batch(args.expr, {**env, "z": z}, a1=a1)
     path = Path.polyline(vertices, samples=args.samples)
     print(print_literal(_finite(contour_integral(mapping, path, scheme=args.scheme))))
     return 0

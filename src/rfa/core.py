@@ -16,6 +16,9 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 __all__ = [
     "AlphaBand",
@@ -139,16 +142,83 @@ def is_asymmetric(basis: BasisNumber) -> bool:
     A constant endpoint sum would make coefficient pairs non-unique, so all
     constructions on this space require the test to pass.  The sum is linear
     between the rows of ``basis.levels``, so the rows decide it exactly.
+    The half-sums are compared against half the tolerance: they cannot
+    overflow as the sums of endpoints near the double limit do, and halving
+    a normal double is exact, so every other decision is the sums' own.
     """
     (_, lo0, hi0), *rest = basis.levels
-    base = lo0 + hi0
-    return any(abs((lo + hi) - base) > _ASYMMETRY_EPS for _, lo, hi in rest)
+    base = lo0 * 0.5 + hi0 * 0.5
+    return any(abs((lo * 0.5 + hi * 0.5) - base) > _ASYMMETRY_EPS * 0.5 for _, lo, hi in rest)
 
 
 def _quotient(num: complex, den: complex) -> complex:
     if not den:
         raise ZeroDivisionError("division by the zero element")
     return num / den
+
+
+# Array twins.  A ``*_batch`` function takes and returns elements as
+# ``(re, fu)`` pairs of float64 arrays, one entry per sample, and rounds
+# every entry as its scalar original rounds that element: ``+ - * /`` are
+# numpy ufuncs in CPython's operand order, and transcendentals are
+# ``math`` calls per element (numpy's own kernels round differently, and
+# which one runs depends on the CPU).  Where the original raises, or takes
+# a branch the twin does not reproduce, the twin raises ``ArithmeticError``
+# or ``ValueError`` and the caller replays the samples one by one.
+
+
+def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` applied to the arrays' entries as Python floats."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), np.float64, len(arrays[0]))
+
+
+def _join(re: np.ndarray, fu: np.ndarray) -> np.ndarray:
+    """The complex128 array ``re + fu*i``."""
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real = re
+    out.imag = fu
+    return out
+
+
+def _is_zero(z) -> np.ndarray:
+    return (z[0] == 0.0) & (z[1] == 0.0)
+
+
+def _sum(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _difference(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _prod(a, b):
+    """``a * b`` over ``(re, im)`` pairs, rounded as CPython's complex product."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quotient_batch(num, den):
+    """``_quotient`` per entry: CPython 3.11's ``_Py_c_quot``.
+
+    Numerator and denominator are divided through by the larger part of
+    the denominator (Smith's method), each branch chosen by a mask; a NaN
+    part takes neither branch and gives NaN.
+    """
+    if _is_zero(den).any():
+        raise ZeroDivisionError("division by the zero element")
+    (a_re, a_fu), (b_re, b_fu) = num, den
+    abs_re, abs_fu = np.abs(b_re), np.abs(b_fu)
+    by_re = abs_re >= abs_fu
+    by_fu = ~by_re & (abs_fu >= abs_re)
+    ratio = b_fu / b_re
+    denom = b_re + b_fu * ratio
+    re = np.where(by_re, (a_re + a_fu * ratio) / denom, np.nan)
+    fu = np.where(by_re, (a_fu - a_re * ratio) / denom, np.nan)
+    ratio = b_re / b_fu
+    denom = b_re * ratio + b_fu
+    re = np.where(by_fu, (a_re * ratio + a_fu) / denom, re)
+    fu = np.where(by_fu, (a_fu * ratio - a_re) / denom, fu)
+    return re, fu
 
 
 class LcNumber:
@@ -263,6 +333,20 @@ def to_polar(z: LcNumber) -> PolarForm:
     return PolarForm(math.hypot(z.re, z.fu), arg)
 
 
+def _to_polar_batch(z):
+    """``to_polar`` per entry, as the pair ``(modulus, argument)``."""
+    if _is_zero(z).any():
+        raise ValueError("argument of the zero element is undefined")
+    return _polar_parts(z)
+
+
+def _polar_parts(z):
+    re, fu = z
+    arg = _each(math.atan2, fu, re)
+    arg[arg <= -math.pi] = math.pi
+    return _each(math.hypot, re, fu), arg
+
+
 def from_polar(p: PolarForm) -> LcNumber:
     return LcNumber(p.modulus * math.cos(p.argument), p.modulus * math.sin(p.argument))
 
@@ -292,6 +376,26 @@ def pow_int(z: LcNumber, n: int) -> LcNumber:
     return LcNumber(m * math.cos(n * p.argument), m * math.sin(n * p.argument))
 
 
+def _pow_int_batch(z, n: int):
+    """``pow_int`` per entry; a zero entry gives zero, or raises for ``n < 0``."""
+    re = z[0]
+    if n == 0:
+        return np.ones_like(re), np.zeros_like(re)
+    zero = _is_zero(z)
+    if n < 0:
+        if zero.any():
+            raise ZeroDivisionError("negative power of the zero element")
+        return _quotient_batch((np.ones_like(re), np.zeros_like(re)), _pow_int_batch(z, -n))
+    power = z
+    if n > 1:
+        # a zero entry has modulus 0 here; its result is replaced below
+        modulus, arg = _polar_parts(z)
+        m = _each(partial(pow, exp=n), modulus)
+        angle = float(n) * arg
+        power = m * _each(math.cos, angle), m * _each(math.sin, angle)
+    return np.where(zero, 0.0, power[0]), np.where(zero, 0.0, power[1])
+
+
 def nth_root(z: LcNumber, n: int, branch: int = 0) -> LcNumber:
     """Branch ``k`` of the n-th root: modulus**(1/n) at angle (arg + 2*pi*k)/n.
 
@@ -307,6 +411,15 @@ def nth_root(z: LcNumber, n: int, branch: int = 0) -> LcNumber:
     m = p.modulus ** (1.0 / n)
     ang = (p.argument + 2.0 * math.pi * k) / n
     return LcNumber(m * math.cos(ang), m * math.sin(ang))
+
+
+def _nth_root_batch(z, n: int, branch: int = 0):
+    """``nth_root`` per entry, for an order ``n >= 1``."""
+    modulus, arg = _to_polar_batch(z)
+    k = branch % n
+    m = _each(partial(pow, exp=1.0 / n), modulus)
+    ang = (arg + 2.0 * math.pi * k) / n
+    return m * _each(math.cos, ang), m * _each(math.sin, ang)
 
 
 @dataclass(frozen=True)

@@ -258,12 +258,13 @@ def cross_product_psi(b: LcNumber, c: LcNumber, a1: float) -> LcNumber:
     With ``a1`` the single point of the basis 1-level, the product expands
     to ``(rb*rc - a1^2*qb*qc) + (qb*(rc + qc*a1) + qc*(rb + qb*a1))*A``.
     """
-    rb, qb = b.re, b.fu
-    rc, qc = c.re, c.fu
-    return LcNumber(
-        rb * rc - a1 * a1 * qc * qb,
-        qb * (rc + qc * a1) + qc * (rb + qb * a1),
-    )
+    return LcNumber(*_cross_product_psi_parts((b.re, b.fu), (c.re, c.fu), a1))
+
+
+def _cross_product_psi_parts(b, c, a1: float):
+    """``cross_product_psi`` over ``(re, fu)`` pairs of floats or of arrays."""
+    (rb, qb), (rc, qc) = b, c
+    return rb * rc - a1 * a1 * qc * qb, qb * (rc + qc * a1) + qc * (rb + qb * a1)
 
 
 def realify_linear_psi(lmbda: LcNumber, a1: float) -> np.ndarray:

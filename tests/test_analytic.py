@@ -449,3 +449,42 @@ def test_mapping_ode_constant_forcing():
     )
     expected = c * (1 - math.exp(-1))
     assert norm_phi(out - expected) < 1e-6
+
+
+def _per_sample_mapping_ode(b, f, z0, w0, z, samples):
+    """``solve_linear_mapping_ode`` with a kernel that has no array form."""
+    kernel = lambda zeta: exp_rfa(b * (zeta - z0)) * f(zeta)
+    integral = contour_integral(kernel, Path.segment(z0, z, samples))
+    return exp_rfa(-(b * (z - z0))) * (w0 + integral)
+
+
+def test_mapping_ode_calls_f_once_per_sample_and_matches_the_per_sample_kernel():
+    args = LcNumber(0.6, -0.2), LcNumber(0.1, 0.3), LcNumber(1.0, -0.5), LcNumber(1.2, 0.1)
+    b, z0, w0, z = args
+    calls = []
+
+    def f(zeta):
+        calls.append(zeta)
+        return zeta * zeta + 0.5
+
+    out = solve_linear_mapping_ode(b, f, z0, w0, z, samples=257)
+    assert len(calls) == 257
+    expected = _per_sample_mapping_ode(b, f, z0, w0, z, 257)
+    assert (out.re.hex(), out.fu.hex()) == (expected.re.hex(), expected.fu.hex())
+
+
+def test_mapping_ode_replays_the_samples_when_a_call_fails():
+    b, z0, w0, z = LcNumber(0.6, -0.2), LcNumber(0.0, 0.0), LcNumber(1.0, 0.0), LcNumber(2.0, 0.0)
+    calls = []
+
+    def f(zeta):
+        calls.append(zeta)
+        return 1 / (zeta - LcNumber(1.0, 0.0))
+
+    with pytest.raises(ZeroDivisionError, match="division by the zero element"):
+        solve_linear_mapping_ode(b, f, z0, w0, z, samples=11)
+    # samples 0-5 in the array pass, then again one by one
+    assert len(calls) == 12
+    # an exponential out of range raises as the per-sample kernel does, naming the first sample
+    with pytest.raises(OverflowError, match=r"exp\(LcNumber\(710\.0, 0\.0\)\) is out of range"):
+        solve_linear_mapping_ode(LcNumber(1.0, 0.0), lambda zeta: zeta, z0, w0, LcNumber(1000.0, 0.0), samples=101)

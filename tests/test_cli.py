@@ -101,6 +101,14 @@ def test_solve_rejects_symmetric_basis(capsys, tmp_path):
     assert "symmetric" in err
 
 
+def test_asymmetric_basis_near_the_double_limit_loads(tmp_path):
+    # lo + hi overflows on both rows of this basis; its half-sums differ
+    scenario = rfa.cli.load_config(str(linear_config(tmp_path, basis="tri(1e308;1.5e308;1.7e308)")))
+    assert scenario.space.basis.levels[1] == (1.0, 1.5e308, 1.5e308)
+    with pytest.raises(rfa.cli.ConfigError, match="symmetric"):
+        rfa.cli.load_config(str(linear_config(tmp_path, basis="tri(1e308;1.35e308;1.7e308)")))
+
+
 def test_solve_rejects_empty_time_span(capsys, tmp_path):
     cfg = linear_config(tmp_path, t_span=[1.0, 1.0])
     code, _, err = run(capsys, "solve", "linear", "--config", str(cfg))

@@ -45,6 +45,46 @@ def test_asymmetry_trapezoidal_and_tabulated():
     assert not is_asymmetric(symmetric)
 
 
+def _sum_decision(basis):
+    """The endpoint-sum form of ``is_asymmetric``, kept as the reference."""
+    (_, lo0, hi0), *rest = basis.levels
+    return any(abs((lo + hi) - (lo0 + hi0)) > 1e-9 for _, lo, hi in rest)
+
+
+def test_asymmetry_survives_endpoint_sums_beyond_the_double_range():
+    # lo + hi is inf on both rows, so the sums call this basis symmetric
+    assert is_asymmetric(BasisNumber.triangular(1e308, 1.5e308, 1.7e308))
+    assert not is_asymmetric(BasisNumber.triangular(1e308, 1.35e308, 1.7e308))
+    # a difference of differences would leave 2.97e284 here, not 0
+    assert not is_asymmetric(BasisNumber.triangular(1e300, 1.35e300, 1.7e300))
+
+
+_NEAR_TOLERANCE = st.sampled_from(
+    [0.0, -0.0, 1e-9, -1e-9, 5e-10, 2e-9, 1.0000000000000002e-9, 9.999999999999999e-10,
+     2.2250738585072014e-308, 5e-324, 1.0, 1e308]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _NEAR_TOLERANCE), min_size=3, max_size=6))
+def test_asymmetry_by_half_sums_matches_the_sums_that_do_not_overflow(values):
+    points = sorted(values)
+    if len(points) == 3:
+        build = lambda: BasisNumber.triangular(*points)
+    elif len(points) == 4:
+        build = lambda: BasisNumber.trapezoidal(*points)
+    else:
+        # three nested rows; with five points the 1-level is one point
+        lows, highs = points[:3], points[-3:][::-1]
+        build = lambda: BasisNumber.tabulated(zip((0.0, 0.5, 1.0), lows, highs))
+    try:
+        basis = build()
+    except ValueError:
+        return
+    if all(math.isfinite(lo + hi) for _, lo, hi in basis.levels):
+        assert is_asymmetric(basis) == _sum_decision(basis)
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         BasisNumber.triangular(1, 0, 2)

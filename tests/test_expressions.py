@@ -1,9 +1,15 @@
+import contextlib
+import importlib
+import io
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from rfa import BasisNumber, LcNumber
+from rfa import BasisNumber, LcNumber, Path, contour_integral
 from rfa.cli import (
     ExprError,
     LiteralError,
@@ -12,6 +18,7 @@ from rfa.cli import (
     parse_fuzzy_literal,
     print_literal,
 )
+from rfa.cli.expressions import eval_expression_batch
 from helpers import assert_components
 
 
@@ -204,3 +211,124 @@ def test_crisp_random_expressions_agree():
         got = eval_expression(text)
         assert math.isclose(got.re, (a + b) * c - a / b, rel_tol=1e-12)
         assert got.fu == 0.0
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against the per-sample closures
+
+_LEAVES = st.sampled_from(["z", "z", "A", "k", "q", "0", "1", "2", "0.5", "3", "1.175", "1e-3"])
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-3", "0.5", "-0.5", "2.5", "(1+z)", "norm(z)", "(2+0*A)"])
+_BRANCHES = st.sampled_from(["0", "1", "-2", "0.5", "z"])
+
+
+def _grow(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        pair.map("({0[0]} + {0[1]})".format),
+        pair.map("({0[0]} - {0[1]})".format),
+        pair.map("({0[0]} * {0[1]})".format),
+        pair.map("({0[0]} / {0[1]})".format),
+        pair.map("psi_mul({0[0]}, {0[1]})".format),
+        inner.map("-{}".format),
+        st.tuples(inner, _EXPONENTS).map("({0[0]})^{0[1]}".format),
+        st.tuples(inner, _BRANCHES).map("log({0[0]}, {0[1]})".format),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt", "conj", "norm", "polar"]), inner).map("{0[0]}({0[1]})".format),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=5)
+# exact zero, both signed zeros on either real half-axis, and plain points
+_VERTICES = st.one_of(
+    st.sampled_from([0j, complex(-0.0, -0.0), -1 + 0j, complex(-2.0, -0.0), complex(-1.0, 0.5), 2 + 0j,
+                     complex(3.0, -0.0), 1j, complex(0.5, -1.5)]),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+
+
+def _outcome(fn):
+    try:
+        z = fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return z.re.hex(), z.fu.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _EXPRESSIONS,
+    st.lists(_VERTICES, min_size=2, max_size=4),
+    st.sampled_from([1.0, 1e-3, 1e100, 1e200]),
+    st.integers(2, 120),
+    st.sampled_from(["trapezoid", "simpson"]),
+    st.sampled_from([0.0, 1.175, -0.4]),
+)
+# numpy's exp, atan2 and hypot round differently from libm at a few percent
+# of all inputs, and these paths give them hundreds
+@example("exp((k * z))", [-1 + 0.5j, 0.7 - 0.2j, 1.2 + 1j], 1.0, 120, "simpson", 0.0)
+@example("polar(z)", [-2.5 + 0.5j, 0.7 - 2.2j, 1.2 + 1j], 1.0, 120, "simpson", 0.0)
+# signed zeros: atan2 gives -pi at -0 - 0*A and -2 - 0*A, and -0.0 at 3 - 0*A
+@example("(z)^2", [complex(-0.0, -0.0), 1 + 1j], 1.0, 5, "trapezoid", 0.0)
+@example("sqrt(z)", [complex(3.0, -0.0), complex(-2.0, -0.0)], 1.0, 4, "trapezoid", 0.0)
+@example("psi_mul(z, (k + z))", [1 + 1j, -2 + 0.5j], 1.0, 9, "trapezoid", 1.175)
+@example("(z)^-0.5", [complex(2.0, -0.0), 3 + 0j, 1j], 1.0, 9, "trapezoid", 0.0)
+@example("((z * exp(z)) / (k - z))", [0.5 - 1.5j, -1 + 0.5j], 1.0, 12, "simpson", 0.0)
+def test_array_evaluation_matches_the_closures_bit_for_bit(expr, vertices, scale, samples, scheme, a1):
+    env = {"k": LcNumber(0.75, -1.25)}
+    path = Path.polyline([LcNumber(v.real * scale, v.imag * scale) for v in vertices], samples)
+
+    def mapping(z):
+        return eval_expression(expr, {**env, "z": z}, a1=a1)
+
+    def batch(z):
+        return eval_expression_batch(expr, {**env, "z": z}, a1=a1)
+
+    try:
+        with np.errstate(all="ignore"):
+            values = batch(path.z)
+    except (ArithmeticError, ValueError):
+        event("the array pass raised")
+    else:
+        event("the array pass returned")
+        # a pass that returns must give every closure value, none of which raises
+        expected = [complex(mapping(z)) for z in path.points]
+        got = values.tolist()
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [(v.real.hex(), v.imag.hex()) for v in expected]
+    mapping_with_batch = lambda z: mapping(z)
+    mapping_with_batch.batch = batch
+    with_batch = _outcome(lambda: contour_integral(mapping_with_batch, path, scheme))
+    assert with_batch == _outcome(lambda: contour_integral(mapping, path, scheme))
+
+
+def _integrate(monkeypatch, *argv):
+    """``rfa integrate`` in process; its exit code, output and per-sample calls."""
+    cli_main = importlib.import_module("rfa.cli.main")
+    calls = []
+    per_sample = cli_main.eval_expression
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return per_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli_main, "eval_expression", counted)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main.main(["integrate", *argv])
+    return code, out.getvalue() + err.getvalue(), len(calls)
+
+
+def test_integrate_takes_the_array_pass(monkeypatch):
+    code, text, calls = _integrate(
+        monkeypatch, "k*exp(c*z)", "--path", "-1+0.5*A, 0.7-0.2*A, 1.2+1*A",
+        "--bind", "k=1.2 - 0.4*A", "--bind", "c=0.8 + 0.3*A", "--scheme", "simpson",
+    )
+    # the digits the per-sample closures print for this command
+    assert (code, text, calls) == (0, "2.062633966618707 + 1.6354181208869754*A\n", 0)
+
+
+def test_integrate_replays_every_sample_when_the_array_pass_raises(monkeypatch):
+    # the last sample is the zero element, where log is undefined
+    code, text, calls = _integrate(monkeypatch, "log(z)", "--path", "1, 0", "--samples", "41")
+    assert (code, text, calls) == (3, "numeric error: logarithm of the zero element is undefined\n", 41)
+    # an exponent that varies between samples is left to the closures
+    code, text, calls = _integrate(monkeypatch, "z^norm(z)", "--path", "1, 2+1*A", "--samples", "101")
+    assert (code, text, calls) == (0, "0.3928421218463821 + 3.399614666712812*A\n", 101)
