@@ -262,7 +262,7 @@ class _Parser:
         kind, value, pos = token
         if kind == "num":
             constant = LcNumber(value, 0.0)
-            return _node(lambda env: constant, lambda env, n: (np.full(n, value), np.zeros(n)))
+            return _node(lambda env: constant, lambda env, n: _broadcast(constant, n))
         if kind == "name":
             if self.at_op("("):
                 self.take()
@@ -363,11 +363,16 @@ def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndar
     ``np.errstate(all="ignore")``, as overflow to ``inf`` is not an error.
     """
     n = next(len(v) for v in bindings.values() if isinstance(v, np.ndarray))
-    env = {"A": (np.zeros(n), np.ones(n))}
+    env = {"A": _broadcast(_FUZZY_UNIT, n)}
     for name, value in bindings.items():
         if isinstance(value, np.ndarray):
             env[name] = value.real, value.imag
         else:
-            z = _as_complex(value)
-            env[name] = np.full(n, z.real), np.full(n, z.imag)
+            env[name] = _broadcast(value, n)
     return _join(*_compile(expr, a1).batch(env, n))
+
+
+def _broadcast(value, n: int):
+    """One element as n samples: read-only views that take no memory per sample."""
+    z = _as_complex(value)
+    return np.broadcast_to(z.real, n), np.broadcast_to(z.imag, n)

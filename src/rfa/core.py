@@ -167,9 +167,17 @@ def _quotient(num: complex, den: complex) -> complex:
 # or ``ValueError`` and the caller replays the samples one by one.
 
 
+# entries per block in ``_each``, which bounds its lists of Python floats
+_EACH_BLOCK = 4096
+
+
 def _each(fn, *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` applied to the arrays' entries as Python floats."""
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), np.float64, len(arrays[0]))
+    """``fn`` applied to the arrays' entries as Python floats, a block at a time."""
+    out = np.empty(len(arrays[0]))
+    for i in range(0, len(out), _EACH_BLOCK):
+        block = [a[i : i + _EACH_BLOCK].tolist() for a in arrays]
+        out[i : i + _EACH_BLOCK] = np.fromiter(map(fn, *block), np.float64, len(block[0]))
+    return out
 
 
 def _join(re: np.ndarray, fu: np.ndarray) -> np.ndarray:

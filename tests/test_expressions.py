@@ -270,6 +270,9 @@ def _outcome(fn):
 @example("(z)^2", [complex(-0.0, -0.0), 1 + 1j], 1.0, 5, "trapezoid", 0.0)
 @example("sqrt(z)", [complex(3.0, -0.0), complex(-2.0, -0.0)], 1.0, 4, "trapezoid", 0.0)
 @example("psi_mul(z, (k + z))", [1 + 1j, -2 + 0.5j], 1.0, 9, "trapezoid", 1.175)
+# crisp exponents and branches that vary from sample to sample
+@example("(z)^norm(z)", [1 + 0j, 2 + 1j], 1.0, 9, "trapezoid", 0.0)
+@example("log(z, z)", [1 + 0j, 3 + 0j], 1.0, 3, "trapezoid", 0.0)
 @example("(z)^-0.5", [complex(2.0, -0.0), 3 + 0j, 1j], 1.0, 9, "trapezoid", 0.0)
 @example("((z * exp(z)) / (k - z))", [0.5 - 1.5j, -1 + 0.5j], 1.0, 12, "simpson", 0.0)
 def test_array_evaluation_matches_the_closures_bit_for_bit(expr, vertices, scale, samples, scheme, a1):
