@@ -14,6 +14,7 @@ import sys
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber
+from ..dynamics import PROJECTIONS
 from .expressions import ExprError, eval_expression, eval_expression_batch
 from .literals import LiteralError, parse_fuzzy_literal, print_literal
 from .presets import ConfigError, _config_text, _normalize_system, _preset_text
@@ -140,7 +141,7 @@ def _run_and_report(scenario, args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario = load_config(args.config)
-    wanted = _normalize_system(args.system)
+    wanted = _normalize_system(args.system).name
     if scenario.system != wanted:
         raise ConfigError(f"config declares system {scenario.system!r} but the command asked for {wanted!r}")
     return _run_and_report(scenario, args)
@@ -159,8 +160,18 @@ def _cmd_phase(args) -> int:
     return _run_and_report(scenario, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with ``-`` but is none of its options as a value."""
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        # one (action, ...) tuple, or a list of them from Python 3.12.3 on
+        first = parsed[0] if isinstance(parsed, list) else parsed
+        return None if first is not None and first[0] is None else parsed
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rfa",
         description="calculus and dynamics on linearly correlated fuzzy numbers",
     )
@@ -213,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phase = sub.add_parser("phase", help="phase portrait of a preset or configured run")
     p_phase.add_argument("--preset")
     p_phase.add_argument("--config")
-    p_phase.add_argument("--projection", required=True, choices=("x-vs-s", "r-vs-y"))
+    p_phase.add_argument("--projection", required=True, choices=PROJECTIONS)
     add_output_options(p_phase)
     p_phase.set_defaults(handler=_cmd_phase)
 

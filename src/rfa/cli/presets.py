@@ -28,15 +28,8 @@ from numbers import Integral, Real
 from pathlib import Path as FsPath
 
 from ..core import BasisNumber, LcNumber, LcSpace
-from ..dynamics import (
-    LinearParams,
-    LvParams,
-    OscillatorParams,
-    Trajectory,
-    linearized_lv,
-    phase_portrait,
-    simulate_system,
-)
+from ..dynamics import METHODS, PROJECTIONS, SYSTEMS, LinearParams, LvParams, OscillatorParams, System, Trajectory
+from ..dynamics import linearized_lv, phase_portrait, simulate_system
 from .exports import band_color, emit_svg, export_csv, export_json, trajectory_table
 from .literals import LiteralError, parse_fuzzy_literal, print_literal
 
@@ -84,26 +77,6 @@ class Scenario:
     stride: int | None = None
     out_dir: str | None = None
 
-
-# the spellings of a system name other than its own
-_SYSTEM_ALIASES = {"lv": "lotka_volterra", "lotka-volterra": "lotka_volterra", "linear-psi": "linear_psi"}
-
-# system -> params class and the (section, key) config entry of each of its
-# fields, in field order; entries whose field has a default may be left out
-_LINEAR_ENTRIES = (LinearParams, (("params", "lambda"), ("initial", "w")))
-_PARAM_ENTRIES = {
-    "linear": _LINEAR_ENTRIES,
-    "linear_psi": _LINEAR_ENTRIES,
-    "oscillator": (
-        OscillatorParams,
-        (("initial", "x"), ("initial", "y"), ("params", "c1"), ("params", "c2")),
-    ),
-    "lotka_volterra": (
-        LvParams,
-        (("params", "alpha"), ("params", "beta"), ("params", "a"), ("params", "b"))
-        + (("initial", "x"), ("initial", "y")),
-    ),
-}
 
 # a config may leave out every entry but "system" and "basis"; the others
 # default to the text of the Scenario field defaults
@@ -168,37 +141,37 @@ def load_config(source, **overrides) -> Scenario:
     if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
         raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
     method = text["method"]
-    if method not in ("auto", "analytic", "rk4"):
+    if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    if method == "analytic" and system not in ("linear", "linear_psi"):
-        raise ConfigError(f"{system} has no analytic solution; use rk4")
+    if method == "analytic" and system.closed_form is None:
+        raise ConfigError(f"{system.name} has no analytic solution; use rk4")
     if stride is not None and (not isinstance(stride, Integral) or isinstance(stride, bool) or stride < 1):
         raise ConfigError(f"stride must be a positive integer, got {stride!r}")
     # an upper bound: the grid has at most int(steps) + 2 points, and each
     # variable has one "initial" entry and 2 + 2 * len(alphas) columns
     points = int(steps) + 2
     rows = min(points, MAX_EXPORT_ROWS) if stride is None else points // stride + 2
-    names = [key for section, key in _PARAM_ENTRIES[system][1] if section == "initial"]
-    cells = rows * (1 + 2 * len(names) * (1 + len(alphas)))
+    cells = rows * (1 + 2 * len(system.variables) * (1 + len(alphas)))
     if cells > MAX_CELLS:
         raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
     if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
         raise ConfigError(f"name must be a plain file name, got {name!r}")
     if not isinstance(plot, str) or not isinstance(text["out_dir"], (str, type(None))):
         raise ConfigError(f"plot and out_dir must be strings, got {plot!r}, {text['out_dir']!r}")
-    _check_plot(plot, names)
+    _check_plot(plot, system.variables)
     params = _build_params(system, params, initial)
     return Scenario(
-        system, space, params, t_span=(t0, t1), dt=dt, alphas=alphas, formats=formats,
+        system.name, space, params, t_span=(t0, t1), dt=dt, alphas=alphas, formats=formats,
         name=name, method=method, plot=plot, stride=stride, out_dir=text["out_dir"],
     )
 
 
-def _normalize_system(system) -> str:
-    name = _SYSTEM_ALIASES.get(system, system) if isinstance(system, str) else None
-    if name not in _PARAM_ENTRIES:
-        raise ConfigError(f"unknown system {system!r}")
-    return name
+def _normalize_system(system) -> System:
+    """The record of a system name or one of its aliases."""
+    for record in SYSTEMS.values():
+        if isinstance(system, str) and system in (record.name, *record.aliases):
+            return record
+    raise ConfigError(f"unknown system {system!r}")
 
 
 def _real(label: str, value) -> float:
@@ -227,8 +200,8 @@ def _parse_element(cfg_field: str, text) -> LcNumber:
     return value
 
 
-def _parse_space(system: str, text) -> LcSpace:
-    """The basis literal as an ``LcSpace``, with a point 1-level for ``linear_psi``."""
+def _parse_space(system: System, text) -> LcSpace:
+    """The basis literal as an ``LcSpace``, with a point 1-level if the system needs ``a1``."""
     try:
         basis = parse_fuzzy_literal(str(text))
     except LiteralError as exc:
@@ -239,11 +212,11 @@ def _parse_space(system: str, text) -> LcSpace:
         space = LcSpace(basis)
     except ValueError:
         raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected") from None
-    if system == "linear_psi":
+    if system.needs_a1:
         try:
             space.a1
         except ValueError as exc:
-            raise ConfigError(f"linear_psi needs a basis with a single-point 1-level: {exc}") from exc
+            raise ConfigError(f"{system.name} needs a basis with a single-point 1-level: {exc}") from exc
     return space
 
 
@@ -255,26 +228,25 @@ def _check_plot(plot: str, names) -> None:
     elif kind == "phase":
         if len(names) != 2:
             raise ConfigError(f"cannot draw plot {plot!r}: phase portraits need a two-variable trajectory")
-        if detail not in ("x-vs-s", "r-vs-y"):
+        if detail not in PROJECTIONS:
             raise ConfigError(f"cannot draw plot {plot!r}: unknown projection {detail!r}")
     elif kind != "components":
         raise ConfigError(f"unknown plot kind {plot!r}")
 
 
-def _build_params(system: str, params: dict, initial: dict):
+def _build_params(system: System, params: dict, initial: dict):
     """The system's params dataclass, parsed from its ``params``/``initial`` entries."""
-    cls, entries = _PARAM_ENTRIES[system]
     given = {"params": params, "initial": initial}
-    unknown = [f"{sec}[{key!r}]" for sec, values in given.items() for key in values if (sec, key) not in entries]
+    unknown = [f"{sec}[{key!r}]" for sec, values in given.items() for key in values if (sec, key) not in system.entries]
     if unknown:
-        raise ConfigError(f"unknown entries for {system}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown entries for {system.name}: {', '.join(unknown)}")
     kwargs = {}
-    for f, (section, key) in zip(fields(cls), entries):
+    for f, (section, key) in zip(fields(system.params), system.entries):
         if key in given[section]:
             kwargs[f.name] = _parse_element(key, given[section][key])
         elif f.default is MISSING:
-            raise ConfigError(f"{system} needs {section}[{key!r}]")
-    return cls(**kwargs)
+            raise ConfigError(f"{system.name} needs {section}[{key!r}]")
+    return system.params(**kwargs)
 
 
 def _export_indices(n: int, stride: int | None) -> list[int]:
@@ -309,7 +281,7 @@ def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
         crisp = portrait.crisp
         fuzzy_re = traj.component(portrait.fuzzy_label)[0]
         # "x-vs-s" puts the banded coordinate on the horizontal axis
-        horizontal = detail == "x-vs-s"
+        horizontal = detail == PROJECTIONS[0]
         for j, alpha in enumerate(portrait.alphas):
             stroke = band_color(alpha)
             for edge in (0, 1):
@@ -338,7 +310,7 @@ def run_scenario(scenario: Scenario, out_dir=None, formats=None):
     """
     chosen = scenario.formats if formats is None else _checked_formats(formats)
     basis = scenario.space.basis
-    # the basis is for linear_psi's 1-level; bands go on the exported rows only
+    # the basis is for the 1-level of a system that needs a1; bands go on the exported rows only
     traj = simulate_system(
         scenario.system, scenario.params, scenario.t_span, dt=scenario.dt, method=scenario.method, basis=basis
     )
@@ -398,7 +370,7 @@ def _linear_text(fig: str, system: str, rate: str) -> dict:
 
 
 def _linearized_lv_text() -> dict:
-    osc = linearized_lv(_build_params("lotka_volterra", _LV_TEXT["params"], _LV_TEXT["initial"]))
+    osc = linearized_lv(_build_params(_normalize_system(_LV_TEXT["system"]), _LV_TEXT["params"], _LV_TEXT["initial"]))
     return dict(
         system="oscillator",
         basis=_DECAY_BASIS,

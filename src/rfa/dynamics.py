@@ -28,8 +28,12 @@ __all__ = [
     "IntegrationAbort",
     "LinearParams",
     "LvParams",
+    "METHODS",
     "OscillatorParams",
+    "PROJECTIONS",
     "PhasePortrait",
+    "SYSTEMS",
+    "System",
     "Trajectory",
     "check_curve_chain_rule",
     "cross_product_psi",
@@ -625,6 +629,55 @@ def linearized_lv(params: LvParams) -> OscillatorParams:
 # ---------------------------------------------------------------------------
 # front door
 
+METHODS = ("auto", "analytic", "rk4")
+PROJECTIONS = ("x-vs-s", "r-vs-y")
+
+
+@dataclass(frozen=True)
+class System:
+    """One system class: its names, its config entries and how it runs.
+
+    ``entries`` is the ``(section, key)`` config entry of each ``params``
+    field, in field order; the ``"initial"`` keys name the trajectory's
+    variables.  ``rk4(params, a1, t_span, dt)`` returns ``(times, states)``
+    in ``Trajectory`` column order, and ``closed_form(params, a1, ts)`` the
+    trajectory on the grid ``ts``.  The kernels look the solvers up as
+    module globals when they run.
+    """
+
+    name: str
+    aliases: tuple[str, ...]
+    params: type
+    entries: tuple[tuple[str, str], ...]
+    rk4: Callable
+    closed_form: Callable | None = None
+    needs_a1: bool = False
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(key for section, key in self.entries if section == "initial")
+
+
+def _oscillator_rk4(p: OscillatorParams, a1, t_span, dt: float):
+    times, states = _rk4_linear(oscillator_matrix(p), (p.x0.re, p.y0.re, p.x0.fu, p.y0.fu), t_span, dt)
+    return times, states[:, (0, 2, 1, 3)]
+
+
+SYSTEMS = {system.name: system for system in (
+    System("linear", (), LinearParams, (("params", "lambda"), ("initial", "w")),
+           lambda p, a1, t_span, dt: _rk4_linear(realify_linear(p.lmbda), (p.w0.re, p.w0.fu), t_span, dt),
+           lambda p, a1, ts: solve_linear_analytic(p, ts)),
+    System("linear_psi", ("linear-psi",), LinearParams, (("params", "lambda"), ("initial", "w")),
+           lambda p, a1, t_span, dt: _rk4_linear(realify_linear_psi(p.lmbda, a1), (p.w0.re, p.w0.fu), t_span, dt),
+           lambda p, a1, ts: solve_linear_psi_analytic(p, a1, ts), needs_a1=True),
+    System("oscillator", (), OscillatorParams,
+           (("initial", "x"), ("initial", "y"), ("params", "c1"), ("params", "c2")), _oscillator_rk4),
+    System("lotka_volterra", ("lv", "lotka-volterra"), LvParams,
+           tuple(("params", key) for key in ("alpha", "beta", "a", "b")) + (("initial", "x"), ("initial", "y")),
+           lambda p, a1, t_span, dt: _rk4_lotka_volterra(p, t_span, dt)),
+)}
+
+
 def simulate_system(
     system: str,
     params,
@@ -634,7 +687,7 @@ def simulate_system(
     a1: float | None = None,
     basis: BasisNumber | None = None,
 ) -> Trajectory:
-    """Run one of the supported systems and return its trajectory.
+    """Run the system ``SYSTEMS[system]`` and return its trajectory.
 
     ``linear`` and ``linear_psi`` default to their closed forms
     (``method="rk4"`` integrates the realified system instead); the
@@ -646,38 +699,21 @@ def simulate_system(
     ``Trajectory.attach_bands``.  ``linear_psi`` needs the basis 1-level,
     either as ``a1`` or via the basis.
     """
-    if method not in ("auto", "analytic", "rk4"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if system == "linear":
-        if method in ("auto", "analytic"):
-            traj = solve_linear_analytic(params, time_grid(t_span, dt))
-        else:
-            times, states = _rk4_linear(realify_linear(params.lmbda), (params.w0.re, params.w0.fu), t_span, dt)
-            traj = Trajectory(times, ("w",), states)
-    elif system == "linear_psi":
-        if a1 is None:
-            if basis is None:
-                raise ValueError("linear_psi needs a1 or a basis with a singleton 1-level")
-            a1 = basis.one_level_value()
-        if method in ("auto", "analytic"):
-            traj = solve_linear_psi_analytic(params, a1, time_grid(t_span, dt))
-        else:
-            times, states = _rk4_linear(realify_linear_psi(params.lmbda, a1), (params.w0.re, params.w0.fu), t_span, dt)
-            traj = Trajectory(times, ("w",), states)
-    elif system == "oscillator":
-        if method == "analytic":
-            raise ValueError("the oscillator has no analytic path here; use rk4")
-        x0, y0 = params.x0, params.y0
-        times, states = _rk4_linear(oscillator_matrix(params), (x0.re, y0.re, x0.fu, y0.fu), t_span, dt)
-        traj = Trajectory(times, ("x", "y"), states[:, (0, 2, 1, 3)])
-    elif system == "lotka_volterra":
-        if method == "analytic":
-            raise ValueError("the predator-prey system has no analytic path; use rk4")
-        times, states = _rk4_lotka_volterra(params, t_span, dt)
-        traj = Trajectory(times, ("x", "y"), states)
-    else:
+    record = SYSTEMS.get(system) if isinstance(system, str) else None
+    if record is None:
         raise ValueError(f"unknown system {system!r}")
-    return traj
+    if record.needs_a1 and a1 is None:
+        if basis is None:
+            raise ValueError(f"{system} needs a1 or a basis with a singleton 1-level")
+        a1 = basis.one_level_value()
+    if method == "rk4" or record.closed_form is None:
+        if method == "analytic":
+            raise ValueError(f"{system} has no analytic solution; use rk4")
+        times, states = record.rk4(params, a1, t_span, dt)
+        return Trajectory(times, record.variables, states)
+    return record.closed_form(params, a1, time_grid(t_span, dt))
 
 
 @dataclass
@@ -702,16 +738,10 @@ def phase_portrait(traj: Trajectory, projection: str, basis: BasisNumber, alphas
     """
     if len(traj.names) != 2:
         raise ValueError("phase portraits need a two-variable trajectory")
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     alphas = tuple(float(a) for a in alphas)
-    x_name, y_name = traj.names
-    if projection == "x-vs-s":
-        fuzzy_name, crisp_name = x_name, y_name
-    elif projection == "r-vs-y":
-        fuzzy_name, crisp_name = y_name, x_name
-    else:
+    if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
+    fuzzy_name, crisp_name = traj.names if projection == PROJECTIONS[0] else traj.names[::-1]
     if traj.bands is not None and traj.alphas == alphas and traj.basis == basis:
         bands = traj.bands[fuzzy_name]
     else:

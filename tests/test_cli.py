@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfa
-from rfa.cli.main import main
+from rfa.cli import presets
+from rfa.cli.main import _build_parser, main
+from rfa.cli.presets import ConfigError, _normalize_system, load_config
+from rfa.dynamics import SYSTEMS
 
 
 def run(capsys, *argv):
@@ -222,16 +226,107 @@ def test_path_with_a_non_finite_edge_exits_3(capsys):
     assert err.startswith("numeric error: polyline edge 0 from") and "not finite" in err
 
 
-def test_plot_variables_are_the_simulated_names():
-    from rfa.cli.presets import _PARAM_ENTRIES, _build_params
+def _unit_config(record, **overrides):
+    """A config for ``record`` that sets each of its entries to the literal 1."""
+    given = {"params": {}, "initial": {}}
+    for section, key in record.entries:
+        given[section][key] = "1"
+    return {"system": record.name, "basis": "tri(-1;0;1.01)", **given, **overrides}
 
-    for system, (_, entries) in _PARAM_ENTRIES.items():
-        given = {"params": {}, "initial": {}}
-        for section, key in entries:
-            given[section][key] = "1"
-        params = _build_params(system, given["params"], given["initial"])
-        traj = rfa.simulate_system(system, params, (0.0, 0.01), dt=0.01, a1=0.0)
-        assert traj.names == tuple(given["initial"]), system
+
+def _solve_choices():
+    parser = _build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in sub.choices["solve"]._actions if action.dest == "system").choices
+
+
+def test_plot_variables_are_the_simulated_names():
+    for record in SYSTEMS.values():
+        scenario = load_config(_unit_config(record))
+        assert scenario.system == record.name
+        assert record.variables == tuple(key for section, key in record.entries if section == "initial")
+        for method in ("auto", "rk4"):
+            traj = rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method=method, a1=0.0)
+            assert traj.names == record.variables, (record.name, method)
+
+
+def test_solve_choices_name_every_system():
+    assert {_normalize_system(choice).name for choice in _solve_choices()} == set(SYSTEMS)
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    sorted({*_solve_choices(), *(name for record in SYSTEMS.values() for name in (record.name, *record.aliases))}),
+)
+def test_every_spelling_resolves_to_a_record_and_its_methods(spelling):
+    record = _normalize_system(spelling)
+    assert SYSTEMS[record.name] is record
+    scenario = load_config(_unit_config(record, system=spelling))
+    assert (scenario.system, type(scenario.params)) == (record.name, record.params)
+    analytic = _unit_config(record, system=spelling, method="analytic")
+    if record.closed_form is not None:
+        assert load_config(analytic).method == "analytic"
+        rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic", a1=0.0)
+        return
+    with pytest.raises(ValueError, match="no analytic solution"):
+        rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic")
+    with pytest.raises(ConfigError) as info:
+        load_config(analytic)
+    assert str(info.value) == f"{record.name} has no analytic solution; use rk4"
+
+
+def test_closed_forms_and_the_simulation_are_reached_through_module_globals(monkeypatch):
+    # bench/tracing.py patches these names to time the closed forms and the simulation
+    calls = []
+    for attr in ("solve_linear_analytic", "solve_linear_psi_analytic"):
+        original = getattr(rfa.dynamics, attr)
+        spy = lambda *args, _attr=attr, _original=original: calls.append(_attr) or _original(*args)
+        monkeypatch.setattr(rfa.dynamics, attr, spy)
+    params = rfa.LinearParams(rfa.LcNumber(-0.5, 0.8), rfa.LcNumber(2, 2))
+    rfa.simulate_system("linear", params, (0.0, 1.0), dt=0.1)
+    rfa.simulate_system("linear_psi", params, (0.0, 1.0), dt=0.1, a1=0.0)
+    assert calls == ["solve_linear_analytic", "solve_linear_psi_analytic"]
+
+    simulate = presets.simulate_system
+    monkeypatch.setattr(presets, "simulate_system", lambda *args, **kw: calls.append(args[0]) or simulate(*args, **kw))
+    presets.run_scenario(presets.preset_config("fig3", dt=0.1), formats=())
+    assert calls[2:] == ["linear_psi", "solve_linear_psi_analytic"]
+
+
+@pytest.mark.parametrize(
+    "argv, spelled_apart",
+    [
+        (["eval", "-1+2*A"], ["eval", "--", "-1+2*A"]),
+        (["integrate", "-z*exp(-z)", "--path", "0, 1"], ["integrate", "--path", "0, 1", "--", "-z*exp(-z)"]),
+        (["integrate", "1/z", "--path", "-1,0+1*A,1"], ["integrate", "1/z", "--path=-1,0+1*A,1"]),
+        (["derive", "z*z", "--at", "-1+2*A"], ["derive", "z*z", "--at=-1+2*A"]),
+        (["derive", "-z*z", "--at", "-1+2*A"], ["derive", "--at=-1+2*A", "--", "-z*z"]),
+    ],
+    ids=["eval", "integrate-expr", "integrate-path", "derive-at", "derive-expr-and-at"],
+)
+def test_values_that_start_with_a_minus_sign_are_values(capsys, argv, spelled_apart):
+    expected = run(capsys, *spelled_apart)
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval"], ["derive", "z", "--at"], ["derive", "z", "--at", "--step", "1"], ["eval", "z", "--bogus"],
+     ["eval", "--b", "1", "z"], ["integrate", "z", "--path"], ["solve", "-lv", "--config", "c.json"]],
+)
+def test_option_misuse_still_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["derive", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rfa derive")
 
 
 def _python(*args):
