@@ -228,10 +228,10 @@ def test_path_with_a_non_finite_edge_exits_3(capsys):
 
 def _unit_config(record, **overrides):
     """A config for ``record`` that sets each of its entries to the literal 1."""
-    given = {"params": {}, "initial": {}}
+    sections = {"params": {}, "initial": {}}
     for section, key in record.entries:
-        given[section][key] = "1"
-    return {"system": record.name, "basis": "tri(-1;0;1.01)", **given, **overrides}
+        sections[section][key] = "1"
+    return {"system": record.name, "basis": "tri(-1;0;1.01)", **sections, **overrides}
 
 
 def _solve_choices():
