@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -37,19 +37,22 @@ _BLOCK_ROWS = 1024
 @dataclass
 class ExportTable:
     columns: list[str]
-    rows: list[list[float]]
+    rows: np.ndarray
     alphas: tuple[float, ...] = ()
     band_columns: dict = field(default_factory=dict)
 
     def __post_init__(self):
         width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, header has {width}")
+        rows = np.asarray(self.rows, dtype=np.float64)
+        # no rows at all (``[]``, a header-only CSV) is a table of the header's width
+        self.rows = rows.reshape(0, width) if rows.shape[:1] == (0,) else rows
+        if self.rows.ndim != 2 or self.rows.shape[1] != width:
+            raise ValueError(f"rows of shape {self.rows.shape} do not match the header's {width} columns")
+        if len(set(self.columns)) != width:
+            raise ValueError(f"column names repeat in {self.columns}")
 
     def column(self, name: str) -> np.ndarray:
-        k = self.columns.index(name)
-        return np.array([row[k] for row in self.rows])
+        return self.rows[:, self.columns.index(name)]
 
 
 def alpha_key(alpha: float) -> str:
@@ -64,11 +67,9 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
     Every step becomes a row, so a caller that exports fewer rows samples
     the trajectory first (and attaches the bands to the sample).
     """
-    columns = ["t"]
+    columns = ["t", *(f"{name}_{part}" for name in traj.names for part in ("re", "fu"))]
     blocks = [traj.times[:, None], traj.coeffs]
     band_columns: dict = {}
-    for name in traj.names:
-        columns.extend([f"{name}_re", f"{name}_fu"])
     if traj.bands is not None:
         for name in traj.names:
             band_columns[name] = {}
@@ -78,11 +79,7 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
                 columns.extend(band_columns[name][key])
             # (n, alphas, 2) -> lo, hi of each alpha in turn, as in the header
             blocks.append(traj.bands[name].reshape(len(traj), -1))
-    # a slice at a time, so no float64 copy of the whole table sits next to its floats
-    rows = []
-    for i in range(0, len(traj), _BLOCK_ROWS):
-        rows.extend(np.hstack([block[i : i + _BLOCK_ROWS] for block in blocks]).tolist())
-    return ExportTable(columns, rows, tuple(traj.alphas or ()), band_columns)
+    return ExportTable(columns, np.hstack(blocks), tuple(traj.alphas or ()), band_columns)
 
 
 def export_csv(table: ExportTable, path) -> None:
@@ -92,19 +89,22 @@ def export_csv(table: ExportTable, path) -> None:
     one format of the repeated row pattern and one ``write``.
     """
     row_format = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
-    rows = table.rows
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.columns)
-        for i in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[i : i + _BLOCK_ROWS]
-            fh.write((row_format * len(block)) % tuple(chain.from_iterable(block)))
+        for i in range(0, len(table.rows), _BLOCK_ROWS):
+            block = table.rows[i : i + _BLOCK_ROWS]
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> ExportTable:
+    """``csv`` reads the header and ``np.loadtxt`` the body; a header alone is an empty table."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [list(map(float, row)) for row in reader]
+        columns = next(csv.reader(fh), None)
+        if columns is None:
+            raise ValueError(f"{path} is empty: no header")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     return ExportTable(columns, rows)
 
 
@@ -116,13 +116,12 @@ def export_json(table: ExportTable, path) -> None:
     the whole document is never one string.
     """
     head = json.dumps({"columns": table.columns, "alphas": list(table.alphas), "bands": table.band_columns})
-    rows = table.rows
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "rows": [')
-        for i in range(0, len(rows), _BLOCK_ROWS):
+        for i in range(0, len(table.rows), _BLOCK_ROWS):
             if i:
                 fh.write(", ")
-            fh.write(json.dumps(rows[i : i + _BLOCK_ROWS])[1:-1])
+            fh.write(json.dumps(table.rows[i : i + _BLOCK_ROWS].tolist())[1:-1])
         fh.write("]}")
 
 

@@ -28,9 +28,9 @@ from numbers import Integral, Real
 from pathlib import Path as FsPath
 
 from ..core import BasisNumber, LcNumber, LcSpace
-from ..dynamics import METHODS, PROJECTIONS, SYSTEMS, LinearParams, LvParams, OscillatorParams, System, Trajectory
-from ..dynamics import linearized_lv, phase_portrait, simulate_system
-from .exports import band_color, emit_svg, export_csv, export_json, trajectory_table
+from ..dynamics import METHODS, PROJECTIONS, LinearParams, LvParams, OscillatorParams, System, Trajectory
+from ..dynamics import linearized_lv, phase_portrait, simulate_system, system_record
+from .exports import alpha_key, band_color, emit_svg, export_csv, export_json, trajectory_table
 from .literals import LiteralError, parse_fuzzy_literal, print_literal
 
 __all__ = [
@@ -137,9 +137,11 @@ def load_config(source, **overrides) -> Scenario:
         raise ConfigError(f"t_span at dt {text['dt']} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
     if not isinstance(text["alphas"], tuple) or not text["alphas"]:
         raise ConfigError(f"alpha grid must be a nonempty list, got {text['alphas']!r}")
-    alphas = tuple(_real("alpha", a) for a in text["alphas"])
+    alphas = tuple(_real("alpha", a) + 0.0 for a in text["alphas"])  # a level -0.0 is the level 0, named a0
     if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
         raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
+    if len({alpha_key(a) for a in alphas}) != len(alphas):
+        raise ConfigError(f"alpha levels must differ at 6 significant digits, got {alphas}")
     method = text["method"]
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -167,11 +169,11 @@ def load_config(source, **overrides) -> Scenario:
 
 
 def _normalize_system(system) -> System:
-    """The record of a system name or one of its aliases."""
-    for record in SYSTEMS.values():
-        if isinstance(system, str) and system in (record.name, *record.aliases):
-            return record
-    raise ConfigError(f"unknown system {system!r}")
+    """``system_record``, with a ``ConfigError`` for a name it does not know."""
+    try:
+        return system_record(system)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _real(label: str, value) -> float:

@@ -54,6 +54,7 @@ __all__ = [
     "simulate_system",
     "solve_linear_analytic",
     "solve_linear_psi_analytic",
+    "system_record",
 ]
 
 Field = Callable[[float, Sequence[float]], Sequence[float]]
@@ -678,6 +679,14 @@ SYSTEMS = {system.name: system for system in (
 )}
 
 
+def system_record(system) -> System:
+    """The record of a system name or one of its aliases."""
+    for record in SYSTEMS.values():
+        if isinstance(system, str) and system in (record.name, *record.aliases):
+            return record
+    raise ValueError(f"unknown system {system!r}")
+
+
 def simulate_system(
     system: str,
     params,
@@ -687,7 +696,7 @@ def simulate_system(
     a1: float | None = None,
     basis: BasisNumber | None = None,
 ) -> Trajectory:
-    """Run the system ``SYSTEMS[system]`` and return its trajectory.
+    """Run the system named ``system`` (or an alias) and return its trajectory.
 
     ``linear`` and ``linear_psi`` default to their closed forms
     (``method="rk4"`` integrates the realified system instead); the
@@ -701,9 +710,7 @@ def simulate_system(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    record = SYSTEMS.get(system) if isinstance(system, str) else None
-    if record is None:
-        raise ValueError(f"unknown system {system!r}")
+    record = system_record(system)
     if record.needs_a1 and a1 is None:
         if basis is None:
             raise ValueError(f"{system} needs a1 or a basis with a singleton 1-level")

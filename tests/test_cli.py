@@ -275,6 +275,14 @@ def test_every_spelling_resolves_to_a_record_and_its_methods(spelling):
     assert str(info.value) == f"{record.name} has no analytic solution; use rk4"
 
 
+def test_unknown_system_has_one_message_in_the_library_and_the_config():
+    with pytest.raises(ValueError) as library:
+        rfa.simulate_system("lv2", None, (0.0, 1.0))
+    with pytest.raises(ConfigError) as config:
+        _normalize_system("lv2")
+    assert str(library.value) == str(config.value) == "unknown system 'lv2'"
+
+
 def test_closed_forms_and_the_simulation_are_reached_through_module_globals(monkeypatch):
     # bench/tracing.py patches these names to time the closed forms and the simulation
     calls = []
@@ -393,11 +401,16 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
         ({"initial": {"w": "1e309"}}, "beyond the double range (at offset 0)"),
         ({"basis": "tri(-1.7e308;-1.7e308;1.7e308)"}, "span inf that is not a finite double"),
+        # 0.1 and 0.1000001 both name the columns w_a0.1_lo and w_a0.1_hi
+        ({"alphas": [0.1, 0.1000001, 0.5]}, "alpha levels must differ at 6 significant digits"),
+        ({"alphas": [0.5, 0.5]}, "alpha levels must differ at 6 significant digits"),
+        ({"alphas": [-0.0, 0.0]}, "alpha levels must differ at 6 significant digits"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
          "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot",
-         "literal-beyond-double", "basis-span-overflow"],
+         "literal-beyond-double", "basis-span-overflow", "alpha-keys-collide", "alpha-repeated",
+         "alpha-signed-zeros"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):
@@ -411,6 +424,13 @@ def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config,
     assert err.startswith("error: ") and message in err
     assert out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_zero_alpha_is_the_level_0(tmp_path):
+    scenario = load_config(linear_config(tmp_path, alphas=[-0.0, 1.0]))
+    assert [math.copysign(1.0, a) for a in scenario.alphas] == [1.0, 1.0]
+    table, _ = presets.run_scenario(scenario, out_dir=tmp_path, formats=())
+    assert "w_a0_lo" in table.columns
 
 
 @pytest.mark.parametrize(

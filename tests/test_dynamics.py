@@ -488,6 +488,18 @@ def test_simulate_validates():
         simulate_system("linear_psi", params, (0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "alias, name", [("lv", "lotka_volterra"), ("lotka-volterra", "lotka_volterra"), ("linear-psi", "linear_psi")]
+)
+def test_simulate_system_takes_the_aliases(alias, name):
+    params = lv_paper_params() if name == "lotka_volterra" else LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
+    got = simulate_system(alias, params, (0.0, 0.5), dt=1e-2, a1=0.0)
+    want = simulate_system(name, params, (0.0, 0.5), dt=1e-2, a1=0.0)
+    assert got.names == want.names
+    assert np.array_equal(got.times.view(np.uint64), want.times.view(np.uint64))
+    assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
 def test_simulate_attaches_nested_bands():
     params = LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
     alphas = [i / 10 for i in range(11)]

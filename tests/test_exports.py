@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ from rfa.cli.exports import band_color, emit_svg
 
 BASIS = BasisNumber.triangular(-0.5, 0, 0.51)
 ALPHAS = tuple(i / 10 for i in range(11))
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal doubles bit for bit, so signed zeros and NaN count."""
+    got, want = (np.ascontiguousarray(a, dtype=np.float64) for a in (got, want))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def crisp_three_step_trajectory():
@@ -42,7 +50,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     export_csv(table, target)
     back = read_csv(target)
     assert back.columns == table.columns
-    assert back.rows == table.rows
+    assert_same_bits(back.rows, table.rows)
 
 
 def test_json_round_trip_and_alpha_keys(tmp_path):
@@ -53,7 +61,7 @@ def test_json_round_trip_and_alpha_keys(tmp_path):
     export_json(table, target)
     payload = json.loads(target.read_text())
     assert payload["columns"] == table.columns
-    assert payload["rows"] == table.rows
+    assert_same_bits(payload["rows"], table.rows)
     assert payload["alphas"] == list(ALPHAS)
     assert payload["bands"]["w"]["0.5"] == ["w_a0.5_lo", "w_a0.5_hi"]
 
@@ -61,6 +69,58 @@ def test_json_round_trip_and_alpha_keys(tmp_path):
 def test_table_must_be_rectangular():
     with pytest.raises(ValueError):
         ExportTable(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.0, 2.0, 3.0]], np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2)), 5.0], ids=lambda r: str(np.shape(r))
+)
+def test_table_must_be_two_dimensional_with_the_header_width(rows):
+    with pytest.raises(ValueError, match="do not match the header's 2 columns"):
+        ExportTable(["a", "b"], rows)
+
+
+def test_table_refuses_repeated_column_names():
+    with pytest.raises(ValueError, match="column names repeat"):
+        ExportTable(["t", "w_a0.1_lo", "w_a0.1_lo"], [[0.0, 1.0, 2.0]])
+    # 0.1 and 0.1000001 share the alpha key "0.1", so their band columns would repeat
+    traj = crisp_three_step_trajectory().attach_bands(BASIS, (0.1, 0.1000001, 0.5))
+    with pytest.raises(ValueError, match="column names repeat"):
+        trajectory_table(traj)
+
+
+def test_rows_are_one_writable_float64_array_from_every_constructor(tmp_path):
+    from_trajectory = trajectory_table(crisp_three_step_trajectory())
+    export_csv(from_trajectory, tmp_path / "t.csv")
+    tables = [from_trajectory, read_csv(tmp_path / "t.csv"), ExportTable(["a", "b"], [[1, 2], [3, 4]]),
+              ExportTable(["a", "b"], [])]
+    for table in tables:
+        assert isinstance(table.rows, np.ndarray) and table.rows.dtype == np.float64
+        assert table.rows.ndim == 2 and table.rows.shape[1] == len(table.columns)
+        assert table.rows.flags.writeable
+    assert_same_bits(tables[1].rows, from_trajectory.rows)
+    assert tables[3].rows.shape == (0, 2)
+
+
+def test_read_csv_of_a_header_alone_is_an_empty_table_without_a_warning(tmp_path):
+    target = tmp_path / "header.csv"
+    target.write_text("t,w_re,w_fu\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = read_csv(target)
+    assert table.columns == ["t", "w_re", "w_fu"]
+    assert table.rows.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "a,b\r\n1,2\r\n3\r\n", "a,b\r\n1,2,3\r\n", "a,b\r\n1,x\r\n", "a,b\r\n1,2#3\r\n", "a,b,c\r\n1,2\r\n"],
+    ids=["empty-file", "short-row", "long-row", "not-a-number", "comment-mark", "header-wider"],
+)
+def test_read_csv_refuses_what_is_not_a_table(tmp_path, text):
+    target = tmp_path / "bad.csv"
+    target.write_text(text, newline="")
+    with pytest.raises(ValueError):
+        read_csv(target)
 
 
 def test_band_color_endpoints():
@@ -111,7 +171,25 @@ def test_preset_csv_round_trip_matches_memory(tmp_path):
     table, written = run_scenario(preset_config("fig2"), out_dir=tmp_path, formats=("csv",))
     back = read_csv(written[0])
     assert back.columns == table.columns
-    assert back.rows == table.rows
+    assert_same_bits(back.rows, table.rows)
+
+
+def test_scenario_table_serves_the_benchmark_reads(tmp_path):
+    # bench/ reads a table three ways: len(rows) (tracer), np.array(rows)
+    # (checks) and a cell swap through the row views (broken-band test)
+    from rfa.cli.presets import preset_config, run_scenario
+
+    table, _ = run_scenario(preset_config("fig2", t_span=(0.0, 1.0), dt=0.1), out_dir=tmp_path, formats=())
+    assert len(table.rows) == 11
+    data = np.array(table.rows, dtype=float)
+    assert data.shape == (11, len(table.columns))
+    lo, hi = table.band_columns["w"]["0"]
+    i, j = table.columns.index(lo), table.columns.index(hi)
+    for row in table.rows:
+        row[i], row[j] = row[j] + 1.0, row[i]
+    swapped = np.array(table.rows, dtype=float)
+    assert np.array_equal(swapped[:, i], data[:, j] + 1.0)
+    assert np.array_equal(swapped[:, j], data[:, i])
 
 
 def test_oscillator_table_has_both_variables():
@@ -139,7 +217,7 @@ def reference_json(table, path):
         "columns": table.columns,
         "alphas": list(table.alphas),
         "bands": table.band_columns,
-        "rows": table.rows,
+        "rows": table.rows.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
