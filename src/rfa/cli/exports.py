@@ -32,6 +32,7 @@ __all__ = [
 # Rows per formatted or encoded block: a file is written a block at a
 # time, so no writer holds a whole document in memory.
 _BLOCK_ROWS = 1024
+_SVG_SIZE = (800, 600)  # width and height of every figure, in pixels
 
 
 @dataclass
@@ -138,7 +139,7 @@ def _svg_points(px: np.ndarray, py: np.ndarray) -> str:
     return " ".join(["%.6g,%.6g"] * len(px)) % tuple(xy.tolist())
 
 
-def emit_svg(series, path, x_label: str = "", y_label: str = "", size=(800, 600)) -> None:
+def emit_svg(series, path, x_label: str = "", y_label: str = "") -> None:
     """Write polyline series to a standalone SVG file.
 
     ``series`` is an iterable of ``(xs, ys, stroke, width)``; data is
@@ -159,7 +160,7 @@ def emit_svg(series, path, x_label: str = "", y_label: str = "", size=(800, 600)
         x_min, x_max = x_min - 0.5, x_max + 0.5
     if y_max == y_min:
         y_min, y_max = y_min - 0.5, y_max + 0.5
-    w, h = size
+    w, h = _SVG_SIZE
     margin = 50.0
     sx = (w - 2 * margin) / (x_max - x_min)
     sy = (h - 2 * margin) / (y_max - y_min)

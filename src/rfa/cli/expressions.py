@@ -8,13 +8,13 @@ multiple, real exponents the principal logarithm) and the functions
 ``polar(z)`` packs ``(modulus, argument)`` into the component slots so it
 can be displayed like any other value.
 
-An expression is compiled once into a tree of closures from bindings to
-an element, so evaluating it again costs closure calls only.  Each closure
-also carries an array form, ``batch``, that evaluates the node at many
-samples in one pass over float64 arrays and rounds every sample as the
-closure does; ``eval_expression_batch`` runs it (at every quadrature
-sample, say).  The same tokenizer and parser read fuzzy literals
-(``rfa.cli.literals``) through a constants-only production.
+An expression is compiled once into a tree of closures, so evaluating it
+again costs closure calls only.  The parser builds each node over an
+operation table: over ``_SCALAR`` the tree maps bindings to an element;
+over ``_ARRAY`` (``eval_expression_batch``) it takes many samples in one
+pass over float64 arrays and rounds each as the scalar tree does.  The
+same tokenizer and parser read fuzzy literals (``rfa.cli.literals``)
+through a constants-only production.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import operator
 import re
 from dataclasses import astuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -51,9 +51,9 @@ from ..dynamics import _cross_product_psi_parts, cross_product_psi
 
 __all__ = ["ExprError", "UnboundVariableError", "eval_expression", "eval_expression_batch"]
 
-# ``env -> LcNumber``, with the array form ``batch(env, n)`` attached: there
-# ``env`` binds names to ``(re, fu)`` pairs of float64 arrays of length n
-Compiled = Callable[[dict], LcNumber]
+# ``(env, n) -> value``: ``env`` binds names to elements over ``_SCALAR`` (``n``
+# unused), to ``(re, fu)`` pairs of length-n float64 arrays over ``_ARRAY``
+Compiled = Callable[[dict, int], object]
 
 
 class ExprError(ValueError):
@@ -96,25 +96,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-# each name or symbol maps to its scalar function and its array form
-_UNARY = {
-    "exp": (exp_rfa, _exp_rfa_batch),
-    "log": (log_rfa, _log_rfa_batch),
-    "sqrt": (lambda z: nth_root(z, 2, 0), lambda z: _nth_root_batch(z, 2, 0)),
-    "conj": (conjugate, lambda z: (z[0], -z[1])),
-    "norm": (lambda z: LcNumber(norm_phi(z), 0.0), lambda z: (_each(math.hypot, *z), np.zeros_like(z[0]))),
-    "polar": (lambda z: LcNumber(*astuple(to_polar(z))), _to_polar_batch),
-}
-_ADDITIVE = {"+": (operator.add, _sum), "-": (operator.sub, _difference)}
-_MULTIPLICATIVE = {"*": (operator.mul, _prod), "/": (operator.truediv, _quotient_batch)}
-
-
-def _node(scalar, batch) -> Compiled:
-    """``scalar`` with its array form attached as ``scalar.batch``."""
-    scalar.batch = batch
-    return scalar
-
-
 def _crisp_constant(value, what: str, pos: int) -> float:
     """The one finite real that every sample of ``value`` holds.
 
@@ -128,17 +109,93 @@ def _crisp_constant(value, what: str, pos: int) -> float:
     return x
 
 
+def _power(lhs: LcNumber, rhs: LcNumber, pos: int) -> LcNumber:
+    if rhs.fu != 0.0:
+        raise ExprError("exponent must be crisp", pos)
+    if rhs.re == int(rhs.re):
+        return pow_int(lhs, int(rhs.re))
+    return pow_real(lhs, rhs.re)
+
+
+def _power_batch(lhs, rhs, pos: int):
+    x = _crisp_constant(rhs, "exponent", pos)
+    if x == int(x):
+        return _pow_int_batch(lhs, int(x))
+    return _pow_real_batch(lhs, x)
+
+
+def _log_branch(z: LcNumber, branch: LcNumber, pos: int) -> LcNumber:
+    if branch.fu != 0.0 or branch.re != int(branch.re):
+        raise ExprError("log branch must be a crisp integer", pos)
+    return log_rfa(z, int(branch.re))
+
+
+def _log_branch_batch(z, branch, pos: int):
+    k = _crisp_constant(branch, "log branch", pos)
+    if k != int(k):
+        raise ExprError("log branch must be a crisp integer", pos)
+    return _log_rfa_batch(z, int(k))
+
+
+def _broadcast(value, n: int):
+    """One element as n samples: read-only views that take no memory per sample."""
+    z = _as_complex(value)
+    return np.broadcast_to(z.real, n), np.broadcast_to(z.imag, n)
+
+
+# the same operations on elements and on ``(re, fu)`` pairs of float64
+# arrays, keyed by operator symbol, function name or node kind
+_SCALAR = {
+    "const": lambda z, n: z,
+    "neg": operator.neg,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": _power,
+    "log_branch": _log_branch,
+    "psi_mul": cross_product_psi,
+    "exp": exp_rfa,
+    "log": log_rfa,
+    "sqrt": lambda z: nth_root(z, 2, 0),
+    "conj": conjugate,
+    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
+    "polar": lambda z: LcNumber(*astuple(to_polar(z))),
+}
+_ARRAY = {
+    "const": _broadcast,
+    "neg": lambda z: (-z[0], -z[1]),
+    "+": _sum, "-": _difference, "*": _prod, "/": _quotient_batch,
+    "^": _power_batch,
+    "log_branch": _log_branch_batch,
+    "psi_mul": _cross_product_psi_parts,
+    "exp": _exp_rfa_batch,
+    "log": _log_rfa_batch,
+    "sqrt": lambda z: _nth_root_batch(z, 2, 0),
+    "conj": lambda z: (z[0], -z[1]),
+    "norm": lambda z: (_each(math.hypot, *z), np.zeros_like(z[0])),
+    "polar": _to_polar_batch,
+}
+# the names the grammar calls; ``log`` with a second argument is ``log_branch``
+_FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul")
+
+
+def _apply(fn, a: Compiled, b: Compiled | None = None) -> Compiled:
+    """The node ``fn(a)``, or ``fn(a, b)`` with ``a`` evaluated first."""
+    if b is None:
+        return lambda env, n: fn(a(env, n))
+    return lambda env, n: fn(a(env, n), b(env, n))
+
+
 class _Parser:
     """Recursive descent over the token list.
 
-    Expression productions return compiled closures ``env -> LcNumber``;
-    ``rfa.cli.literals`` adds the constants-only productions.  ``error`` is
-    the exception class raised for malformed input.
+    Expression productions return compiled closures ``(env, n) -> value``
+    over the operation ``table``; ``rfa.cli.literals`` adds the
+    constants-only productions.  ``error`` is the exception class raised
+    for malformed input.
     """
 
     error = ExprError
 
-    def __init__(self, text: str, a1: float = 0.0):
+    def __init__(self, text: str, a1: float = 0.0, table: dict = _SCALAR):
         self.tokens = _tokenize(text)
         for token in self.tokens:
             if token[0] == "num" and not math.isfinite(token[1]):
@@ -146,6 +203,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.a1 = a1
+        self.table = table
 
     def peek(self):
         return self.tokens[self.i]
@@ -181,41 +239,28 @@ class _Parser:
         self.expect_end()
         return node
 
-    def _chain(self, operand, ops) -> Compiled:
+    def _chain(self, operand, symbols: tuple[str, ...]) -> Compiled:
         """Left-associative run of binary operators, evaluated in a loop."""
         first = operand()
-        rest, batch_rest = [], []
-        while True:
-            kind, value, _ = self.peek()
-            if kind != "op" or value not in ops:
-                break
-            self.take()
-            node = operand()
-            op, batch_op = ops[value]
-            rest.append((op, node))
-            batch_rest.append((batch_op, node.batch))
+        rest = []
+        while self.peek()[0] == "op" and self.peek()[1] in symbols:
+            rest.append((self.table[self.take()[1]], operand()))
         if not rest:
             return first
 
-        def chain(env):
-            acc = first(env)
+        def chain(env, n):
+            acc = first(env, n)
             for op, node in rest:
-                acc = op(acc, node(env))
+                acc = op(acc, node(env, n))
             return acc
 
-        def chain_batch(env, n):
-            acc = first.batch(env, n)
-            for op, batch in batch_rest:
-                acc = op(acc, batch(env, n))
-            return acc
-
-        return _node(chain, chain_batch)
+        return chain
 
     def expr(self) -> Compiled:
-        return self._chain(self.term, _ADDITIVE)
+        return self._chain(self.term, ("+", "-"))
 
     def term(self) -> Compiled:
-        return self._chain(self.unary, _MULTIPLICATIVE)
+        return self._chain(self.unary, ("*", "/"))
 
     def unary(self) -> Compiled:
         self.depth += 1
@@ -226,7 +271,7 @@ class _Parser:
             self.take()
             node = self.unary()
             if value == "-":
-                node = _negated(node)
+                node = _apply(self.table["neg"], node)
         else:
             node = self.power()
         self.depth -= 1
@@ -237,32 +282,14 @@ class _Parser:
         if not self.at_op("^"):
             return base
         pos = self.take()[2]
-        exponent = self.unary()
-
-        def power(env):
-            lhs = base(env)
-            rhs = exponent(env)
-            if rhs.fu != 0.0:
-                raise ExprError("exponent must be crisp", pos)
-            if rhs.re == int(rhs.re):
-                return pow_int(lhs, int(rhs.re))
-            return pow_real(lhs, rhs.re)
-
-        def power_batch(env, n):
-            lhs = base.batch(env, n)
-            x = _crisp_constant(exponent.batch(env, n), "exponent", pos)
-            if x == int(x):
-                return _pow_int_batch(lhs, int(x))
-            return _pow_real_batch(lhs, x)
-
-        return _node(power, power_batch)
+        return _apply(partial(self.table["^"], pos=pos), base, self.unary())
 
     def atom(self) -> Compiled:
         token = self.take()
         kind, value, pos = token
         if kind == "num":
-            constant = LcNumber(value, 0.0)
-            return _node(lambda env: constant, lambda env, n: _broadcast(constant, n))
+            constant, lift = LcNumber(value, 0.0), self.table["const"]
+            return lambda env, n: lift(constant, n)
         if kind == "name":
             if self.at_op("("):
                 self.take()
@@ -275,13 +302,13 @@ class _Parser:
                 self.expect_op(")")
                 return self.call(value, args, pos)
 
-            def variable(env):
+            def variable(env, n):
                 try:
                     return env[value]
                 except KeyError:
                     raise UnboundVariableError(f"unbound variable {value!r}", pos) from None
 
-            return _node(variable, lambda env, n: variable(env))
+            return variable
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
@@ -292,48 +319,24 @@ class _Parser:
         if name == "psi_mul":
             if len(args) != 2:
                 raise ExprError(f"psi_mul takes 2 argument(s), got {len(args)}", pos)
-            b, c, a1 = args[0], args[1], self.a1
-            return _node(
-                lambda env: cross_product_psi(b(env), c(env), a1),
-                lambda env, n: _cross_product_psi_parts(b.batch(env, n), c.batch(env, n), a1),
-            )
+            return _apply(partial(self.table["psi_mul"], a1=self.a1), *args)
         if name == "log" and len(args) == 2:
-            z, branch = args
-
-            def log_branch(env):
-                zv, n = z(env), branch(env)
-                if n.fu != 0.0 or n.re != int(n.re):
-                    raise ExprError("log branch must be a crisp integer", pos)
-                return log_rfa(zv, int(n.re))
-
-            def log_branch_batch(env, n):
-                zv = z.batch(env, n)
-                k = _crisp_constant(branch.batch(env, n), "log branch", pos)
-                if k != int(k):
-                    raise ExprError("log branch must be a crisp integer", pos)
-                return _log_rfa_batch(zv, int(k))
-
-            return _node(log_branch, log_branch_batch)
-        if name not in _UNARY:
+            return _apply(partial(self.table["log_branch"], pos=pos), *args)
+        if name not in _FUNCTIONS:
             raise ExprError(f"unknown function {name!r}", pos)
         if len(args) != 1:
             takes = "1 or 2 arguments" if name == "log" else "1 argument(s)"
             raise ExprError(f"{name} takes {takes}, got {len(args)}", pos)
-        (fn, batch_fn), arg = _UNARY[name], args[0]
-        return _node(lambda env: fn(arg(env)), lambda env, n: batch_fn(arg.batch(env, n)))
-
-
-def _negated(node: Compiled) -> Compiled:
-    return _node(lambda env: -node(env), lambda env, n: tuple(-part for part in node.batch(env, n)))
+        return _apply(self.table[name], args[0])
 
 
 _FUZZY_UNIT = LcNumber(0.0, 1.0)
 
 
 @lru_cache(maxsize=64)
-def _compile(expr: str, a1: float) -> Compiled:
-    """``expr`` as a closure over bindings; ``a1`` is baked in for ``psi_mul``."""
-    return _Parser(expr, a1).parse()
+def _compile(expr: str, a1: float, array: bool) -> Compiled:
+    """``expr`` as a closure over ``_ARRAY`` or ``_SCALAR``; ``a1`` is baked in for ``psi_mul``."""
+    return _Parser(expr, a1, _ARRAY if array else _SCALAR).parse()
 
 
 def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:
@@ -346,7 +349,7 @@ def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:
     env = {"A": _FUZZY_UNIT}
     if bindings:
         env.update(bindings)
-    return _compile(expr, a1)(env)
+    return _compile(expr, a1, False)(env, 1)
 
 
 def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndarray:
@@ -369,10 +372,4 @@ def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndar
             env[name] = value.real, value.imag
         else:
             env[name] = _broadcast(value, n)
-    return _join(*_compile(expr, a1).batch(env, n))
-
-
-def _broadcast(value, n: int):
-    """One element as n samples: read-only views that take no memory per sample."""
-    z = _as_complex(value)
-    return np.broadcast_to(z.real, n), np.broadcast_to(z.imag, n)
+    return _join(*_compile(expr, a1, True)(env, n))

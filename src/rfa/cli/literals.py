@@ -16,17 +16,13 @@ rejected.
 from __future__ import annotations
 
 from ..core import BasisNumber, LcNumber
-from .expressions import _Parser
+from .expressions import ExprError, _Parser
 
 __all__ = ["LiteralError", "parse_fuzzy_literal", "print_literal"]
 
 
-class LiteralError(ValueError):
+class LiteralError(ExprError):
     """Malformed fuzzy literal; ``position`` is the character offset."""
-
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at offset {position})")
 
 
 class _LiteralParser(_Parser):

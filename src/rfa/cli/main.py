@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from ..analytic import Path, contour_integral, derivative_cr
-from ..core import BasisNumber, LcNumber
+from ..core import BasisNumber, LcNumber, LcSpace
 from ..dynamics import PROJECTIONS
 from .expressions import ExprError, eval_expression, eval_expression_batch
-from .literals import LiteralError, parse_fuzzy_literal, print_literal
+from .literals import parse_fuzzy_literal, print_literal
 from .presets import ConfigError, _config_text, _normalize_system, _preset_text
 from .presets import load_config, preset_config, run_scenario
 
@@ -31,12 +32,13 @@ def _parse_bindings(pairs):
     env = {}
     for pair in pairs or ():
         name, sep, literal = pair.partition("=")
-        if not sep or not name:
+        name = name.strip()
+        if not sep or not re.fullmatch(r"[A-Za-z_]\w*", name):
             raise ConfigError(f"bindings must look like name=literal, got {pair!r}")
         value = parse_fuzzy_literal(literal)
         if not isinstance(value, LcNumber):
             raise ConfigError(f"binding {name!r} must be an element literal")
-        env[name.strip()] = value
+        env[name] = value
     return env
 
 
@@ -47,7 +49,7 @@ def _resolve_a1(basis_text):
     if not isinstance(basis, BasisNumber):
         raise ConfigError("--basis must be a tri(...) or trap(...) literal")
     try:
-        return basis.one_level_value()
+        return LcSpace(basis).a1
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (LiteralError, ExprError, ConfigError) as exc:
+    except (ExprError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as exc:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rfa
-from rfa.cli import presets
+from rfa.cli import expressions, presets
 from rfa.cli.main import _build_parser, main
 from rfa.cli.presets import ConfigError, _normalize_system, load_config
 from rfa.dynamics import SYSTEMS
@@ -366,6 +366,28 @@ def test_parse_errors_exit_2(capsys):
     assert run(capsys, "eval", "1", "--bind", "broken")[0] == 2
 
 
+@pytest.mark.parametrize("binding", [" =1", "a b=1", "1x=2", "z*=1", "=1"])
+def test_a_binding_needs_a_name_the_grammar_can_reference(capsys, binding):
+    code, out, err = run(capsys, "eval", "1", "--bind", binding)
+    assert (code, out) == (2, "")
+    assert err == f"error: bindings must look like name=literal, got {binding!r}\n"
+
+
+def test_a_binding_name_is_read_without_its_surrounding_spaces(capsys):
+    assert run(capsys, "eval", "z_1 * z_1", "--bind", " z_1 = 1 + 1*A") == (0, "0.0 + 2.0*A\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "1"], ["integrate", "psi_mul(z,z)", "--path", "0, 1"], ["derive", "z", "--at", "1"]],
+    ids=["eval", "integrate", "derive"],
+)
+def test_a_symmetric_basis_is_refused_as_in_a_config(capsys, argv):
+    code, out, err = run(capsys, *argv, "--basis", "tri(-1;0;1)")
+    assert (code, out) == (2, "")
+    assert "symmetric" in err
+
+
 def test_io_errors_exit_4(capsys, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")
@@ -505,7 +527,7 @@ _NUMBERS = st.one_of(
     st.sampled_from(["1e308", "0.0", ".5", "5."]),
 )
 _ATOMS = st.one_of(_NUMBERS, st.sampled_from(["A", "z", "ghost", "(1 + 2*A)"]))
-_FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul", "mystery")
+_FUNCTIONS = (*expressions._FUNCTIONS, "mystery")
 
 
 def _compound(inner):

@@ -18,6 +18,7 @@ from rfa.cli import (
     parse_fuzzy_literal,
     print_literal,
 )
+from rfa.cli import expressions
 from rfa.cli.expressions import eval_expression_batch
 from helpers import assert_components
 
@@ -221,6 +222,24 @@ _EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-3", "0.5", "-0.5", "2.
 _BRANCHES = st.sampled_from(["0", "1", "-2", "0.5", "z"])
 
 
+# psi_mul takes two arguments and has its own strategy below
+_UNARY_FUNCTIONS = [name for name in expressions._FUNCTIONS if name != "psi_mul"]
+
+
+def test_the_scalar_and_array_tables_hold_the_same_operations():
+    assert expressions._SCALAR.keys() == expressions._ARRAY.keys()
+    # every entry is an operator, an inner node kind or a function the grammar calls
+    inner = {"const", "neg", "+", "-", "*", "/", "^", "log_branch"}
+    assert expressions._SCALAR.keys() == inner | set(expressions._FUNCTIONS)
+
+
+def test_a_literal_error_is_an_expression_error():
+    assert issubclass(LiteralError, ExprError)
+    with pytest.raises(ExprError) as info:
+        parse_fuzzy_literal("1 + 2*B")
+    assert isinstance(info.value, LiteralError) and info.value.position == 6
+
+
 def _grow(inner):
     pair = st.tuples(inner, inner)
     return st.one_of(
@@ -232,7 +251,7 @@ def _grow(inner):
         inner.map("-{}".format),
         st.tuples(inner, _EXPONENTS).map("({0[0]})^{0[1]}".format),
         st.tuples(inner, _BRANCHES).map("log({0[0]}, {0[1]})".format),
-        st.tuples(st.sampled_from(["exp", "log", "sqrt", "conj", "norm", "polar"]), inner).map("{0[0]}({0[1]})".format),
+        st.tuples(st.sampled_from(_UNARY_FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
     )
 
 
