@@ -49,7 +49,7 @@ from ..core import (
 )
 from ..dynamics import _cross_product_psi_parts, cross_product_psi
 
-__all__ = ["ExprError", "UnboundVariableError", "eval_expression", "eval_expression_batch"]
+__all__ = ["ExprError", "UnboundVariableError", "calls_psi_mul", "eval_expression", "eval_expression_batch"]
 
 # ``(env, n) -> value``: ``env`` binds names to elements over ``_SCALAR`` (``n``
 # unused), to ``(re, fu)`` pairs of length-n float64 arrays over ``_ARRAY``
@@ -194,6 +194,7 @@ class _Parser:
     """
 
     error = ExprError
+    psi_mul = False  # set once a psi_mul node, the one reader of a1, is built
 
     def __init__(self, text: str, a1: float = 0.0, table: dict = _SCALAR):
         self.tokens = _tokenize(text)
@@ -319,6 +320,7 @@ class _Parser:
         if name == "psi_mul":
             if len(args) != 2:
                 raise ExprError(f"psi_mul takes 2 argument(s), got {len(args)}", pos)
+            self.psi_mul = True
             return _apply(partial(self.table["psi_mul"], a1=self.a1), *args)
         if name == "log" and len(args) == 2:
             return _apply(partial(self.table["log_branch"], pos=pos), *args)
@@ -337,6 +339,13 @@ _FUZZY_UNIT = LcNumber(0.0, 1.0)
 def _compile(expr: str, a1: float, array: bool) -> Compiled:
     """``expr`` as a closure over ``_ARRAY`` or ``_SCALAR``; ``a1`` is baked in for ``psi_mul``."""
     return _Parser(expr, a1, _ARRAY if array else _SCALAR).parse()
+
+
+def calls_psi_mul(expr: str) -> bool:
+    """Whether ``expr`` calls ``psi_mul``, so that its value depends on ``a1``."""
+    parser = _Parser(expr)
+    parser.parse()
+    return parser.psi_mul
 
 
 def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:

@@ -16,7 +16,7 @@ import sys
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber, LcSpace
 from ..dynamics import PROJECTIONS
-from .expressions import ExprError, eval_expression, eval_expression_batch
+from .expressions import ExprError, calls_psi_mul, eval_expression, eval_expression_batch
 from .literals import parse_fuzzy_literal, print_literal
 from .presets import ConfigError, _config_text, _normalize_system, _preset_text
 from .presets import load_config, preset_config, run_scenario
@@ -42,16 +42,31 @@ def _parse_bindings(pairs):
     return env
 
 
-def _resolve_a1(basis_text):
+def _resolve_a1(basis_text, expr):
+    """The basis's point 1-level where ``expr`` calls ``psi_mul``, the one reader of ``a1``."""
     if basis_text is None:
         return 0.0
     basis = parse_fuzzy_literal(basis_text)
     if not isinstance(basis, BasisNumber):
         raise ConfigError("--basis must be a tri(...) or trap(...) literal")
+    reads_a1 = calls_psi_mul(expr)
     try:
-        return LcSpace(basis).a1
+        space = LcSpace(basis)
+        return space.a1 if reads_a1 else 0.0
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _mapping(args):
+    """``z -> args.expr`` under ``--bind`` and ``--basis``; ``batch`` takes many samples at once."""
+    env = _parse_bindings(args.bind)
+    a1 = _resolve_a1(args.basis, args.expr)
+
+    def mapping(z):
+        return eval_expression(args.expr, {**env, "z": z}, a1=a1)
+
+    mapping.batch = lambda z: eval_expression_batch(args.expr, {**env, "z": z}, a1=a1)
+    return mapping
 
 
 def _formats(text):
@@ -86,23 +101,16 @@ def _finite(value: LcNumber) -> LcNumber:
 
 def _cmd_eval(args) -> int:
     env = _parse_bindings(args.bind)
-    result = eval_expression(args.expr, env, a1=_resolve_a1(args.basis))
+    result = eval_expression(args.expr, env, a1=_resolve_a1(args.basis, args.expr))
     print(print_literal(_finite(result)))
     return 0
 
 
 def _cmd_derive(args) -> int:
-    env = _parse_bindings(args.bind)
-    a1 = _resolve_a1(args.basis)
+    mapping = _mapping(args)
     at = parse_fuzzy_literal(args.at)
     if not isinstance(at, LcNumber):
         raise ConfigError("--at must be an element literal")
-
-    # eval_expression compiles args.expr on the first call and reuses the
-    # closure tree afterwards, so each stencil point costs closure calls only
-    def mapping(z):
-        return eval_expression(args.expr, {**env, "z": z}, a1=a1)
-
     report = derivative_cr(mapping, at, h=args.step)
     print(f"derivative = {print_literal(_finite(report.derivative))}")
     print(f"cr_residual1 = {report.residual1:.6e}")
@@ -111,8 +119,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    env = _parse_bindings(args.bind)
-    a1 = _resolve_a1(args.basis)
+    mapping = _mapping(args)
     vertices = []
     for part in args.path.split(","):
         vertex = parse_fuzzy_literal(part)
@@ -121,14 +128,6 @@ def _cmd_integrate(args) -> int:
         vertices.append(vertex)
     if len(vertices) < 2:
         raise ConfigError("an integration path needs at least two vertices")
-
-    # compiled once on the first sample, as in _cmd_derive; contour_integral
-    # evaluates all samples through mapping.batch and calls mapping itself
-    # only to replay the samples one by one when that raises
-    def mapping(z):
-        return eval_expression(args.expr, {**env, "z": z}, a1=a1)
-
-    mapping.batch = lambda z: eval_expression_batch(args.expr, {**env, "z": z}, a1=a1)
     path = Path.polyline(vertices, samples=args.samples)
     print(print_literal(_finite(contour_integral(mapping, path, scheme=args.scheme))))
     return 0

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import Path, contour_integral, derivative_cr, log_rfa
-from .core import BasisNumber, LcNumber, ONE, ZERO, norm_phi
+from .analytic import Path, _exp_rfa_batch, contour_integral, derivative_cr, log_rfa
+from .core import BasisNumber, LcNumber, ONE, ZERO, _each, _prod, norm_phi
 
 __all__ = [
     "FuzzyCurve",
@@ -92,13 +92,11 @@ class FuzzyCurve:
         )
 
     def __mul__(self, other: "FuzzyCurve") -> "FuzzyCurve":
-        def re_part(t):
-            return self.x(t) * other.x(t) - self.y(t) * other.y(t)
-
-        def fu_part(t):
-            return self.x(t) * other.y(t) + self.y(t) * other.x(t)
-
-        return FuzzyCurve(re_part, fu_part, domain=self.domain)
+        return FuzzyCurve(
+            lambda t: self.x(t) * other.x(t) - self.y(t) * other.y(t),
+            lambda t: self.x(t) * other.y(t) + self.y(t) * other.x(t),
+            domain=self.domain,
+        )
 
 
 def curve_derivative(w: FuzzyCurve, t0: float, h: float = 1e-5) -> LcNumber:
@@ -182,18 +180,12 @@ class Trajectory:
         return tuple(LcNumber(row[2 * k], row[2 * k + 1]) for k in range(len(self.names)))
 
     def states(self):
-        for i in range(len(self)):
-            yield self.state(i)
+        return map(self.state, range(len(self)))
 
     def attach_bands(self, basis: BasisNumber, alphas) -> "Trajectory":
         alphas = tuple(float(a) for a in alphas)
-        bands: dict[str, np.ndarray] = {}
-        for name in self.names:
-            re, fu = self.component(name)
-            bands[name] = _band_array(re, fu, basis, alphas)
-        self.alphas = alphas
-        self.bands = bands
-        self.basis = basis
+        self.bands = {name: _band_array(*self.component(name), basis, alphas) for name in self.names}
+        self.alphas, self.basis = alphas, basis
         return self
 
 
@@ -201,8 +193,7 @@ def _band_array(re: np.ndarray, fu: np.ndarray, basis: BasisNumber, alphas) -> n
     out = np.empty((re.size, len(alphas), 2))
     for j, alpha in enumerate(alphas):
         lo, hi = basis.level(alpha)
-        e1 = fu * lo
-        e2 = fu * hi
+        e1, e2 = fu * lo, fu * hi
         out[:, j, 0] = re + np.minimum(e1, e2)
         out[:, j, 1] = re + np.maximum(e1, e2)
     return out
@@ -227,31 +218,39 @@ def realify_linear(lmbda: LcNumber) -> np.ndarray:
 def solve_linear_analytic(params: LinearParams, ts) -> Trajectory:
     """Closed-form flow ``w(t) = w0 * e^(lambda t)`` on the given grid.
 
-    Evaluated on the whole grid at once in the order of ``exp_rfa`` and a
-    complex product.  An ``e^(re t)`` that is not a finite double raises
-    ``OverflowError`` with the first such time, and so does a product with
-    ``w0`` that is not.
+    Row ``i`` is ``w0 * exp_rfa(lambda*ts[i])`` bit for bit.  An
+    ``e^(lambda t)`` or a product with ``w0`` that is not a finite double
+    raises ``OverflowError`` with the first such time.
     """
     ts = np.asarray(ts, dtype=float)
     lam, w0 = params.lmbda, params.w0
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(lam.re * ts)
-        over = ~np.isfinite(scale)
-        if over.any():
-            t = float(ts[np.argmax(over)])
-            raise OverflowError(f"linear flow: e^(lambda*t) with lambda={lam} overflows at t={t}")
-        e_re = scale * np.cos(lam.fu * ts)
-        e_fu = scale * np.sin(lam.fu * ts)
-        coeffs = np.column_stack((w0.re * e_re - w0.fu * e_fu, w0.re * e_fu + w0.fu * e_re))
-    return _finite_flow(f"linear flow: w0*e^(lambda*t) with w0={w0}, lambda={lam}", ts, coeffs)
+    return _closed_form(ts, (lam.re, lam.fu), lambda: _prod((w0.re, w0.fu), _exp_rfa_batch((lam.re * ts, lam.fu * ts))),
+                        f"linear flow: e^(lambda*t) with lambda={lam}",
+                        f"linear flow: w0*e^(lambda*t) with w0={w0}, lambda={lam}")
 
 
-def _finite_flow(label: str, ts: np.ndarray, coeffs: np.ndarray) -> Trajectory:
-    """The closed-form trajectory, or ``OverflowError`` at its first non-finite time."""
-    bad = ~np.isfinite(coeffs).all(axis=1)
-    if bad.any():
-        raise OverflowError(f"{label} overflows at t={float(ts[np.argmax(bad)])}")
-    return Trajectory(ts, ("w",), coeffs)
+def _closed_form(ts: np.ndarray, rates: tuple, coeffs: Callable, growth: str, solution: str) -> Trajectory:
+    """The trajectory of ``w`` with the columns ``coeffs()``, which grow by ``e^(rates[0]*t)``.
+
+    ``OverflowError`` names the first time where that exponential or an
+    angle ``rates[1:]*t`` is not a finite double after ``growth``, else the
+    first time with a non-finite cell after ``solution``.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            re, fu = coeffs()
+        except (OverflowError, ValueError):  # math.exp beyond the range, math.cos of inf
+            re = fu = np.full(len(ts), np.nan)
+    bad = ~(np.isfinite(re) & np.isfinite(fu))
+    if not bad.any():
+        return Trajectory(ts, ("w",), np.column_stack((re, fu)))
+    for t in ts.tolist():
+        try:
+            if not (math.isfinite(math.exp(rates[0] * t)) and all(math.isfinite(r * t) for r in rates[1:])):
+                raise OverflowError
+        except OverflowError:
+            raise OverflowError(f"{growth} overflows at t={t}") from None
+    raise OverflowError(f"{solution} overflows at t={float(ts[np.argmax(bad)])}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +289,18 @@ def solve_linear_psi_analytic(params: LinearParams, a1: float, ts) -> Trajectory
     ts = np.asarray(ts, dtype=float)
     l1, l2 = params.lmbda.re, params.lmbda.fu
     x0, y0 = params.w0.re, params.w0.fu
-    given = f"lambda={params.lmbda}, a1={a1}"
-    coeffs = np.empty((ts.size, 2))
-    try:
+    rate = l1 if a1 == 0.0 else l1 + a1 * l2
+    lead = x0 + a1 * y0
+
+    def coeffs():
+        growth = _each(math.exp, rate * ts)
         if a1 == 0.0:
-            for i, t in enumerate(ts.tolist()):
-                growth = math.exp(l1 * t)
-                coeffs[i, 0] = x0 * growth
-                coeffs[i, 1] = (y0 + x0 * t) * growth
-        else:
-            mu = l1 + a1 * l2
-            lead = x0 + a1 * y0
-            for i, t in enumerate(ts.tolist()):
-                growth = math.exp(mu * t)
-                coeffs[i, 0] = -a1 * y0 * growth + lead * growth * (1.0 - a1 * t)
-                coeffs[i, 1] = y0 * growth + lead * growth * t
-    except OverflowError:
-        raise OverflowError(f"linear_psi flow: e^((re + a1*fu)*t) with {given} overflows at t={t}") from None
-    return _finite_flow(f"linear_psi flow: the solution with w0={params.w0}, {given}", ts, coeffs)
+            return x0 * growth, (y0 + x0 * ts) * growth
+        return -a1 * y0 * growth + lead * growth * (1.0 - a1 * ts), y0 * growth + lead * growth * ts
+
+    given = f"lambda={params.lmbda}, a1={a1}"
+    return _closed_form(ts, (rate,), coeffs, f"linear_psi flow: e^((re + a1*fu)*t) with {given}",
+                        f"linear_psi flow: the solution with w0={params.w0}, {given}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +399,15 @@ def _rk4_linear(matrix, s0: Sequence[float], t_span, dt: float):
     """``rk4_integrate`` on the linear field ``s' = M s``, as propagator powers.
 
     One classical RK4 step of length ``h`` maps ``s`` to ``P(hM) s`` exactly,
-    so each block of up to ``_BLOCK`` states is one batched product of the
-    stacked powers of ``P(dt M)`` with the block's start state, and a ragged
-    last step is one product with ``P(h_last M)``.  The powers and the chain
-    of block start states are carried in ``np.longdouble`` (extended
-    precision where the platform has it), so round-off does not build up
-    from block to block.  A block that comes out non-finite is replayed
-    stage by stage from its start, so an overflow aborts at the same grid
-    time as ``rk4_integrate``.
+    so each block of up to ``_BLOCK`` states is one ``np.longdouble``
+    product of the stacked powers of ``P(dt M)`` with the block's start
+    state, stored as float64; its last long double row starts the next
+    block, so round-off does not build up.  A ragged last step is one
+    product with ``P(h_last M)``.  numpy multiplies long doubles in its own
+    loops, not in BLAS or SIMD kernels, so the states depend on the long
+    double format, not on the CPU.  A block that comes out non-finite is
+    replayed stage by stage from its start, so an overflow aborts at the
+    same grid time as ``rk4_integrate``.
     """
     ts, n_full = _grid(t_span, dt)
     m = np.asarray(matrix, dtype=np.longdouble)
@@ -423,10 +417,8 @@ def _rk4_linear(matrix, s0: Sequence[float], t_span, dt: float):
 
     def advance(a: int, b: int, powers: np.ndarray) -> None:
         nonlocal start
-        block = states[a + 1:b + 1]
-        np.matmul(powers.astype(float), states[a], out=block)
-        start = powers[-1] @ start
-        block[-1] = start
+        block, product = states[a + 1:b + 1], powers @ start
+        block[:], start = product, product[-1]
         if not np.isfinite(block).all():
             block[:] = _rk4_steps(matrix_field(m), tuple(states[a].tolist()), ts, n_full, dt, range(a, b))
             start = block[-1].astype(np.longdouble)
@@ -581,8 +573,7 @@ def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
 
 def lv_equilibria(params: LvParams):
     """The trivial equilibrium and the coexistence point ``(beta/b, alpha/a)``."""
-    p2 = (params.beta / params.b, params.alpha / params.a)
-    return ((ZERO, ZERO), p2)
+    return ((ZERO, ZERO), (params.beta / params.b, params.alpha / params.a))
 
 
 def lv_conserved(params: LvParams, x: LcNumber, y: LcNumber) -> LcNumber:

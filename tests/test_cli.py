@@ -388,6 +388,22 @@ def test_a_symmetric_basis_is_refused_as_in_a_config(capsys, argv):
     assert "symmetric" in err
 
 
+def test_only_psi_mul_asks_the_basis_for_a_point_one_level(capsys):
+    interval = ["--basis", "trap(-1;0;0.5;3)"]
+    plain = [["eval", "1 + 2*A"], ["derive", "z^2", "--at", "1 + 1*A"], ["integrate", "z", "--path", "0, 1+1*A"]]
+    for argv in plain:
+        code, out, err = run(capsys, *argv, *interval)
+        assert (code, out, err) == (0, *run(capsys, *argv)[1:]), argv
+    crossed = [["eval", "psi_mul(1+2*A, 2+3*A)"], ["derive", "psi_mul(z, z)", "--at", "1"],
+               ["integrate", "psi_mul(z, z)", "--path", "0, 1"]]
+    for argv in crossed:
+        code, out, err = run(capsys, *argv, *interval)
+        assert (code, out, err) == (2, "", "error: 1-level of the basis is the interval [0.0, 0.5], not a point\n")
+    for argv in plain + crossed:
+        code, out, err = run(capsys, *argv, "--basis", "tri(-1;0;1)")
+        assert (code, out) == (2, "") and "symmetric" in err, argv
+
+
 def test_io_errors_exit_4(capsys, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("occupied")

@@ -1,12 +1,17 @@
 import cmath
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rfa
 from rfa import (
     BasisNumber,
     FuzzyCurve,
@@ -42,7 +47,7 @@ from rfa.dynamics import (
     realify_oscillator,
     time_grid,
 )
-from rfa.cli import preset_config, run_scenario
+from rfa.cli import PRESETS, preset_config, run_scenario
 from helpers import as_complex, assert_components, assert_matches_complex
 
 DECAY_BASIS = BasisNumber.triangular(-0.5, 0, 0.51)
@@ -665,12 +670,75 @@ def test_propagator_abort_times_of_growing_flows():
 
 
 def test_vectorised_closed_form_matches_the_element_formula():
-    for lam in (LcNumber(-0.5, 0.8), LcNumber(0.5, 1.0)):
-        params = LinearParams(lam, LcNumber(2, 2))
-        ts = time_grid((0.0, 10.0), 1e-2)
+    for fig in ("fig2", "fig4"):
+        scenario = preset_config(fig)
+        params, lam = scenario.params, scenario.params.lmbda
+        ts = time_grid(scenario.t_span, scenario.dt)
         got = solve_linear_analytic(params, ts).coeffs
         ref = np.array([(w.re, w.fu) for w in (params.w0 * exp_rfa(LcNumber(lam.re * t, lam.fu * t)) for t in ts)])
-        assert _cell_gap(got, ref) < 1e-12
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), fig
+
+
+@pytest.mark.parametrize("a1", [0.0, 0.3])
+def test_cross_product_closed_form_matches_the_element_formula(a1):
+    params = LinearParams(LcNumber(0.5, 1.0), LcNumber(2, -1))
+    (l1, l2), (x0, y0) = (params.lmbda.re, params.lmbda.fu), (params.w0.re, params.w0.fu)
+    ts = time_grid((0.0, 10.0), 1e-3)
+    ref = []
+    for t in ts.tolist():
+        if a1 == 0.0:
+            growth = math.exp(l1 * t)
+            ref.append((x0 * growth, (y0 + x0 * t) * growth))
+        else:
+            growth, lead = math.exp((l1 + a1 * l2) * t), x0 + a1 * y0
+            ref.append((-a1 * y0 * growth + lead * growth * (1.0 - a1 * t), y0 * growth + lead * growth * t))
+    got = solve_linear_psi_analytic(params, a1, ts).coeffs
+    assert np.array_equal(got.view(np.uint64), np.array(ref).view(np.uint64))
+
+
+def test_a_closed_form_with_a_non_finite_angle_names_the_exponential():
+    params = LinearParams(LcNumber(0.0, 1e308), LcNumber(2, 2))
+    with pytest.raises(OverflowError, match=r"^linear flow: e\^\(lambda\*t\) .* overflows at t=2\.0$"):
+        solve_linear_analytic(params, np.array([0.0, 1.0, 2.0]))
+
+
+_COEFFICIENT_DIGESTS = """
+import hashlib, sys
+from rfa.cli import PRESETS
+from rfa.dynamics import simulate_system
+for fig in sys.argv[1:]:
+    s = PRESETS[fig]
+    traj = simulate_system(s.system, s.params, s.t_span, dt=s.dt, method=s.method, basis=s.space.basis)
+    print(fig, hashlib.sha256(traj.coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_trajectory_bits_do_not_depend_on_the_cpu_features_or_the_blas_kernel():
+    # closed forms (fig2-fig4) and the linear propagator (fig6, fig16), run
+    # again with every SIMD target numpy dispatches to switched off and
+    # OpenBLAS on its oldest x86-64 kernel
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    figs = ("fig2", "fig3", "fig4", "fig6", "fig16")
+    expected = ""
+    for fig in figs:
+        s = PRESETS[fig]
+        traj = simulate_system(s.system, s.params, s.t_span, dt=s.dt, method=s.method, basis=s.space.basis)
+        expected += f"{fig} {hashlib.sha256(traj.coeffs.tobytes()).hexdigest()}\n"
+    src = os.path.dirname(os.path.dirname(rfa.__file__))
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+        "OPENBLAS_CORETYPE": "Prescott",
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _COEFFICIENT_DIGESTS, *figs], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_closed_form_overflow_names_the_flow_and_time():
