@@ -55,14 +55,17 @@ MapLike = Callable[[LcNumber], LcNumber]
 def exp_rfa(z: LcNumber) -> LcNumber:
     """Exponential by the Euler-type formula ``e^re * (cos fu + sin fu * A)``.
 
-    An ``e^re`` beyond the double range raises ``OverflowError`` naming the
-    argument.
+    An ``e^re`` beyond the double range raises ``OverflowError``, and an
+    infinite ``fu`` ``ValueError``, each naming the argument.
     """
     try:
         scale = math.exp(z.re)
+        cos, sin = math.cos(z.fu), math.sin(z.fu)
     except OverflowError as exc:
         raise OverflowError(f"exp({z!r}) is out of range") from exc
-    return LcNumber(scale * math.cos(z.fu), scale * math.sin(z.fu))
+    except ValueError as exc:  # math.cos of an infinite angle
+        raise ValueError(f"exp({z!r}) is undefined: its fuzzy part is infinite") from exc
+    return LcNumber(scale * cos, scale * sin)
 
 
 def _exp_rfa_batch(z):

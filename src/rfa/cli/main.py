@@ -112,9 +112,14 @@ def _cmd_derive(args) -> int:
     if not isinstance(at, LcNumber):
         raise ConfigError("--at must be an element literal")
     report = derivative_cr(mapping, at, h=args.step)
-    print(f"derivative = {print_literal(_finite(report.derivative))}")
-    print(f"cr_residual1 = {report.residual1:.6e}")
-    print(f"cr_residual2 = {report.residual2:.6e}")
+    derivative = _finite(report.derivative)
+    residuals = {"cr_residual1": report.residual1, "cr_residual2": report.residual2}
+    for name, value in residuals.items():
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{name} is not finite: {value}")
+    print(f"derivative = {print_literal(derivative)}")
+    for name, value in residuals.items():
+        print(f"{name} = {value:.6e}")
     return 0
 
 
@@ -232,8 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: the grammar does not depend on argv, and argparse
+# keeps no state from one parse to the next
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (ExprError, ConfigError) as exc:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rfa
@@ -18,6 +19,9 @@ from rfa.cli import expressions, presets
 from rfa.cli.main import _build_parser, main
 from rfa.cli.presets import ConfigError, _normalize_system, load_config
 from rfa.dynamics import SYSTEMS
+
+# the module itself; the attribute `rfa.cli.main` is the function
+MAIN_MODULE = importlib.import_module("rfa.cli.main")
 
 
 def run(capsys, *argv):
@@ -337,6 +341,52 @@ def test_help_is_still_an_option(capsys):
     assert capsys.readouterr().out.startswith("usage: rfa derive")
 
 
+def _outcome(capsys, argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(MAIN_MODULE, "_build_parser", refuse)
+    assert run(capsys, "eval", "1+1") == (0, "2.0\n", "")
+
+
+def test_one_parser_serves_every_call_as_if_alone(capsys, monkeypatch):
+    calls = [
+        ["eval", "k + j", "--bind", "k=1", "--bind", "j=2"],
+        ["eval", "k"],
+        ["eval", "k", "--bind", "k=3"],
+        ["eval", "k", "--bogus"],
+        ["integrate", "z", "--path", "0, 1", "--samples", "11"],
+    ]
+    shared = [_outcome(capsys, argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(MAIN_MODULE, "_PARSER", _build_parser())
+        alone.append(_outcome(capsys, argv))
+    assert shared == alone
+    assert [(code, out) for code, out, _ in shared] == [(0, "3.0\n"), (2, ""), (0, "3.0\n"), (2, ""), (0, "0.5\n")]
+
+
+def test_help_is_the_help_of_a_fresh_parser(capsys):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["integrate", "-h"])
+    fresh = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["integrate", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == fresh
+    assert fresh.startswith("usage: rfa integrate")
+
+
 def _python(*args):
     """A fresh interpreter run with ``rfa`` importable from this checkout."""
     src = os.path.dirname(os.path.dirname(rfa.__file__))
@@ -505,6 +555,20 @@ def test_exp_overflow_names_the_exponential(capsys):
     assert err == "numeric error: exp(LcNumber(800.0, 0.0)) is out of range\n"
 
 
+def test_exp_of_an_infinite_fuzzy_part_names_the_exponential(capsys):
+    message = "numeric error: exp(LcNumber(0.0, inf)) is undefined: its fuzzy part is infinite\n"
+    assert run(capsys, "eval", "exp(1e308*A*10)") == (3, "", message)
+    assert run(capsys, "integrate", "exp(z*1e308*A*10)", "--path", "0,1", "--samples", "11") == (3, "", message)
+
+
+@pytest.mark.parametrize(
+    "expr, residual", [("norm(z)", "cr_residual2 is not finite: inf"), ("exp(z*A)", "cr_residual1 is not finite: nan")]
+)
+def test_derive_refuses_a_non_finite_residual(capsys, expr, residual):
+    code, out, err = run(capsys, "derive", expr, "--at", "0 + 1e308*A", "--step", "1e308")
+    assert (code, out, err) == (3, "", f"numeric error: {residual}\n")
+
+
 def test_polyline_edge_sum_overflow_integrates_the_closed_path(capsys):
     code, out, _ = run(capsys, "integrate", "1", "--path", "1e308, -7e307, 1e308", "--samples", "101")
     assert (code, out) == (0, "0.0\n")
@@ -596,6 +660,25 @@ def test_integrate_keeps_the_exit_code_contract(expr, vertices, samples, scheme)
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
     if code == 0:
         assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
+
+
+_STEPS = ["1e308", "1e155", "0.5", "1e-5", "1e-320", "5e-324"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_INTEGRANDS), st.sampled_from([*_VERTEX_LITERALS, "0 + 1e308*A"]), st.sampled_from(_STEPS))
+@example("norm(z)", "0 + 1e308*A", "1e308")
+def test_derive_keeps_the_exit_code_contract(expr, at, step):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["derive", expr, f"--at={at}", "--step", step])
+    assert code in (0, 2, 3, 4)
+    assert (code == 0) == bool(out.getvalue())
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+    assert "inf" not in out.getvalue() and "nan" not in out.getvalue()
 
 
 # Per-field pools of good and bad values.  Good spans and steps keep an
