@@ -42,7 +42,6 @@ __all__ = [
     "contour_integral",
     "derivative_cr",
     "exp_rfa",
-    "constant_map",
     "log_rfa",
     "poly_eval",
     "pow_real",
@@ -133,10 +132,10 @@ class FuzzyMapping:
     def _lift(value) -> "FuzzyMapping":
         if isinstance(value, FuzzyMapping):
             return value
-        if isinstance(value, LcNumber):
-            return constant_map(value)
         if isinstance(value, (int, float)):
-            return constant_map(LcNumber(float(value), 0.0))
+            value = LcNumber(float(value), 0.0)
+        if isinstance(value, LcNumber):
+            return FuzzyMapping(lambda z: value)
         raise TypeError(f"cannot treat {value!r} as a fuzzy mapping")
 
     def __add__(self, other):
@@ -172,10 +171,6 @@ class FuzzyMapping:
     ) -> "FuzzyMapping":
         """Assemble a mapping from its real and fuzzy component functions."""
         return cls(lambda z: LcNumber(u(z.re, z.fu), v(z.re, z.fu)), domain=domain)
-
-
-def constant_map(k: LcNumber) -> FuzzyMapping:
-    return FuzzyMapping(lambda z: k)
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,11 @@ def _cmd_preset(args) -> int:
 def _cmd_phase(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("phase needs exactly one of --preset or --config")
-    text = _preset_text(args.preset) if args.preset else _config_text(args.config)
+    text = _preset_text(args.preset) if args.preset is not None else _config_text(args.config)
     name = text.get("name", "scenario")
-    scenario = load_config(text, plot=f"phase:{args.projection}", name=f"{name}-phase")
+    if isinstance(name, str):  # any other name reaches load_config as given, to be refused there
+        name = f"{name}-phase"
+    scenario = load_config(text, plot=f"phase:{args.projection}", name=name)
     return _run_and_report(scenario, args)
 
 

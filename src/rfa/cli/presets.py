@@ -234,6 +234,8 @@ def _check_plot(plot: str, names) -> None:
             raise ConfigError(f"cannot draw plot {plot!r}: unknown projection {detail!r}")
     elif kind != "components":
         raise ConfigError(f"unknown plot kind {plot!r}")
+    elif detail:
+        raise ConfigError(f"plot 'components' draws every variable and takes no detail, got {plot!r}")
 
 
 def _build_params(system: System, params: dict, initial: dict):
@@ -264,44 +266,34 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
     return path
 
 
-def _svg_series(plot: str, basis: BasisNumber, traj: Trajectory):
+def _svg_series(plot: str, traj: Trajectory):
     """Polyline series plus axis labels for the plot kind ``load_config`` accepted."""
     ts = traj.times
     kind, _, detail = plot.partition(":")
-    series = []
-    if kind == "time-series":
-        name = detail or traj.names[0]
-        bands = traj.bands[name]
-        for j, alpha in enumerate(traj.alphas):
-            stroke = band_color(alpha)
-            series.append((ts, bands[:, j, 0], stroke, 1.0))
-            series.append((ts, bands[:, j, 1], stroke, 1.0))
-        series.append((ts, traj.component(name)[0], "#000000", 1.6))
-        return series, "t", name
+    if kind == "components":
+        strokes = ("#000000", "#777777", "#222266", "#884444")
+        series = []
+        k = 0
+        for name in traj.names:
+            re, fu = traj.component(name)
+            series.append((ts, re, strokes[k % 4], 1.2))
+            series.append((ts, fu, strokes[(k + 1) % 4], 1.2))
+            k += 2
+        return series, "t", "coefficients"
     if kind == "phase":
-        portrait = phase_portrait(traj, detail, basis, traj.alphas)
-        crisp = portrait.crisp
-        fuzzy_re = traj.component(portrait.fuzzy_label)[0]
-        # "x-vs-s" puts the banded coordinate on the horizontal axis
-        horizontal = detail == PROJECTIONS[0]
-        for j, alpha in enumerate(portrait.alphas):
-            stroke = band_color(alpha)
-            for edge in (0, 1):
-                band = portrait.bands[:, j, edge]
-                series.append((band, crisp, stroke, 1.0) if horizontal else (crisp, band, stroke, 1.0))
-        if horizontal:
-            series.append((fuzzy_re, crisp, "#000000", 1.6))
-            return series, portrait.fuzzy_label, portrait.crisp_label
-        series.append((crisp, fuzzy_re, "#000000", 1.6))
-        return series, portrait.crisp_label, portrait.fuzzy_label
-    strokes = ("#000000", "#777777", "#222266", "#884444")  # components
-    k = 0
-    for name in traj.names:
-        re, fu = traj.component(name)
-        series.append((ts, re, strokes[k % 4], 1.2))
-        series.append((ts, fu, strokes[(k + 1) % 4], 1.2))
-        k += 2
-    return series, "t", "coefficients"
+        portrait = phase_portrait(traj, detail)
+        name, axis, axis_label, bands = portrait.fuzzy_label, portrait.crisp, portrait.crisp_label, portrait.bands
+    else:
+        name = detail or traj.names[0]
+        axis, axis_label, bands = ts, "t", traj.bands[name]
+    series = [
+        (axis, bands[:, j, edge], band_color(alpha), 1.0) for j, alpha in enumerate(traj.alphas) for edge in (0, 1)
+    ]
+    series.append((axis, traj.component(name)[0], "#000000", 1.6))
+    # "x-vs-s" puts the bands on the horizontal axis, every other plot on the vertical
+    if plot == f"phase:{PROJECTIONS[0]}":
+        return [(x, y, *style) for y, x, *style in series], name, axis_label
+    return series, axis_label, name
 
 
 def run_scenario(scenario: Scenario, out_dir=None, formats=None):
@@ -320,7 +312,7 @@ def run_scenario(scenario: Scenario, out_dir=None, formats=None):
     rows = Trajectory(traj.times[idx], traj.names, traj.coeffs[idx]).attach_bands(basis, scenario.alphas)
     table = trajectory_table(rows)
     if "svg" in chosen:
-        series, x_label, y_label = _svg_series(scenario.plot, basis, rows)
+        series, x_label, y_label = _svg_series(scenario.plot, rows)
     writers = {
         "csv": lambda target: export_csv(table, target),
         "json": lambda target: export_json(table, target),

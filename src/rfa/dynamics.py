@@ -145,7 +145,7 @@ class Trajectory:
 
     ``coeffs`` holds one row per time with columns ``(re, fu)`` interleaved
     in the order of ``names``.  Alpha-level bands are attached on demand,
-    with the basis and alphas they were computed for.
+    with the alphas they were computed for.
     """
 
     times: np.ndarray
@@ -153,7 +153,6 @@ class Trajectory:
     coeffs: np.ndarray
     alphas: tuple[float, ...] | None = None
     bands: dict[str, np.ndarray] | None = None
-    basis: BasisNumber | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -183,9 +182,8 @@ class Trajectory:
         return map(self.state, range(len(self)))
 
     def attach_bands(self, basis: BasisNumber, alphas) -> "Trajectory":
-        alphas = tuple(float(a) for a in alphas)
-        self.bands = {name: _band_array(*self.component(name), basis, alphas) for name in self.names}
-        self.alphas, self.basis = alphas, basis
+        self.alphas = tuple(float(a) for a in alphas)
+        self.bands = {name: _band_array(*self.component(name), basis, self.alphas) for name in self.names}
         return self
 
 
@@ -718,37 +716,30 @@ def simulate_system(
 class PhasePortrait:
     """Phase-plane data: one crisp coordinate against one banded coordinate."""
 
-    times: np.ndarray
     crisp_label: str
     fuzzy_label: str
     crisp: np.ndarray
     bands: np.ndarray
-    alphas: tuple[float, ...]
 
 
-def phase_portrait(traj: Trajectory, projection: str, basis: BasisNumber, alphas) -> PhasePortrait:
-    """Project a two-variable trajectory onto the phase plane.
+def phase_portrait(traj: Trajectory, projection: str) -> PhasePortrait:
+    """Project a two-variable trajectory and its attached bands onto the phase plane.
 
-    ``"x-vs-s"`` renders the first variable as alpha-bands against the real
-    part of the second; ``"r-vs-y"`` the other way round.  A crisp fuzzy
-    coordinate degenerates to a plain point series.  Bands the trajectory
-    already carries for the same basis and alphas are reused.
+    ``"x-vs-s"`` takes the alpha-bands of the first variable against the
+    real part of the second; ``"r-vs-y"`` the other way round.  The bands are
+    the ones ``Trajectory.attach_bands`` attached, not a copy; a crisp fuzzy
+    coordinate has bands whose edges coincide.
     """
     if len(traj.names) != 2:
         raise ValueError("phase portraits need a two-variable trajectory")
-    alphas = tuple(float(a) for a in alphas)
     if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
+    if traj.bands is None:
+        raise ValueError("phase portraits project the attached bands; call attach_bands first")
     fuzzy_name, crisp_name = traj.names if projection == PROJECTIONS[0] else traj.names[::-1]
-    if traj.bands is not None and traj.alphas == alphas and traj.basis == basis:
-        bands = traj.bands[fuzzy_name]
-    else:
-        bands = _band_array(*traj.component(fuzzy_name), basis, alphas)
     return PhasePortrait(
-        times=traj.times,
         crisp_label=crisp_name,
         fuzzy_label=fuzzy_name,
         crisp=traj.component(crisp_name)[0],
-        bands=bands,
-        alphas=alphas,
+        bands=traj.bands[fuzzy_name],
     )

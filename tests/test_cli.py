@@ -18,7 +18,7 @@ import rfa
 from rfa.cli import expressions, presets
 from rfa.cli.main import _build_parser, main
 from rfa.cli.presets import ConfigError, _normalize_system, load_config
-from rfa.dynamics import SYSTEMS
+from rfa.dynamics import PROJECTIONS, SYSTEMS
 
 # the module itself; the attribute `rfa.cli.main` is the function
 MAIN_MODULE = importlib.import_module("rfa.cli.main")
@@ -164,6 +164,17 @@ def test_phase_command(capsys, tmp_path):
 def test_phase_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "phase", "--projection", "x-vs-s")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", [5, True, ["a"], {"k": 1}], ids=["int", "bool", "list", "dict"])
+def test_phase_refuses_a_name_that_is_no_string(capsys, tmp_path, name):
+    cfg = linear_config(tmp_path, system="oscillator", params={}, initial={"x": "1 + 0.5*A", "y": "0"}, name=name)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "phase", "--config", str(cfg), "--projection", "x-vs-s", "--out-dir", str(out_dir))
+    assert code == 2
+    assert err.startswith("error: ") and "name must be a plain file name" in err
+    assert out == ""
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_numeric_errors_exit_3(capsys):
@@ -487,6 +498,7 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, "unknown entries for linear: params['c3']"),
         ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
         ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
+        ({"plot": "components:zzz"}, "plot 'components' draws every variable and takes no detail"),
         ({"initial": {"w": "1e309"}}, "beyond the double range (at offset 0)"),
         ({"basis": "tri(-1.7e308;-1.7e308;1.7e308)"}, "span inf that is not a finite double"),
         # 0.1 and 0.1000001 both name the columns w_a0.1_lo and w_a0.1_hi
@@ -496,7 +508,7 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
-         "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot",
+         "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot", "components-detail",
          "literal-beyond-double", "basis-span-overflow", "alpha-keys-collide", "alpha-repeated",
          "alpha-signed-zeros"],
 )
@@ -733,6 +745,75 @@ def test_solve_keeps_the_exit_code_contract(config):
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert not os.path.exists(out_dir)
+
+
+_OSC_CONFIG = {**LINEAR_CONFIG, "system": "oscillator", "params": {}, "initial": {"x": "1 + 0.5*A", "y": "0"}}
+# (config, name of its phase run or None where the config is refused)
+_PHASE_CONFIGS = [
+    ({**_OSC_CONFIG, "name": "osc"}, "osc-phase"),
+    ({key: value for key, value in _OSC_CONFIG.items() if key != "name"}, "scenario-phase"),
+    ({**_OSC_CONFIG, "plot": "components:zzz"}, "quick-phase"),  # the phase plot replaces it
+    ({**_OSC_CONFIG, "name": 5}, None),
+    (LINEAR_CONFIG, None),  # one variable
+]
+_FORMAT_OPTIONS = {"": (), "svg": ("svg",), "csv,json": ("csv", "json"), "pdf": None}
+
+
+def _expected_run(command, source, fig, config, projection, formats):
+    """``(exit code, names of the files written)`` of one ``preset`` or ``phase`` call."""
+    chosen = _FORMAT_OPTIONS[formats]
+    if command == "preset":
+        name = fig if fig in presets.PRESETS else None
+    elif projection not in PROJECTIONS:
+        name = None
+    elif source == "preset" and fig in presets.PRESETS and len(SYSTEMS[presets.PRESETS[fig].system].variables) == 2:
+        name = f"{fig}-phase"
+    else:
+        name = _PHASE_CONFIGS[config][1] if source == "config" else None
+    if name is None or chosen is None:
+        return 2, set()
+    return 0, {f"{name}.{fmt}" for fmt in chosen}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["preset", "phase"]),
+    st.sampled_from(["preset", "config", "both", "neither"]),
+    st.sampled_from([*presets.PRESETS, "fig1", "fig99", ""]),
+    st.integers(0, len(_PHASE_CONFIGS) - 1),
+    st.sampled_from([*PROJECTIONS, "sideways"]),
+    st.sampled_from(list(_FORMAT_OPTIONS)),
+)
+@example("phase", "preset", "", 0, "x-vs-s", "")  # an empty preset id is a preset id, not a missing one
+def test_preset_and_phase_keep_the_exit_code_contract(command, source, fig, config, projection, formats):
+    if command == "preset":
+        argv = ["preset", fig]
+    else:
+        argv = ["phase", "--projection", projection]
+        argv += ["--preset", fig] if source in ("preset", "both") else []
+        argv += ["--config", "config.json"] if source in ("config", "both") else []
+    expected_code, expected_files = _expected_run(command, source, fig, config, projection, formats)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "config.json"), "w") as fh:
+            json.dump(_PHASE_CONFIGS[config][0], fh)
+        out_dir = os.path.join(tmp, "out")
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(tmp)  # a file written to the working directory would land beside the config
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out-dir", out_dir, "--formats", formats])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code == expected_code, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert sorted(os.listdir(tmp)) == (["config.json", "out"] if expected_files else ["config.json"])
+        if expected_files:
+            assert set(os.listdir(out_dir)) == expected_files
+        written = {os.path.join(out_dir, name) for name in expected_files}
+        assert set(out.getvalue().splitlines()) == written
 
 
 @settings(max_examples=200, deadline=None)

@@ -529,29 +529,30 @@ def test_trajectory_validation():
 def test_phase_portrait_projections():
     params = OscillatorParams(LcNumber(100, 2), LcNumber(100, 2))
     traj = simulate_system("oscillator", params, (0.0, 1.0), dt=0.01)
-    alphas = (0.0, 0.5, 1.0)
-    fig6_style = phase_portrait(traj, "x-vs-s", BasisNumber.triangular(-1, 0, 1.01), alphas)
+    traj.attach_bands(BasisNumber.triangular(-1, 0, 1.01), (0.0, 0.5, 1.0))
+    fig6_style = phase_portrait(traj, "x-vs-s")
     assert fig6_style.fuzzy_label == "x" and fig6_style.crisp_label == "y"
-    assert fig6_style.bands.shape == (len(traj), 3, 2)
+    assert fig6_style.bands is traj.bands["x"] and fig6_style.bands.shape == (len(traj), 3, 2)
     assert np.array_equal(fig6_style.crisp, traj.component("y")[0])
-    fig7_style = phase_portrait(traj, "r-vs-y", BasisNumber.triangular(-1, 0, 1.01), alphas)
+    fig7_style = phase_portrait(traj, "r-vs-y")
     assert fig7_style.fuzzy_label == "y" and fig7_style.crisp_label == "x"
+    assert fig7_style.bands is traj.bands["y"] and np.array_equal(fig7_style.crisp, traj.component("x")[0])
     with pytest.raises(ValueError):
-        phase_portrait(traj, "sideways", BasisNumber.triangular(-1, 0, 1.01), alphas)
+        phase_portrait(traj, "sideways")
 
 
 def test_phase_portrait_crisp_trajectory_degenerates_to_points():
     params = OscillatorParams(LcNumber(1, 0), LcNumber(0, 0))
-    traj = simulate_system("oscillator", params, (0.0, 1.0), dt=0.01)
-    portrait = phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 1.0))
+    traj = simulate_system("oscillator", params, (0.0, 1.0), dt=0.01).attach_bands(DECAY_BASIS, (0.0, 1.0))
+    portrait = phase_portrait(traj, "x-vs-s")
     assert np.array_equal(portrait.bands[:, 0, 0], portrait.bands[:, 0, 1])
 
 
 def test_phase_portrait_needs_two_variables():
     params = LinearParams(LcNumber(0, 1), LcNumber(1, 0))
-    traj = simulate_system("linear", params, (0.0, 1.0), dt=0.1)
-    with pytest.raises(ValueError):
-        phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 1.0))
+    traj = simulate_system("linear", params, (0.0, 1.0), dt=0.1).attach_bands(DECAY_BASIS, (0.0, 1.0))
+    with pytest.raises(ValueError, match="two-variable"):
+        phase_portrait(traj, "x-vs-s")
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +777,10 @@ def test_phase_plot_reuses_the_attached_bands(monkeypatch, tmp_path):
     run_scenario(preset_config("fig6"), out_dir=tmp_path, formats=("svg",))
     assert calls == [2001 * 11 * 2] * 2  # x and y from attach_bands, none for the portrait
 
-    traj = simulate_system("oscillator", FUZZY_OSCILLATOR, (0.0, 1.0), dt=0.01).attach_bands(DECAY_BASIS, (0.0, 1.0))
+    traj = simulate_system("oscillator", FUZZY_OSCILLATOR, (0.0, 1.0), dt=0.01)
+    with pytest.raises(ValueError, match="attach_bands"):
+        phase_portrait(traj, "x-vs-s")
+    traj.attach_bands(DECAY_BASIS, (0.0, 1.0))
     calls.clear()
-    reused = phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 1.0))
+    reused = phase_portrait(traj, "x-vs-s")
     assert calls == [] and reused.bands is traj.bands["x"]
-    other = BasisNumber.triangular(-1, 0, 1.01)
-    fresh = phase_portrait(traj, "x-vs-s", other, (0.0, 1.0))
-    assert len(calls) == 1
-    assert np.array_equal(fresh.bands, band_array(*traj.component("x"), other, (0.0, 1.0)))
-    phase_portrait(traj, "x-vs-s", DECAY_BASIS, (0.0, 0.5, 1.0))
-    assert len(calls) == 2
