@@ -19,7 +19,6 @@ The package splits into three layers plus a command-line front end:
 
 from .analytic import (
     CrReport,
-    FuzzyMapping,
     Path,
     check_chain_rule,
     contour_integral,

@@ -36,7 +36,6 @@ from .core import (
 
 __all__ = [
     "CrReport",
-    "FuzzyMapping",
     "Path",
     "check_chain_rule",
     "contour_integral",
@@ -111,69 +110,6 @@ def poly_eval(coeffs, z: LcNumber) -> LcNumber:
 
 
 @dataclass(frozen=True)
-class FuzzyMapping:
-    """A deterministic map between elements, with pointwise combinators.
-
-    ``domain`` optionally restricts evaluation to a rectangle in the
-    ``(re, fu)`` coordinates; evaluation outside it raises.
-    """
-
-    fn: MapLike
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def __call__(self, z: LcNumber) -> LcNumber:
-        if self.domain is not None:
-            (re_lo, re_hi), (fu_lo, fu_hi) = self.domain
-            if not (re_lo <= z.re <= re_hi and fu_lo <= z.fu <= fu_hi):
-                raise ValueError(f"{z!r} is outside the mapping domain")
-        return self.fn(z)
-
-    @staticmethod
-    def _lift(value) -> "FuzzyMapping":
-        if isinstance(value, FuzzyMapping):
-            return value
-        if isinstance(value, (int, float)):
-            value = LcNumber(float(value), 0.0)
-        if isinstance(value, LcNumber):
-            return FuzzyMapping(lambda z: value)
-        raise TypeError(f"cannot treat {value!r} as a fuzzy mapping")
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return FuzzyMapping(lambda z: self(z) + other(z))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return FuzzyMapping(lambda z: self(z) - other(z))
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return FuzzyMapping(lambda z: self(z) * other(z))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return FuzzyMapping(lambda z: self(z) / other(z))
-
-    def compose(self, inner: MapLike) -> "FuzzyMapping":
-        """The mapping ``z -> self(inner(z))``."""
-        return FuzzyMapping(lambda z: self(inner(z)))
-
-    @classmethod
-    def from_components(
-        cls,
-        u: Callable[[float, float], float],
-        v: Callable[[float, float], float],
-        domain=None,
-    ) -> "FuzzyMapping":
-        """Assemble a mapping from its real and fuzzy component functions."""
-        return cls(lambda z: LcNumber(u(z.re, z.fu), v(z.re, z.fu)), domain=domain)
-
-
-@dataclass(frozen=True)
 class CrReport:
     """Central-difference partials of ``(u, v)`` plus the assembled derivative.
 
@@ -236,8 +172,7 @@ class Path:
     values.  ``Path(points)`` takes ``LcNumber`` values or complex numbers.
     ``segment`` and ``polyline`` sample piecewise-linearly (polyline
     intervals are distributed proportionally to edge length, at least one
-    per edge and ``max(samples - 1, edges)`` in all); ``parametric``
-    samples a caller-supplied ``t -> z`` on a uniform grid over [0, 1].
+    per edge and ``max(samples - 1, edges)`` in all).
     """
 
     __slots__ = ("_z",)
@@ -298,19 +233,6 @@ class Path:
                 heapq.heappush(most, (n + 1, i))
             counts[k] = 1
         return cls(_edge_samples(verts, counts))
-
-    @classmethod
-    def parametric(cls, fn: Callable[[float], LcNumber], samples: int = 10001) -> "Path":
-        if samples < 2:
-            raise ValueError(f"samples must be at least 2, got {samples}")
-        n = samples - 1
-        path = cls([fn(i / n) for i in range(samples)])
-        gaps = np.abs(np.diff(path.z))
-        total = gaps.sum()
-        # a jump stays O(1) while the mean gap shrinks with the sample count
-        if total > 0.0 and samples >= 8 and gaps.max() > 10.0 * total / len(gaps):
-            raise ValueError("parametric path looks discontinuous on its sample grid")
-        return path
 
 
 def _edge_samples(vertices, counts) -> np.ndarray:

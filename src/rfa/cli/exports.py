@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -160,14 +161,18 @@ def emit_svg(series, path, x_label: str = "", y_label: str = "") -> None:
         x_min, x_max = x_min - 0.5, x_max + 0.5
     if y_max == y_min:
         y_min, y_max = y_min - 0.5, y_max + 0.5
+    # an axis whose span overflows a double is measured in halves;
+    # a finite span keeps the factor 1.0, which rounds nothing
+    kx = 1.0 if math.isfinite(float(x_max) - float(x_min)) else 0.5
+    ky = 1.0 if math.isfinite(float(y_max) - float(y_min)) else 0.5
     w, h = _SVG_SIZE
     margin = 50.0
-    sx = (w - 2 * margin) / (x_max - x_min)
-    sy = (h - 2 * margin) / (y_max - y_min)
+    sx = (w - 2 * margin) / (x_max * kx - x_min * kx)
+    sy = (h - 2 * margin) / (y_max * ky - y_min * ky)
 
     def to_px(xs, ys):
-        px = margin + (xs - x_min) * sx
-        py = h - margin - (ys - y_min) * sy
+        px = margin + (xs * kx - x_min * kx) * sx
+        py = h - margin - (ys * ky - y_min * ky) * sy
         return px, py
 
     parts = [

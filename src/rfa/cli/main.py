@@ -15,7 +15,7 @@ import sys
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber, LcSpace
-from ..dynamics import PROJECTIONS
+from ..dynamics import PROJECTIONS, SYSTEMS
 from .expressions import ExprError, calls_psi_mul, eval_expression, eval_expression_batch
 from .literals import parse_fuzzy_literal, print_literal
 from .presets import ConfigError, _config_text, _normalize_system, _preset_text
@@ -51,8 +51,8 @@ def _resolve_a1(basis_text, expr):
         raise ConfigError("--basis must be a tri(...) or trap(...) literal")
     reads_a1 = calls_psi_mul(expr)
     try:
-        space = LcSpace(basis)
-        return space.a1 if reads_a1 else 0.0
+        LcSpace(basis)
+        return basis.one_level_value() if reads_a1 else 0.0
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -219,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
 
     p_solve = sub.add_parser("solve", help="run a configured scenario")
-    p_solve.add_argument("system", choices=("linear", "linear-psi", "oscillator", "lv"))
+    p_solve.add_argument(
+        "system", choices=[name for record in SYSTEMS.values() for name in (record.name, *record.aliases)]
+    )
     p_solve.add_argument("--config", required=True)
     add_output_options(p_solve)
     p_solve.set_defaults(handler=_cmd_solve)

@@ -216,7 +216,7 @@ def _parse_space(system: System, text) -> LcSpace:
         raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected") from None
     if system.needs_a1:
         try:
-            space.a1
+            basis.one_level_value()
         except ValueError as exc:
             raise ConfigError(f"{system.name} needs a basis with a single-point 1-level: {exc}") from exc
     return space

@@ -4,10 +4,10 @@ Fix an asymmetric fuzzy number ``A``.  Every element handled here has the
 form ``z = re + fu*A``.  Asymmetry of the basis makes the coefficient pair
 ``(re, fu)`` unique, and the coefficient algebra is then exactly the
 algebra of ``re + fu*i``.  So ``LcNumber`` holds one Python ``complex`` and
-hands addition, multiplication, division, negation, modulus, equality and
-hashing to it; norm and polar decomposition mirror their complex
-counterparts.  The basis itself never enters the arithmetic; it is only
-needed to materialise alpha-cuts, the sup metric and exports.
+hands addition, multiplication, division, negation, equality and hashing
+to it; norm and polar decomposition mirror their complex counterparts.
+The basis itself never enters the arithmetic; it is only needed to
+materialise alpha-cuts, the sup metric and exports.
 """
 
 from __future__ import annotations
@@ -267,14 +267,6 @@ class LcNumber:
     def __neg__(self):
         return _wrap(-self._z)
 
-    def __pow__(self, n):
-        if isinstance(n, int):
-            return pow_int(self, n)
-        return NotImplemented
-
-    def __abs__(self) -> float:
-        return abs(self._z)
-
     def __complex__(self) -> complex:
         return self._z
 
@@ -488,8 +480,3 @@ class LcSpace:
     def __post_init__(self):
         if not is_asymmetric(self.basis):
             raise ValueError("basis fuzzy number is symmetric; coefficient pairs would not be unique")
-
-    @property
-    def a1(self) -> float:
-        """The singleton 1-level of the basis, required by the cross product."""
-        return self.basis.one_level_value()

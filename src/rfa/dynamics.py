@@ -63,9 +63,9 @@ Field = Callable[[float, Sequence[float]], Sequence[float]]
 class IntegrationAbort(ArithmeticError):
     """Raised when the integrator produces a non-finite state."""
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"integration aborted at t={t}: non-finite state")
+        super().__init__(f"integration aborted at t={t}: non-finite state")
 
 
 # ---------------------------------------------------------------------------

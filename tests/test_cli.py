@@ -20,7 +20,7 @@ from rfa.cli.main import _build_parser, main
 from rfa.cli.presets import ConfigError, _normalize_system, load_config
 from rfa.dynamics import PROJECTIONS, SYSTEMS
 
-# the module itself; the attribute `rfa.cli.main` is the function
+# the module `rfa.cli.main`, whose globals the tests patch
 MAIN_MODULE = importlib.import_module("rfa.cli.main")
 
 
@@ -195,6 +195,19 @@ def test_integrator_abort_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "oscillator", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 3
     assert "aborted" in err
+    # the fused Lotka-Volterra kernel: predators past the double range within 7 steps
+    cfg.write_text(json.dumps({
+        "system": "lotka_volterra",
+        "basis": "tri(-0.5;0;0.51)",
+        "params": {"alpha": "0.25 + 0.001*A", "beta": "0.18 + 0.003*A", "a": "0.01", "b": "0.007 + 0.001*A"},
+        "initial": {"x": "1e6 + 5*A", "y": "1e-3 + 1e-4*A"},
+        "t_span": [0.0, 20.0],
+        "dt": 1e-3,
+        "name": "blowup",
+    }))
+    code, out, err = run(capsys, "solve", "lv", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (3, "", "numeric error: integration aborted at t=0.007: non-finite state\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_form_overflow_names_the_flow(capsys, tmp_path):
@@ -218,7 +231,7 @@ def test_cross_product_flow_needs_a_point_one_level(capsys, tmp_path):
 def test_cross_product_flow_on_a_triangular_basis_with_an_inexact_one_level(capsys, tmp_path):
     cfg = linear_config(tmp_path, system="linear_psi", basis="tri(-0.4;1.175;1.33)")
     scenario = rfa.cli.load_config(cfg)
-    assert scenario.space.a1 == 1.175
+    assert scenario.space.basis.one_level_value() == 1.175
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(out_dir))
     assert (code, err) == (0, "")
@@ -267,6 +280,17 @@ def test_plot_variables_are_the_simulated_names():
 
 def test_solve_choices_name_every_system():
     assert {_normalize_system(choice).name for choice in _solve_choices()} == set(SYSTEMS)
+    spellings = [name for record in SYSTEMS.values() for name in (record.name, *record.aliases)]
+    assert sorted(_solve_choices()) == sorted(spellings)
+
+
+@pytest.mark.parametrize("spelling", [name for record in SYSTEMS.values() for name in (record.name, *record.aliases)])
+def test_solve_takes_every_spelling_of_a_system(capsys, tmp_path, spelling):
+    cfg = tmp_path / "unit.json"
+    cfg.write_text(json.dumps(_unit_config(_normalize_system(spelling), t_span=[0.0, 0.1], dt=0.01, name="unit")))
+    code, out, err = run(capsys, "solve", spelling, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["unit.csv", "unit.json", "unit.svg"]
 
 
 @pytest.mark.parametrize(
@@ -414,6 +438,9 @@ def _python(*args):
 
 def test_module_entry_point_runs_the_cli():
     assert _python("-m", "rfa.cli", "eval", "1+1") == (0, "2.0\n", "")
+    assert _python("-W", "error", "-m", "rfa.cli.main", "eval", "1+1") == (0, "2.0\n", "")
+    in_process = "import rfa.cli.main; rfa.cli.main.main(['eval', '1+1'])"
+    assert _python("-W", "error", "-c", in_process) == (0, "2.0\n", "")
 
 
 def test_cli_import_loads_no_scipy():
@@ -505,25 +532,49 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"alphas": [0.1, 0.1000001, 0.5]}, "alpha levels must differ at 6 significant digits"),
         ({"alphas": [0.5, 0.5]}, "alpha levels must differ at 6 significant digits"),
         ({"alphas": [-0.0, 0.0]}, "alpha levels must differ at 6 significant digits"),
+        ("{not json", "invalid JSON in"),
+        (json.dumps({key: value for key, value in LINEAR_CONFIG.items() if key != "basis"}), "needs at least 'system' and 'basis'"),
+        ({"alphas": [0.5, 0.2]}, "ascending within [0, 1]"),
+        ({"alphas": [0.0, 1.5]}, "ascending within [0, 1]"),
+        ({"initial": {"w": "tri(0;1;2)"}}, "'w' must be an element literal, got a basis"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
          "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot", "components-detail",
          "literal-beyond-double", "basis-span-overflow", "alpha-keys-collide", "alpha-repeated",
-         "alpha-signed-zeros"],
+         "alpha-signed-zeros", "invalid-json", "no-basis", "alpha-descending", "alpha-above-one",
+         "initial-is-a-basis"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):
         target = linear_config(tmp_path, **config)
     else:
+        # a string is the file's text as given
         target = tmp_path / "config.json"
-        target.write_text(json.dumps(config))
+        target.write_text(config if isinstance(config, str) else json.dumps(config))
     out_dir = tmp_path / "out" / "nested"
     code, out, err = run(capsys, "solve", "linear", "--config", str(target), "--out-dir", str(out_dir))
     assert code == 2, err
     assert err.startswith("error: ") and message in err
     assert out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "k", "--bind", "k=tri(0;1;2)"], "binding 'k' must be an element literal"),
+        (["eval", "1", "--basis", "1+2*A"], "--basis must be a tri(...) or trap(...) literal"),
+        (["derive", "z", "--at", "tri(0;1;2)"], "--at must be an element literal"),
+        (["integrate", "z", "--path", "0, tri(0;1;2)"], "path vertices must be element literals"),
+        (["integrate", "z", "--path", "0"], "an integration path needs at least two vertices"),
+    ],
+    ids=["bind-basis", "basis-element", "at-basis", "path-basis", "path-one-vertex"],
+)
+def test_a_literal_of_the_wrong_kind_is_a_config_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_negative_zero_alpha_is_the_level_0(tmp_path):

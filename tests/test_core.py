@@ -172,7 +172,7 @@ def test_space_rejects_symmetric_basis():
     with pytest.raises(ValueError):
         LcSpace(BasisNumber.triangular(-1, 0, 1))
     space = LcSpace(BasisNumber.triangular(-0.5, 0, 0.51))
-    assert space.a1 == 0.0
+    assert space.basis.one_level_value() == 0.0
     bands = [alpha_cut(LcNumber(2, 3), space.basis, a) for a in [0.0, 1.0]]
     assert (bands[0].lower, bands[0].upper) == (0.5, 2 + 3 * 0.51)
     assert bands[1].lower == bands[1].upper == 2.0

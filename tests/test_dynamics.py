@@ -637,6 +637,20 @@ def test_fused_lotka_volterra_is_bit_identical(params, span):
     assert np.array_equal(got.coeffs.view(np.uint64), states[:, (0, 2, 1, 3)].view(np.uint64))
 
 
+def test_fused_lotka_volterra_aborts_where_stage_by_stage_rk4_does():
+    # a prey population of 1e6 drives the predators past the double range within 7 steps
+    params = LvParams(
+        alpha=LcNumber(0.25, 0.001), beta=LcNumber(0.18, 0.003), a=LcNumber(0.01, 0), b=LcNumber(0.007, 0.001),
+        x0=LcNumber(1e6, 5), y0=LcNumber(1e-3, 1e-4),
+    )
+    s0 = (params.x0.re, params.y0.re, params.x0.fu, params.y0.fu)
+    with pytest.raises(IntegrationAbort) as generic:
+        rk4_integrate(realify_lotka_volterra(params), s0, (0.0, 20.0), 1e-3)
+    with pytest.raises(IntegrationAbort) as kernel:
+        simulate_system("lotka_volterra", params, (0.0, 20.0), dt=1e-3)
+    assert kernel.value.t == generic.value.t == 0.007
+
+
 @pytest.mark.parametrize(
     "system, params",
     [

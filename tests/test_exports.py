@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -163,6 +164,37 @@ def test_phase_svg_has_two_polylines_per_level_plus_crisp(tmp_path):
     run_scenario(cfg, out_dir=tmp_path, formats=("svg",))
     text = (tmp_path / "mini6.svg").read_text()
     assert text.count("<polyline") == 2 * 11 + 1
+
+
+def _svg_coordinates(text):
+    return np.array([float(v) for points in re.findall(r'points="([^"]*)"', text) for v in re.split("[ ,]", points)])
+
+
+def test_svg_of_a_range_beyond_the_double_span_stays_in_the_viewport(tmp_path):
+    from rfa.cli.presets import load_config, run_scenario
+
+    cfg = load_config(
+        dict(
+            system="oscillator",
+            basis="tri(-0.5;0;0.51)",
+            initial={"x": "1e308", "y": "0"},
+            t_span=(0.0, 7.0),
+            dt=0.01,
+            name="huge",
+            plot="time-series:x",
+        )
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(cfg, out_dir=tmp_path, formats=("svg",))
+        # both axes at once, straight through the writer
+        emit_svg([([-1e308, 1e308], [-1.7e308, 1.7e308], "black", 1.0)], tmp_path / "both.svg")
+    for name in ("huge.svg", "both.svg"):
+        coords = _svg_coordinates((tmp_path / name).read_text())
+        xs, ys = coords[0::2], coords[1::2]
+        assert np.isfinite(coords).all(), name
+        assert ((0 <= xs) & (xs <= 800)).all() and ((0 <= ys) & (ys <= 600)).all(), name
+    assert _svg_coordinates((tmp_path / "both.svg").read_text()).tolist() == [50, 550, 750, 50]
 
 
 def test_preset_csv_round_trip_matches_memory(tmp_path):
