@@ -170,9 +170,10 @@ class Path:
     The samples are held once, as the read-only ``complex128`` array ``z``
     (``re + fu*i`` per point); ``points`` is a view of it as ``LcNumber``
     values.  ``Path(points)`` takes ``LcNumber`` values or complex numbers.
-    ``segment`` and ``polyline`` sample piecewise-linearly (polyline
-    intervals are distributed proportionally to edge length, at least one
-    per edge and ``max(samples - 1, edges)`` in all).
+    ``segment`` and ``polyline`` take ``LcNumber`` vertices and sample
+    piecewise-linearly (polyline intervals are distributed proportionally
+    to edge length, at least one per edge and ``max(samples - 1, edges)``
+    in all).
     """
 
     __slots__ = ("_z",)
@@ -200,7 +201,7 @@ class Path:
 
     @classmethod
     def polyline(cls, vertices, samples: int = 10001) -> "Path":
-        verts = [v if isinstance(v, LcNumber) else LcNumber(*v) for v in vertices]
+        verts = list(vertices)
         if len(verts) < 2:
             raise ValueError("a polyline needs at least two vertices")
         if samples < 2:

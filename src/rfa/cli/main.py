@@ -15,10 +15,10 @@ import sys
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber, LcSpace
-from ..dynamics import PROJECTIONS, SYSTEMS
+from ..dynamics import PROJECTIONS, SYSTEMS, system_record
 from .expressions import ExprError, calls_psi_mul, eval_expression, eval_expression_batch
 from .literals import parse_fuzzy_literal, print_literal
-from .presets import ConfigError, _config_text, _normalize_system, _preset_text
+from .presets import ConfigError, _config_text, _preset_text
 from .presets import load_config, preset_config, run_scenario
 
 __all__ = ["main"]
@@ -147,7 +147,7 @@ def _run_and_report(scenario, args) -> int:
 
 def _cmd_solve(args) -> int:
     scenario = load_config(args.config)
-    wanted = _normalize_system(args.system).name
+    wanted = system_record(args.system).name
     if scenario.system != wanted:
         raise ConfigError(f"config declares system {scenario.system!r} but the command asked for {wanted!r}")
     return _run_and_report(scenario, args)

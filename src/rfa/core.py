@@ -40,70 +40,55 @@ __all__ = [
 ]
 
 
-def _require_finite(label: str, values) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{label} endpoints must be finite, got {values}")
-
-
 @dataclass(frozen=True)
 class BasisNumber:
     """A basis fuzzy number: its table of alpha-levels.
 
-    ``levels`` holds rows ``(alpha, lower, upper)`` from alpha 0 to alpha 1;
+    ``levels`` holds rows ``(alpha, lower, upper)`` with alphas strictly
+    increasing from 0 to 1, finite endpoints, ``lower <= upper`` and each
+    level inside the one before it; any other table is refused.
     ``level(alpha)`` returns a row's stored endpoints at that row and
     interpolates linearly between rows.  A triangular or trapezoidal number
-    is two rows, its 0-level and its 1-level.  Use the ``triangular``,
-    ``trapezoidal`` or ``tabulated`` constructors, which check the rows.
+    is two rows, its 0-level and its 1-level.
     """
 
     levels: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
+        rows = tuple((float(a), float(lo), float(hi)) for a, lo, hi in self.levels)
+        if len(rows) < 2:
+            raise ValueError(f"a basis needs at least its 0- and 1-levels, got {len(rows)} row(s)")
+        for a, lo, hi in rows:
+            if not all(map(math.isfinite, (a, lo, hi))):
+                raise ValueError(f"basis level at alpha={a} has endpoints [{lo}, {hi}]; all must be finite")
+            if lo > hi:
+                raise ValueError(f"basis level at alpha={a} has lower {lo} > upper {hi}")
+        if rows[0][0] != 0.0 or rows[-1][0] != 1.0:
+            raise ValueError(f"basis alphas must run from 0 to 1, got {rows[0][0]} to {rows[-1][0]}")
+        for (a0, lo0, hi0), (a1, lo1, hi1) in zip(rows, rows[1:]):
+            if not a0 < a1:
+                raise ValueError(f"basis alphas must increase strictly, got {a1} after {a0}")
+            if lo1 < lo0 or hi1 > hi0:
+                raise ValueError(f"basis level at alpha={a1} [{lo1}, {hi1}] leaves [{lo0}, {hi0}] at alpha={a0}")
+        object.__setattr__(self, "levels", rows)
         # the levels nest, so a finite 0-level span keeps every difference
         # that ``level`` takes finite
-        _, lo, hi = self.levels[0]
+        _, lo, hi = rows[0]
         if not math.isfinite(hi - lo):
             raise ValueError(f"basis 0-level [{lo}, {hi}] has a span {hi - lo} that is not a finite double")
 
     @classmethod
     def triangular(cls, a: float, b: float, d: float) -> "BasisNumber":
-        a, b, d = float(a), float(b), float(d)
-        _require_finite("triangular", (a, b, d))
-        if not a <= b <= d:
-            raise ValueError(f"triangular endpoints must satisfy a <= b <= d, got ({a}; {b}; {d})")
         return cls(((0.0, a, d), (1.0, b, b)))
 
     @classmethod
     def trapezoidal(cls, a: float, b: float, c: float, d: float) -> "BasisNumber":
-        a, b, c, d = float(a), float(b), float(c), float(d)
-        _require_finite("trapezoidal", (a, b, c, d))
-        if not a <= b <= c <= d:
-            raise ValueError(
-                f"trapezoidal endpoints must satisfy a <= b <= c <= d, got ({a}; {b}; {c}; {d})"
-            )
         return cls(((0.0, a, d), (1.0, b, c)))
 
     @classmethod
     def tabulated(cls, levels) -> "BasisNumber":
-        """Build a basis from rows ``(alpha, lower, upper)`` covering [0, 1]."""
-        rows = sorted((float(a), float(lo), float(hi)) for a, lo, hi in levels)
-        if len(rows) < 2:
-            raise ValueError("tabulated basis needs at least the 0- and 1-levels")
-        for a, lo, hi in rows:
-            _require_finite("tabulated", (a, lo, hi))
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"tabulated alpha {a} outside [0, 1]")
-            if lo > hi:
-                raise ValueError(f"tabulated level at alpha={a} has lower {lo} > upper {hi}")
-        if rows[0][0] != 0.0 or rows[-1][0] != 1.0:
-            raise ValueError("tabulated grid must include alpha=0 and alpha=1")
-        for (a0, lo0, hi0), (a1, lo1, hi1) in zip(rows, rows[1:]):
-            if a0 == a1:
-                raise ValueError(f"duplicate alpha {a0} in tabulated grid")
-            if lo1 < lo0 or hi1 > hi0:
-                raise ValueError("tabulated levels must nest as alpha increases")
-        return cls(tuple(rows))
+        """Build a basis from rows ``(alpha, lower, upper)`` given in any order."""
+        return cls(tuple(sorted((float(a), float(lo), float(hi)) for a, lo, hi in levels)))
 
     def level(self, alpha: float) -> tuple[float, float]:
         """Endpoints ``[lower(alpha), upper(alpha)]`` of the alpha-level.

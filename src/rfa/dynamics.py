@@ -182,8 +182,19 @@ class Trajectory:
         return map(self.state, range(len(self)))
 
     def attach_bands(self, basis: BasisNumber, alphas) -> "Trajectory":
-        self.alphas = tuple(float(a) for a in alphas)
-        self.bands = {name: _band_array(*self.component(name), basis, self.alphas) for name in self.names}
+        """Attach the alpha-level bands of every variable at ``alphas``.
+
+        A band edge that is not a finite double raises ``OverflowError``
+        naming the variable, the alpha and the first such time.
+        """
+        alphas = tuple(float(a) for a in alphas)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands = {name: _band_array(*self.component(name), basis, alphas) for name in self.names}
+        bad = [~np.isfinite(band) for band in bands.values()]
+        if any(b.any() for b in bad):
+            i, k, j, _ = np.argwhere(np.stack(bad, axis=1))[0]
+            raise OverflowError(f"alpha-band of {self.names[k]} at alpha={alphas[j]} is not finite at t={self.times[i]}")
+        self.alphas, self.bands = alphas, bands
         return self
 
 
@@ -682,7 +693,6 @@ def simulate_system(
     t_span,
     dt: float = 1e-3,
     method: str = "auto",
-    a1: float | None = None,
     basis: BasisNumber | None = None,
 ) -> Trajectory:
     """Run the system named ``system`` (or an alias) and return its trajectory.
@@ -694,16 +704,15 @@ def simulate_system(
     step propagator, on predator-prey as a loop over the complex pair
     ``(x, y)``; both follow the grid and the abort rule of
     ``rk4_integrate``.  Bands are attached afterwards, with
-    ``Trajectory.attach_bands``.  ``linear_psi`` needs the basis 1-level,
-    either as ``a1`` or via the basis.
+    ``Trajectory.attach_bands``.  ``linear_psi`` reads the single point
+    ``a1`` of its 1-level from ``basis``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     record = system_record(system)
-    if record.needs_a1 and a1 is None:
-        if basis is None:
-            raise ValueError(f"{system} needs a1 or a basis with a singleton 1-level")
-        a1 = basis.one_level_value()
+    if record.needs_a1 and basis is None:
+        raise ValueError(f"{system} needs a basis with a single-point 1-level")
+    a1 = basis.one_level_value() if record.needs_a1 else None
     if method == "rk4" or record.closed_form is None:
         if method == "analytic":
             raise ValueError(f"{system} has no analytic solution; use rk4")

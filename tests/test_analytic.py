@@ -233,6 +233,9 @@ def test_path_validation():
         Path.segment(LcNumber(0, 0), LcNumber(1, 0), samples=1)
     with pytest.raises(ValueError):
         Path.polyline([LcNumber(0, 0)])
+    # vertices are elements, as segment's ends are; a tuple is no spelling of one
+    with pytest.raises(TypeError):
+        Path.polyline([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         contour_integral(lambda z: z, Path(points=(LcNumber(0, 0),)))
 

@@ -219,6 +219,24 @@ def test_closed_form_overflow_names_the_flow(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_band_overflow_exits_3_and_writes_nothing(capsys, tmp_path):
+    # the state is finite, but its 0-level edge 1e308 * 1.9 is not
+    cfg = tmp_path / "band.json"
+    cfg.write_text(json.dumps({
+        "system": "oscillator",
+        "basis": "tri(-0.5;0;1.9)",
+        "initial": {"x": "0 + 1e308*A", "y": "0"},
+        "t_span": [0, 1],
+        "dt": 0.01,
+        "plot": "time-series:x",
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", "oscillator", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (3, "", "numeric error: alpha-band of x at alpha=0.0 is not finite at t=0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cross_product_flow_needs_a_point_one_level(capsys, tmp_path):
     cfg = linear_config(tmp_path, system="linear_psi", basis="trap(-0.5;0;0.2;0.8)")
     code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
@@ -274,7 +292,7 @@ def test_plot_variables_are_the_simulated_names():
         assert scenario.system == record.name
         assert record.variables == tuple(key for section, key in record.entries if section == "initial")
         for method in ("auto", "rk4"):
-            traj = rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method=method, a1=0.0)
+            traj = rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method=method, basis=scenario.space.basis)
             assert traj.names == record.variables, (record.name, method)
 
 
@@ -305,7 +323,7 @@ def test_every_spelling_resolves_to_a_record_and_its_methods(spelling):
     analytic = _unit_config(record, system=spelling, method="analytic")
     if record.closed_form is not None:
         assert load_config(analytic).method == "analytic"
-        rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic", a1=0.0)
+        rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic", basis=scenario.space.basis)
         return
     with pytest.raises(ValueError, match="no analytic solution"):
         rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic")
@@ -331,7 +349,7 @@ def test_closed_forms_and_the_simulation_are_reached_through_module_globals(monk
         monkeypatch.setattr(rfa.dynamics, attr, spy)
     params = rfa.LinearParams(rfa.LcNumber(-0.5, 0.8), rfa.LcNumber(2, 2))
     rfa.simulate_system("linear", params, (0.0, 1.0), dt=0.1)
-    rfa.simulate_system("linear_psi", params, (0.0, 1.0), dt=0.1, a1=0.0)
+    rfa.simulate_system("linear_psi", params, (0.0, 1.0), dt=0.1, basis=rfa.BasisNumber.triangular(-0.5, 0, 0.51))
     assert calls == ["solve_linear_analytic", "solve_linear_psi_analytic"]
 
     simulate = presets.simulate_system

@@ -112,6 +112,109 @@ def test_basis_span_must_be_a_finite_double(build):
         build()
 
 
+def _parent_tabulated_accepts(levels) -> bool:
+    """Reference: the row checks the constructors made before the type made them."""
+    rows = sorted((float(a), float(lo), float(hi)) for a, lo, hi in levels)
+    if len(rows) < 2:
+        return False
+    for a, lo, hi in rows:
+        if not all(map(math.isfinite, (a, lo, hi))) or not 0.0 <= a <= 1.0 or lo > hi:
+            return False
+    if rows[0][0] != 0.0 or rows[-1][0] != 1.0:
+        return False
+    for (a0, lo0, hi0), (a1, lo1, hi1) in zip(rows, rows[1:]):
+        if a0 == a1 or lo1 < lo0 or hi1 > hi0:
+            return False
+    # the 0-level span check, which the type made before too
+    return math.isfinite(rows[0][2] - rows[0][1])
+
+
+_ROW_ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.25, 1.5, math.nan, math.inf, -math.inf]),
+    st.floats(0.0, 1.0),
+)
+_ROW_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _basis_rows(draw):
+    """Row lists: nested tables with one entry maybe replaced, or free draws."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(_ROW_ALPHAS, _ROW_EDGES, _ROW_EDGES), max_size=5))
+    n = draw(st.integers(2, 5))
+    alphas = [0.0, *draw(st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2)), 1.0]
+    points = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2 * n, max_size=2 * n)))
+    rows = [list(row) for row in zip(draw(st.permutations(alphas)), points[:n], points[n:][::-1])]
+    if draw(st.booleans()):
+        # NaN, an infinity, a duplicate alpha, an inverted level or one that does not nest
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        rows[i][k] = draw(_ROW_ALPHAS if k == 0 else _ROW_EDGES)
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_basis_rows(), st.lists(st.floats(0.0, 1.0), max_size=6))
+@example([(0.0, 1.0, 0.0), (1.0, 5.0, 5.0)], [0.5])
+@example([(1.0, 5.0, 5.0), (0.0, 0.0, 10.0)], [0.5])
+def test_basis_accepts_exactly_the_tables_the_constructor_checks_accepted(levels, alphas):
+    rows = sorted((float(a), float(lo), float(hi)) for a, lo, hi in levels)
+    if not _parent_tabulated_accepts(levels):
+        with pytest.raises(ValueError):
+            BasisNumber(tuple(rows))
+        with pytest.raises(ValueError):
+            BasisNumber.tabulated(levels)
+        return
+    basis = BasisNumber(tuple(rows))
+    assert basis == BasisNumber.tabulated(levels)
+    if list(levels) != rows:
+        with pytest.raises(ValueError, match="must increase strictly|must run from 0 to 1"):
+            BasisNumber(tuple(levels))
+    cuts = [basis.level(alpha) for alpha in sorted({0.0, 1.0, *alphas, *(a for a, _, _ in rows)})]
+    for lo, hi in cuts:
+        assert lo <= hi
+    for (lo0, hi0), (lo1, hi1) in zip(cuts, cuts[1:]):
+        assert lo0 <= lo1 and hi1 <= hi0
+
+
+def test_basis_refuses_tables_built_directly():
+    # level(0.5) was the inverted interval (3.0, 2.5)
+    with pytest.raises(ValueError, match=r"alpha=0.0 has lower 1.0 > upper 0.0"):
+        BasisNumber(((0.0, 1.0, 0.0), (1.0, 5.0, 5.0)))
+    # level raised IndexError on rows out of order
+    with pytest.raises(ValueError, match="must run from 0 to 1"):
+        BasisNumber(((1.0, 5.0, 5.0), (0.0, 0.0, 10.0)))
+    with pytest.raises(ValueError, match=r"alpha=1.0 \[-2.0, 0.0\] leaves \[-1.0, 1.0\] at alpha=0.0"):
+        BasisNumber(((0.0, -1.0, 1.0), (1.0, -2.0, 0.0)))
+    with pytest.raises(ValueError, match="must increase strictly"):
+        BasisNumber(((0.0, -1.0, 1.0), (0.0, -1.0, 1.0), (1.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="all must be finite"):
+        BasisNumber(((0.0, -1.0, math.nan), (1.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="at least its 0- and 1-levels"):
+        BasisNumber(((0.0, -1.0, 1.0),))
+    basis = BasisNumber(((0, -1, 2), (1, 0, 0)))
+    assert basis.levels == ((0.0, -1.0, 2.0), (1.0, 0.0, 0.0))
+    assert all(type(x) is float for row in basis.levels for x in row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ROW_EDGES, min_size=3, max_size=4))
+def test_triangular_and_trapezoidal_accept_what_their_own_checks_accepted(values):
+    build = BasisNumber.triangular if len(values) == 3 else BasisNumber.trapezoidal
+    accepted = (
+        all(map(math.isfinite, values))
+        and values == sorted(values)
+        and math.isfinite(values[-1] - values[0])
+    )
+    if accepted:
+        build(*values)
+    else:
+        with pytest.raises(ValueError):
+            build(*values)
+
+
 def test_tabulated_interpolation_is_linear():
     table = BasisNumber.tabulated([(0.0, -2.0, 4.0), (1.0, 0.0, 0.0)])
     tri = BasisNumber.triangular(-2, 0, 4)

@@ -51,6 +51,8 @@ from rfa.cli import PRESETS, preset_config, run_scenario
 from helpers import as_complex, assert_components, assert_matches_complex
 
 DECAY_BASIS = BasisNumber.triangular(-0.5, 0, 0.51)
+# its 1-level is the point a1 = 0.3
+ONE_LEVEL_03 = BasisNumber.triangular(-1.0, 0.3, 1.0)
 
 
 def lv_paper_params() -> LvParams:
@@ -489,7 +491,7 @@ def test_simulate_validates():
         simulate_system("unknown", params, (0.0, 1.0))
     with pytest.raises(ValueError):
         simulate_system("oscillator", OscillatorParams(LcNumber(1, 0), LcNumber(1, 0)), (0.0, 1.0), method="analytic")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="linear_psi needs a basis with a single-point 1-level"):
         simulate_system("linear_psi", params, (0.0, 1.0))
 
 
@@ -498,11 +500,23 @@ def test_simulate_validates():
 )
 def test_simulate_system_takes_the_aliases(alias, name):
     params = lv_paper_params() if name == "lotka_volterra" else LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))
-    got = simulate_system(alias, params, (0.0, 0.5), dt=1e-2, a1=0.0)
-    want = simulate_system(name, params, (0.0, 0.5), dt=1e-2, a1=0.0)
+    got = simulate_system(alias, params, (0.0, 0.5), dt=1e-2, basis=DECAY_BASIS)
+    want = simulate_system(name, params, (0.0, 0.5), dt=1e-2, basis=DECAY_BASIS)
     assert got.names == want.names
     assert np.array_equal(got.times.view(np.uint64), want.times.view(np.uint64))
     assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+def test_attach_bands_refuses_an_edge_that_is_not_finite():
+    # y's fuzzy part 1e308 is finite; its 0-level edge 1.9e308 is not, its 0.5-level edge 0.95e308 is
+    traj = Trajectory([0.0, 0.5, 1.0], ("x", "y"), [[1, 0, 1, 0], [1, 0, 0, 1e308], [1, 1e308, 0, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^alpha-band of y at alpha=0.0 is not finite at t=0.5$"):
+            traj.attach_bands(BasisNumber.triangular(-0.5, 0, 1.9), (1.0, 0.5, 0.0))
+    assert traj.alphas is None and traj.bands is None
+    traj.attach_bands(BasisNumber.triangular(-0.5, 0, 1.9), (1.0, 0.5))
+    assert np.isfinite(traj.bands["y"]).all()
 
 
 def test_simulate_attaches_nested_bands():
@@ -583,7 +597,7 @@ def _linear_kernel_case(system: str):
     p = LinearParams(LcNumber(0.5, 1.0), LcNumber(2, 2))
     matrix = realify_linear(p.lmbda) if system == "linear" else realify_linear_psi(p.lmbda, 0.3)
     return (
-        lambda span: simulate_system(system, p, span, dt=1e-3, method="rk4", a1=0.3).coeffs,
+        lambda span: simulate_system(system, p, span, dt=1e-3, method="rk4", basis=ONE_LEVEL_03).coeffs,
         lambda span: rk4_integrate(matrix_field(matrix), (p.w0.re, p.w0.fu), span, 1e-3)[1],
     )
 
@@ -673,7 +687,7 @@ def test_propagator_aborts_where_stage_by_stage_rk4_does(system, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationAbort) as kernel:
-            simulate_system(system, params, span, dt=dt, method="rk4", a1=0.3)
+            simulate_system(system, params, span, dt=dt, method="rk4", basis=ONE_LEVEL_03)
     assert kernel.value.t == generic.value.t
 
 
