@@ -27,6 +27,7 @@ from .core import (
     _each,
     _join,
     _prod,
+    _rect,
     _sum,
     _to_polar_batch,
     _wrap,
@@ -68,8 +69,7 @@ def exp_rfa(z: LcNumber) -> LcNumber:
 
 def _exp_rfa_batch(z):
     """``exp_rfa`` per entry of an ``(re, fu)`` array pair (see ``rfa.core._each``)."""
-    scale = _each(math.exp, z[0])
-    return scale * _each(math.cos, z[1]), scale * _each(math.sin, z[1])
+    return _rect(_each(math.exp, z[0]), z[1])
 
 
 def log_rfa(z: LcNumber, n: int = 0) -> LcNumber:

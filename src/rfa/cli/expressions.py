@@ -112,6 +112,8 @@ def _crisp_constant(value, what: str, pos: int) -> float:
 def _power(lhs: LcNumber, rhs: LcNumber, pos: int) -> LcNumber:
     if rhs.fu != 0.0:
         raise ExprError("exponent must be crisp", pos)
+    if not math.isfinite(rhs.re):
+        raise ValueError(f"exponent {rhs.re} is not a finite number")
     if rhs.re == int(rhs.re):
         return pow_int(lhs, int(rhs.re))
     return pow_real(lhs, rhs.re)
@@ -125,6 +127,8 @@ def _power_batch(lhs, rhs, pos: int):
 
 
 def _log_branch(z: LcNumber, branch: LcNumber, pos: int) -> LcNumber:
+    if branch.fu == 0.0 and not math.isfinite(branch.re):
+        raise ValueError(f"log branch {branch.re} is not a finite number")
     if branch.fu != 0.0 or branch.re != int(branch.re):
         raise ExprError("log branch must be a crisp integer", pos)
     return log_rfa(z, int(branch.re))

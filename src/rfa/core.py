@@ -12,11 +12,11 @@ materialise alpha-cuts, the sup metric and exports.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -145,24 +145,44 @@ def _quotient(num: complex, den: complex) -> complex:
 # Array twins.  A ``*_batch`` function takes and returns elements as
 # ``(re, fu)`` pairs of float64 arrays, one entry per sample, and rounds
 # every entry as its scalar original rounds that element: ``+ - * /`` are
-# numpy ufuncs in CPython's operand order, and transcendentals are
-# ``math`` calls per element (numpy's own kernels round differently, and
-# which one runs depends on the CPU).  Where the original raises, or takes
-# a branch the twin does not reproduce, the twin raises ``ArithmeticError``
-# or ``ValueError`` and the caller replays the samples one by one.
+# numpy ufuncs in CPython's operand order, and transcendentals are one
+# libm call per element through ``math`` or ``cmath`` (numpy's own kernels
+# round differently, and which one runs depends on the CPU).  A power is
+# ``math.pow``, the libm ``pow`` that float ``**`` calls; ``m*cos(t),
+# m*sin(t)`` is ``cmath.rect``, which computes exactly that for finite
+# operands only (``_rect``).  Where the original raises, or takes a branch
+# the twin does not reproduce, the twin raises ``ArithmeticError`` or
+# ``ValueError`` and the caller replays the samples one by one.
 
 
 # entries per block in ``_each``, which bounds its lists of Python floats
 _EACH_BLOCK = 4096
 
 
-def _each(fn, *arrays: np.ndarray) -> np.ndarray:
+def _each(fn, *arrays: np.ndarray, dtype=np.float64) -> np.ndarray:
     """``fn`` applied to the arrays' entries as Python floats, a block at a time."""
-    out = np.empty(len(arrays[0]))
+    out = np.empty(len(arrays[0]), dtype)
     for i in range(0, len(out), _EACH_BLOCK):
         block = [a[i : i + _EACH_BLOCK].tolist() for a in arrays]
-        out[i : i + _EACH_BLOCK] = np.fromiter(map(fn, *block), np.float64, len(block[0]))
+        out[i : i + _EACH_BLOCK] = np.fromiter(map(fn, *block), dtype, len(block[0]))
     return out
+
+
+def _pow_each(base: np.ndarray, e: float) -> np.ndarray:
+    """``base ** e`` per entry, with ``math.pow`` over a repeated exponent."""
+    return _each(math.pow, base, np.full(len(base), e))
+
+
+def _rect(m: np.ndarray, angle: np.ndarray):
+    """``(m * cos(angle), m * sin(angle))`` per entry, one ``cmath.rect`` call each.
+
+    ``cmath.rect`` takes its own special-value table for an infinite or
+    NaN operand, so any such entry raises ``ValueError`` instead.
+    """
+    if not (np.isfinite(m).all() and np.isfinite(angle).all()):
+        raise ValueError("rect of a modulus or angle that is not finite")
+    z = _each(cmath.rect, m, angle, dtype=np.complex128)
+    return z.real, z.imag
 
 
 def _join(re: np.ndarray, fu: np.ndarray) -> np.ndarray:
@@ -375,9 +395,7 @@ def _pow_int_batch(z, n: int):
     if n > 1:
         # a zero entry has modulus 0 here; its result is replaced below
         modulus, arg = _polar_parts(z)
-        m = _each(partial(pow, exp=n), modulus)
-        angle = float(n) * arg
-        power = m * _each(math.cos, angle), m * _each(math.sin, angle)
+        power = _rect(_pow_each(modulus, float(n)), float(n) * arg)
     return np.where(zero, 0.0, power[0]), np.where(zero, 0.0, power[1])
 
 
@@ -402,9 +420,7 @@ def _nth_root_batch(z, n: int, branch: int = 0):
     """``nth_root`` per entry, for an order ``n >= 1``."""
     modulus, arg = _to_polar_batch(z)
     k = branch % n
-    m = _each(partial(pow, exp=1.0 / n), modulus)
-    ang = (arg + 2.0 * math.pi * k) / n
-    return m * _each(math.cos, ang), m * _each(math.sin, ang)
+    return _rect(_pow_each(modulus, 1.0 / n), (arg + 2.0 * math.pi * k) / n)
 
 
 @dataclass(frozen=True)

@@ -643,6 +643,21 @@ def test_exp_of_an_infinite_fuzzy_part_names_the_exponential(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr, cause",
+    [
+        ("(1+A)^(1e308*10)", "exponent inf is not a finite number"),
+        ("(1+A)^((1e308*10)-(1e308*10))", "exponent nan is not a finite number"),
+        ("log(1+A, 1e308*10)", "log branch inf is not a finite number"),
+        ("log(1+A, -1e308*10)", "log branch -inf is not a finite number"),
+    ],
+)
+def test_non_finite_exponent_or_log_branch_is_named(capsys, expr, cause):
+    assert run(capsys, "eval", expr) == (3, "", f"numeric error: {cause}\n")
+    integrand = expr.replace("1+A", "z")
+    assert run(capsys, "integrate", integrand, "--path", "1, 2", "--samples", "11") == (3, "", f"numeric error: {cause}\n")
+
+
+@pytest.mark.parametrize(
     "expr, residual", [("norm(z)", "cr_residual2 is not finite: inf"), ("exp(z*A)", "cr_residual1 is not finite: nan")]
 )
 def test_derive_refuses_a_non_finite_residual(capsys, expr, residual):

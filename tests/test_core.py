@@ -2,10 +2,12 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfa import core
 from rfa import (
     AlphaBand,
     BasisNumber,
@@ -382,6 +384,46 @@ def test_nth_root_branches():
         nth_root(LcNumber(0, 0), 2)
     with pytest.raises(ValueError):
         nth_root(z, 0)
+
+
+# signed zeros, subnormals, the edges of the normal range, values near
+# overflow and the non-finite doubles, besides any double at all
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-160,
+                     1.3407807929942596e154, 1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+def _outcome(fn):
+    try:
+        return [x.hex() for x in fn()]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    st.lists(_EDGE_FLOATS.map(lambda x: x if x == 0.0 else abs(x)), min_size=1, max_size=8),
+    st.one_of(st.integers(1, 3000), st.integers(1, 60).map(lambda n: 1.0 / n)),
+)
+def test_pow_each_is_the_builtin_power_bit_for_bit(bases, e):
+    # the exponents of pow_int and nth_root, over moduli and a signed zero
+    got = _outcome(lambda: core._pow_each(np.array(bases), float(e)).tolist())
+    assert got == _outcome(lambda: [pow(b, e) for b in bases])
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=8))
+def test_rect_is_the_polar_product_bit_for_bit(pairs):
+    m, angle = (np.array(column) for column in zip(*pairs))
+    if not all(map(math.isfinite, m.tolist() + angle.tolist())):
+        with pytest.raises(ValueError):
+            core._rect(m, angle)
+        return
+    re, fu = core._rect(m, angle)
+    expected = [(r * math.cos(t), r * math.sin(t)) for r, t in pairs]
+    assert [(x.hex(), y.hex()) for x, y in zip(re.tolist(), fu.tolist())] == [(x.hex(), y.hex()) for x, y in expected]
 
 
 def test_alpha_cut_examples():

@@ -294,6 +294,13 @@ def _outcome(fn):
 @example("log(z, z)", [1 + 0j, 3 + 0j], 1.0, 3, "trapezoid", 0.0)
 @example("(z)^-0.5", [complex(2.0, -0.0), 3 + 0j, 1j], 1.0, 9, "trapezoid", 0.0)
 @example("((z * exp(z)) / (k - z))", [0.5 - 1.5j, -1 + 0.5j], 1.0, 12, "simpson", 0.0)
+# hypot and exp return inf without raising: the modulus of z overflows on
+# the later samples, the real part of k * z on all of them
+@example("sqrt(z)", [1e308 + 1e308j, 1.7e308 + 1.7e308j], 1.0, 5, "trapezoid", 0.0)
+@example("(z)^2", [1e308 + 1e308j, 1.7e308 + 1.7e308j], 1.0, 5, "trapezoid", 0.0)
+@example("exp((k * z))", [1e308 + 1e308j, 1.4e308 + 1.4e308j], 1.0, 5, "simpson", 0.0)
+# cmath.rect(inf, 0.0) is (inf, 0.0) where inf * sin(0.0) is nan
+@example("exp((z * 2))", [1e308 + 0j, 1.5e308 + 0j], 1.0, 5, "trapezoid", 0.0)
 def test_array_evaluation_matches_the_closures_bit_for_bit(expr, vertices, scale, samples, scheme, a1):
     env = {"k": LcNumber(0.75, -1.25)}
     path = Path.polyline([LcNumber(v.real * scale, v.imag * scale) for v in vertices], samples)
@@ -338,13 +345,23 @@ def _integrate(monkeypatch, *argv):
     return code, out.getvalue() + err.getvalue(), len(calls)
 
 
+_POLYNOMIAL = ("c2*z^2 + c1*z + c0", "--bind", "c2=0.3 - 1.1*A", "--bind", "c1=-0.6 + 0.25*A",
+               "--bind", "c0=1.5 + 0.4*A")
+
+
 def test_integrate_takes_the_array_pass(monkeypatch):
-    code, text, calls = _integrate(
-        monkeypatch, "k*exp(c*z)", "--path", "-1+0.5*A, 0.7-0.2*A, 1.2+1*A",
-        "--bind", "k=1.2 - 0.4*A", "--bind", "c=0.8 + 0.3*A", "--scheme", "simpson",
-    )
-    # the digits the per-sample closures print for this command
-    assert (code, text, calls) == (0, "2.062633966618707 + 1.6354181208869754*A\n", 0)
+    # a guard in the array pass that raised on these would keep every digit
+    # and replay all 10001 samples; the digits are the per-sample closures'
+    path = ("--path", "-1+0.5*A, 0.7-0.2*A, 1.2+1*A")
+    runs = {
+        ("k*exp(c*z)", *path, "--bind", "k=1.2 - 0.4*A", "--bind", "c=0.8 + 0.3*A", "--scheme", "simpson"):
+            "2.062633966618707 + 1.6354181208869754*A\n",
+        (*_POLYNOMIAL, *path, "--scheme", "trapezoid"): "3.3189666248139886 + 1.360483331426773*A\n",
+        (*_POLYNOMIAL, *path, "--scheme", "simpson"): "3.3189666666666664 + 1.3604833333333335*A\n",
+        ("sqrt(z)", *path, "--scheme", "simpson"): "1.161473884514942 + 1.7289019868205207*A\n",
+    }
+    for argv, digits in runs.items():
+        assert _integrate(monkeypatch, *argv) == (0, digits, 0), argv
 
 
 def test_integrate_replays_every_sample_when_the_array_pass_raises(monkeypatch):
