@@ -25,14 +25,16 @@ from .core import (
     _as_complex,
     _difference,
     _each,
+    _has_zero,
     _join,
+    _parts,
+    _polar_parts,
     _prod,
     _rect,
+    _show,
     _sum,
-    _to_polar_batch,
     _wrap,
     norm_phi,
-    to_polar,
 )
 
 __all__ = [
@@ -51,51 +53,46 @@ __all__ = [
 MapLike = Callable[[LcNumber], LcNumber]
 
 
+def _exp(z):
+    try:
+        return _rect(_each(math.exp, z[0]), z[1])
+    except OverflowError as exc:
+        raise OverflowError(f"exp({_show(z)}) is out of range") from exc
+    except ValueError as exc:  # math.cos of an infinite angle
+        raise ValueError(f"exp({_show(z)}) is undefined: its fuzzy part is infinite") from exc
+
+
 def exp_rfa(z: LcNumber) -> LcNumber:
     """Exponential by the Euler-type formula ``e^re * (cos fu + sin fu * A)``.
 
     An ``e^re`` beyond the double range raises ``OverflowError``, and an
     infinite ``fu`` ``ValueError``, each naming the argument.
     """
-    try:
-        scale = math.exp(z.re)
-        cos, sin = math.cos(z.fu), math.sin(z.fu)
-    except OverflowError as exc:
-        raise OverflowError(f"exp({z!r}) is out of range") from exc
-    except ValueError as exc:  # math.cos of an infinite angle
-        raise ValueError(f"exp({z!r}) is undefined: its fuzzy part is infinite") from exc
-    return LcNumber(scale * cos, scale * sin)
+    return _wrap(complex(*_exp(_parts(z))))
 
 
-def _exp_rfa_batch(z):
-    """``exp_rfa`` per entry of an ``(re, fu)`` array pair (see ``rfa.core._each``)."""
-    return _rect(_each(math.exp, z[0]), z[1])
+def _log(z, n: int = 0):
+    if _has_zero(z):
+        raise ValueError("logarithm of the zero element is undefined")
+    modulus, arg = _polar_parts(z)
+    return _each(math.log, modulus), arg + 2.0 * math.pi * n
 
 
 def log_rfa(z: LcNumber, n: int = 0) -> LcNumber:
     """Logarithm branch ``n``: ``(ln ||z||, arg z + 2*pi*n)``."""
-    if z.is_zero():
-        raise ValueError("logarithm of the zero element is undefined")
-    p = to_polar(z)
-    return LcNumber(math.log(p.modulus), p.argument + 2.0 * math.pi * n)
+    return _wrap(complex(*_log(_parts(z), n)))
 
 
-def _log_rfa_batch(z, n: int = 0):
-    """``log_rfa`` per entry."""
-    modulus, arg = _to_polar_batch(z)
-    return _each(math.log, modulus), arg + 2.0 * math.pi * n
+def _pow_real(z, a: float):
+    """``exp(a * log z)``; the real ``a`` multiplies as ``(a, 0)``, zero terms included."""
+    if _has_zero(z):
+        raise ValueError("real power of the zero element is undefined")
+    return _exp(_prod(_log(z, 0), (float(a), 0.0)))
 
 
 def pow_real(z: LcNumber, a: float) -> LcNumber:
     """Real power through the principal logarithm: ``exp(a * log z)``."""
-    if z.is_zero():
-        raise ValueError("real power of the zero element is undefined")
-    return exp_rfa(float(a) * log_rfa(z, 0))
-
-
-def _pow_real_batch(z, a: float):
-    """``pow_real`` per entry; the real ``a`` multiplies as ``(a, 0)``, zero terms included."""
-    return _exp_rfa_batch(_prod(_log_rfa_batch(z, 0), (float(a), 0.0)))
+    return _wrap(complex(*_pow_real(_parts(z), a)))
 
 
 def poly_eval(coeffs, z: LcNumber) -> LcNumber:
@@ -339,7 +336,7 @@ def solve_linear_mapping_ode(
         return exp_rfa(b * (zeta - z0)) * f(zeta)
 
     def kernel_batch(zeta):
-        scale = _exp_rfa_batch(_prod((b.re, b.fu), _difference((zeta.real, zeta.imag), (z0.re, z0.fu))))
+        scale = _exp(_prod((b.re, b.fu), _difference((zeta.real, zeta.imag), (z0.re, z0.fu))))
         values = _evaluate(f, zeta)
         return _join(*_prod(scale, (values.real, values.imag)))
 

@@ -22,30 +22,29 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import astuple
 from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from ..analytic import _exp_rfa_batch, _log_rfa_batch, _pow_real_batch, exp_rfa, log_rfa, pow_real
+from ..analytic import _exp, _log, _pow_real, exp_rfa, log_rfa
 from ..core import (
     LcNumber,
     _as_complex,
     _difference,
     _each,
     _join,
-    _nth_root_batch,
-    _pow_int_batch,
+    _nth_root,
+    _parts,
+    _polar,
+    _pow_int,
     _prod,
-    _quotient_batch,
+    _quotient,
     _sum,
-    _to_polar_batch,
+    _wrap,
     conjugate,
     norm_phi,
     nth_root,
-    pow_int,
-    to_polar,
 )
 from ..dynamics import _cross_product_psi_parts, cross_product_psi
 
@@ -96,49 +95,43 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _crisp_constant(value, what: str, pos: int) -> float:
-    """The one finite real that every sample of ``value`` holds.
+def _constant(value, what: str, pos: int) -> tuple[float, float]:
+    """The ``(re, fu)`` floats of an operand: an element's own, or those every sample holds.
 
-    Anything else raises, and the per-sample evaluation decides the
+    Samples that differ raise, and the per-sample evaluation decides the
     outcome sample by sample.
     """
     re, fu = value
-    x = float(re[0])
-    if fu.any() or not (re == x).all() or not math.isfinite(x):
-        raise ExprError(f"{what} is not the same finite crisp number at every sample", pos)
-    return x
+    if isinstance(re, np.ndarray):
+        if not ((re == re[0]).all() and (fu == fu[0]).all()):
+            raise ExprError(f"{what} is not the same number at every sample", pos)
+        re, fu = float(re[0]), float(fu[0])
+    return re, fu
 
 
-def _power(lhs: LcNumber, rhs: LcNumber, pos: int) -> LcNumber:
-    if rhs.fu != 0.0:
+def _power(lhs, rhs, pos: int):
+    x, fu = _constant(rhs, "exponent", pos)
+    if fu != 0.0:
         raise ExprError("exponent must be crisp", pos)
-    if not math.isfinite(rhs.re):
-        raise ValueError(f"exponent {rhs.re} is not a finite number")
-    if rhs.re == int(rhs.re):
-        return pow_int(lhs, int(rhs.re))
-    return pow_real(lhs, rhs.re)
-
-
-def _power_batch(lhs, rhs, pos: int):
-    x = _crisp_constant(rhs, "exponent", pos)
+    if not math.isfinite(x):
+        raise ValueError(f"exponent {x} is not a finite number")
     if x == int(x):
-        return _pow_int_batch(lhs, int(x))
-    return _pow_real_batch(lhs, x)
+        return _pow_int(lhs, int(x))
+    return _pow_real(lhs, x)
 
 
-def _log_branch(z: LcNumber, branch: LcNumber, pos: int) -> LcNumber:
-    if branch.fu == 0.0 and not math.isfinite(branch.re):
-        raise ValueError(f"log branch {branch.re} is not a finite number")
-    if branch.fu != 0.0 or branch.re != int(branch.re):
+def _log_branch(z, branch, pos: int):
+    k, fu = _constant(branch, "log branch", pos)
+    if fu == 0.0 and not math.isfinite(k):
+        raise ValueError(f"log branch {k} is not a finite number")
+    if fu != 0.0 or k != int(k):
         raise ExprError("log branch must be a crisp integer", pos)
-    return log_rfa(z, int(branch.re))
+    return _log(z, int(k))
 
 
-def _log_branch_batch(z, branch, pos: int):
-    k = _crisp_constant(branch, "log branch", pos)
-    if k != int(k):
-        raise ExprError("log branch must be a crisp integer", pos)
-    return _log_rfa_batch(z, int(k))
+def _on_elements(kernel):
+    """``kernel`` over elements: each operand as its ``(re, fu)`` floats, the result an element."""
+    return lambda *operands, **options: _wrap(complex(*kernel(*map(_parts, operands), **options)))
 
 
 def _broadcast(value, n: int):
@@ -148,34 +141,35 @@ def _broadcast(value, n: int):
 
 
 # the same operations on elements and on ``(re, fu)`` pairs of float64
-# arrays, keyed by operator symbol, function name or node kind
+# arrays, keyed by operator symbol, function name or node kind: the element
+# kernels themselves over ``_ARRAY``, their element wrappers over ``_SCALAR``
 _SCALAR = {
     "const": lambda z, n: z,
     "neg": operator.neg,
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "^": _power,
-    "log_branch": _log_branch,
+    "^": _on_elements(_power),
+    "log_branch": _on_elements(_log_branch),
     "psi_mul": cross_product_psi,
     "exp": exp_rfa,
     "log": log_rfa,
     "sqrt": lambda z: nth_root(z, 2, 0),
     "conj": conjugate,
     "norm": lambda z: LcNumber(norm_phi(z), 0.0),
-    "polar": lambda z: LcNumber(*astuple(to_polar(z))),
+    "polar": _on_elements(_polar),
 }
 _ARRAY = {
     "const": _broadcast,
     "neg": lambda z: (-z[0], -z[1]),
-    "+": _sum, "-": _difference, "*": _prod, "/": _quotient_batch,
-    "^": _power_batch,
-    "log_branch": _log_branch_batch,
+    "+": _sum, "-": _difference, "*": _prod, "/": _quotient,
+    "^": _power,
+    "log_branch": _log_branch,
     "psi_mul": _cross_product_psi_parts,
-    "exp": _exp_rfa_batch,
-    "log": _log_rfa_batch,
-    "sqrt": lambda z: _nth_root_batch(z, 2, 0),
+    "exp": _exp,
+    "log": _log,
+    "sqrt": lambda z: _nth_root(z, 2, 0),
     "conj": lambda z: (z[0], -z[1]),
     "norm": lambda z: (_each(math.hypot, *z), np.zeros_like(z[0])),
-    "polar": _to_polar_batch,
+    "polar": _polar,
 }
 # the names the grammar calls; ``log`` with a second argument is ``log_branch``
 _FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul")

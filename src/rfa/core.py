@@ -16,6 +16,7 @@ import cmath
 import math
 import operator
 from bisect import bisect_right
+from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,53 +137,76 @@ def is_asymmetric(basis: BasisNumber) -> bool:
     return any(abs((lo * 0.5 + hi * 0.5) - base) > _ASYMMETRY_EPS * 0.5 for _, lo, hi in rest)
 
 
-def _quotient(num: complex, den: complex) -> complex:
+def _divide(num: complex, den: complex) -> complex:
+    """The complex quotient behind ``LcNumber``'s ``/``; the zero element refuses."""
     if not den:
         raise ZeroDivisionError("division by the zero element")
     return num / den
 
 
-# Array twins.  A ``*_batch`` function takes and returns elements as
-# ``(re, fu)`` pairs of float64 arrays, one entry per sample, and rounds
-# every entry as its scalar original rounds that element: ``+ - * /`` are
-# numpy ufuncs in CPython's operand order, and transcendentals are one
-# libm call per element through ``math`` or ``cmath`` (numpy's own kernels
-# round differently, and which one runs depends on the CPU).  A power is
-# ``math.pow``, the libm ``pow`` that float ``**`` calls; ``m*cos(t),
-# m*sin(t)`` is ``cmath.rect``, which computes exactly that for finite
-# operands only (``_rect``).  Where the original raises, or takes a branch
-# the twin does not reproduce, the twin raises ``ArithmeticError`` or
-# ``ValueError`` and the caller replays the samples one by one.
+# Element kernels.  Each is written once, over elements as ``(re, fu)``
+# pairs whose parts are Python floats (one element) or float64 arrays (one
+# entry per sample), and rounds every entry as it rounds that element:
+# ``+ - * /`` on arrays are ufuncs in CPython's operand order, and a
+# transcendental is one libm call per entry through ``math`` (numpy's own
+# kernels round differently, and which one runs depends on the CPU).  Only
+# ``_each``, ``_rect``, ``_select``, ``_has_zero`` and ``_quotient`` tell
+# floats from arrays, by ``isinstance(x, np.ndarray)``.  Where the float
+# path raises, or takes a branch the array path does not reproduce, the
+# array path raises ``ArithmeticError`` or ``ValueError`` and the caller
+# replays the samples one by one.
 
 
 # entries per block in ``_each``, which bounds its lists of Python floats
 _EACH_BLOCK = 4096
 
 
-def _each(fn, *arrays: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """``fn`` applied to the arrays' entries as Python floats, a block at a time."""
-    out = np.empty(len(arrays[0]), dtype)
+def _each(fn, *args, dtype=np.float64):
+    """``fn(*args)`` per entry: the plain call when the first is a float.
+
+    On arrays ``fn`` maps over the entries as Python floats, a block at a
+    time, and a float argument is repeated for every entry.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    out = np.empty(len(args[0]), dtype)
     for i in range(0, len(out), _EACH_BLOCK):
-        block = [a[i : i + _EACH_BLOCK].tolist() for a in arrays]
+        block = [a[i : i + _EACH_BLOCK].tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
         out[i : i + _EACH_BLOCK] = np.fromiter(map(fn, *block), dtype, len(block[0]))
     return out
 
 
-def _pow_each(base: np.ndarray, e: float) -> np.ndarray:
-    """``base ** e`` per entry, with ``math.pow`` over a repeated exponent."""
-    return _each(math.pow, base, np.full(len(base), e))
+def _rect(m, angle):
+    """``(m * cos(angle), m * sin(angle))`` per entry.
 
-
-def _rect(m: np.ndarray, angle: np.ndarray):
-    """``(m * cos(angle), m * sin(angle))`` per entry, one ``cmath.rect`` call each.
-
-    ``cmath.rect`` takes its own special-value table for an infinite or
-    NaN operand, so any such entry raises ``ValueError`` instead.
+    On arrays each entry is one ``cmath.rect`` call, which computes exactly
+    that for finite operands only, so a non-finite entry raises
+    ``FloatingPointError``.
     """
+    if not isinstance(m, np.ndarray):
+        return m * math.cos(angle), m * math.sin(angle)
     if not (np.isfinite(m).all() and np.isfinite(angle).all()):
-        raise ValueError("rect of a modulus or angle that is not finite")
+        raise FloatingPointError("rect of a modulus or angle that is not finite")
     z = _each(cmath.rect, m, angle, dtype=np.complex128)
     return z.real, z.imag
+
+
+def _select(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``: per entry on arrays."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _is_zero(z):
+    """Whether each entry is the zero element: a bool, or a mask over arrays."""
+    return (z[0] == 0.0) & (z[1] == 0.0)
+
+
+def _has_zero(z) -> bool:
+    """Whether any entry is the zero element."""
+    zero = _is_zero(z)
+    return zero.any() if isinstance(zero, np.ndarray) else zero
 
 
 def _join(re: np.ndarray, fu: np.ndarray) -> np.ndarray:
@@ -191,10 +215,6 @@ def _join(re: np.ndarray, fu: np.ndarray) -> np.ndarray:
     out.real = re
     out.imag = fu
     return out
-
-
-def _is_zero(z) -> np.ndarray:
-    return (z[0] == 0.0) & (z[1] == 0.0)
 
 
 def _sum(a, b):
@@ -210,16 +230,19 @@ def _prod(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _quotient_batch(num, den):
-    """``_quotient`` per entry: CPython 3.11's ``_Py_c_quot``.
+def _quotient(num, den):
+    """``num / den`` per entry, as CPython 3.11's ``_Py_c_quot`` rounds it.
 
-    Numerator and denominator are divided through by the larger part of
-    the denominator (Smith's method), each branch chosen by a mask; a NaN
-    part takes neither branch and gives NaN.
+    On arrays numerator and denominator are divided through by the larger
+    part of the denominator (Smith's method), each branch chosen by a mask;
+    a NaN part takes neither branch and gives NaN.
     """
-    if _is_zero(den).any():
+    if _has_zero(den):
         raise ZeroDivisionError("division by the zero element")
     (a_re, a_fu), (b_re, b_fu) = num, den
+    if not isinstance(b_re, np.ndarray):
+        q = complex(a_re, a_fu) / complex(b_re, b_fu)
+        return q.real, q.imag
     abs_re, abs_fu = np.abs(b_re), np.abs(b_fu)
     by_re = abs_re >= abs_fu
     by_fu = ~by_re & (abs_fu >= abs_re)
@@ -232,6 +255,11 @@ def _quotient_batch(num, den):
     re = np.where(by_fu, (a_re * ratio + a_fu) / denom, re)
     fu = np.where(by_fu, (a_fu * ratio - a_re) / denom, fu)
     return re, fu
+
+
+def _show(z) -> str:
+    """An element's ``repr`` from its parts."""
+    return f"LcNumber({z[0]!r}, {z[1]!r})"
 
 
 class LcNumber:
@@ -265,8 +293,8 @@ class LcNumber:
     __sub__ = _arithmetic(operator.sub)
     __rsub__ = _arithmetic(lambda z, other: other - z)
     __mul__ = __rmul__ = _arithmetic(operator.mul)
-    __truediv__ = _arithmetic(_quotient)
-    __rtruediv__ = _arithmetic(lambda z, other: _quotient(other, z))
+    __truediv__ = _arithmetic(_divide)
+    __rtruediv__ = _arithmetic(lambda z, other: _divide(other, z))
     del _arithmetic
 
     def __neg__(self):
@@ -283,11 +311,8 @@ class LcNumber:
     def __hash__(self):
         return hash(self._z)
 
-    def is_zero(self) -> bool:
-        return not self._z
-
     def __repr__(self):
-        return f"LcNumber({self.re!r}, {self.fu!r})"
+        return _show(_parts(self))
 
 
 def _wrap(value: complex) -> LcNumber:
@@ -295,6 +320,10 @@ def _wrap(value: complex) -> LcNumber:
     z = object.__new__(LcNumber)
     z._z = value
     return z
+
+
+# an element as the ``(re, fu)`` floats that the kernels take
+_parts = operator.attrgetter("_z.real", "_z.imag")
 
 
 def _as_complex(value):
@@ -328,32 +357,50 @@ class PolarForm:
     argument: float
 
 
-def to_polar(z: LcNumber) -> PolarForm:
-    """Polar decomposition; the zero element has no argument."""
-    if z.is_zero():
-        raise ValueError("argument of the zero element is undefined")
-    arg = math.atan2(z.fu, z.re)
-    if arg <= -math.pi:
-        arg = math.pi
-    return PolarForm(math.hypot(z.re, z.fu), arg)
+def _polar_parts(z):
+    """``(modulus, argument)`` per entry; a zero entry gives ``(0, 0)`` or ``(0, pi)``."""
+    re, fu = z
+    arg = _each(math.atan2, fu, re)
+    return _each(math.hypot, re, fu), _select(arg <= -math.pi, math.pi, arg)
 
 
-def _to_polar_batch(z):
-    """``to_polar`` per entry, as the pair ``(modulus, argument)``."""
-    if _is_zero(z).any():
+def _polar(z):
+    if _has_zero(z):
         raise ValueError("argument of the zero element is undefined")
     return _polar_parts(z)
 
 
-def _polar_parts(z):
-    re, fu = z
-    arg = _each(math.atan2, fu, re)
-    arg[arg <= -math.pi] = math.pi
-    return _each(math.hypot, re, fu), arg
+def to_polar(z: LcNumber) -> PolarForm:
+    """Polar decomposition; the zero element has no argument."""
+    return PolarForm(*_polar(_parts(z)))
 
 
 def from_polar(p: PolarForm) -> LcNumber:
-    return LcNumber(p.modulus * math.cos(p.argument), p.modulus * math.sin(p.argument))
+    return _wrap(complex(*_rect(p.modulus, p.argument)))
+
+
+def _pow_int(z, n: int):
+    """``pow_int`` per entry: a zero entry gives zero, or raises for ``n < 0``."""
+    zero = _is_zero(z)
+    if n == 0:
+        # one at every entry, the zero element's included
+        return _select(zero, 1.0, 1.0), _select(zero, 0.0, 0.0)
+    if n < 0 and _has_zero(z):
+        raise ZeroDivisionError("negative power of the zero element")
+    k = abs(n)
+    try:
+        power = z
+        if k > 1:
+            # a zero entry has modulus 0 here; its result is replaced below
+            modulus, arg = _polar_parts(z)
+            power = _rect(_each(math.pow, modulus, float(k)), float(k) * arg)
+        if n < 0:
+            if _has_zero(power):
+                raise OverflowError("the power underflows to zero")
+            return _quotient((1.0, 0.0), power)
+    except OverflowError as exc:
+        raise OverflowError(f"power {_show(z)}^{n} is out of range") from exc
+    return _select(zero, 0.0, power[0]), _select(zero, 0.0, power[1])
 
 
 def pow_int(z: LcNumber, n: int) -> LcNumber:
@@ -361,42 +408,21 @@ def pow_int(z: LcNumber, n: int) -> LcNumber:
 
     Small exponents are answered directly so identities such as ``z**1``
     stay bitwise exact; everything else goes through the angle-multiple
-    formula, and negative exponents through the reciprocal.
+    formula, and negative exponents through the reciprocal.  A power that
+    overflows, or that underflows to zero under a negative exponent, raises
+    ``OverflowError`` naming ``z`` and ``n``.
     """
-    if n == 0:
-        return ONE
-    if z.is_zero():
-        if n < 0:
-            raise ZeroDivisionError("negative power of the zero element")
-        return ZERO
-    if n == 1:
-        return z
-    if n < 0:
-        return ONE / pow_int(z, -n)
-    p = to_polar(z)
-    try:
-        m = p.modulus**n
-    except OverflowError as exc:
-        raise OverflowError(f"power {z!r}^{n} is out of range") from exc
-    return LcNumber(m * math.cos(n * p.argument), m * math.sin(n * p.argument))
+    return _wrap(complex(*_pow_int(_parts(z), n)))
 
 
-def _pow_int_batch(z, n: int):
-    """``pow_int`` per entry; a zero entry gives zero, or raises for ``n < 0``."""
-    re = z[0]
-    if n == 0:
-        return np.ones_like(re), np.zeros_like(re)
-    zero = _is_zero(z)
-    if n < 0:
-        if zero.any():
-            raise ZeroDivisionError("negative power of the zero element")
-        return _quotient_batch((np.ones_like(re), np.zeros_like(re)), _pow_int_batch(z, -n))
-    power = z
-    if n > 1:
-        # a zero entry has modulus 0 here; its result is replaced below
-        modulus, arg = _polar_parts(z)
-        power = _rect(_pow_each(modulus, float(n)), float(n) * arg)
-    return np.where(zero, 0.0, power[0]), np.where(zero, 0.0, power[1])
+def _nth_root(z, n: int, branch: int = 0):
+    if n < 1:
+        raise ValueError(f"root order must be a positive integer, got {n}")
+    if _has_zero(z):
+        raise ValueError("roots of the zero element are undefined")
+    modulus, arg = _polar_parts(z)
+    k = branch % n
+    return _rect(_each(math.pow, modulus, 1.0 / n), (arg + 2.0 * math.pi * k) / n)
 
 
 def nth_root(z: LcNumber, n: int, branch: int = 0) -> LcNumber:
@@ -405,22 +431,7 @@ def nth_root(z: LcNumber, n: int, branch: int = 0) -> LcNumber:
     The branch index is reduced modulo ``n`` since angles repeat with that
     period.
     """
-    if n < 1:
-        raise ValueError(f"root order must be a positive integer, got {n}")
-    if z.is_zero():
-        raise ValueError("roots of the zero element are undefined")
-    p = to_polar(z)
-    k = branch % n
-    m = p.modulus ** (1.0 / n)
-    ang = (p.argument + 2.0 * math.pi * k) / n
-    return LcNumber(m * math.cos(ang), m * math.sin(ang))
-
-
-def _nth_root_batch(z, n: int, branch: int = 0):
-    """``nth_root`` per entry, for an order ``n >= 1``."""
-    modulus, arg = _to_polar_batch(z)
-    k = branch % n
-    return _rect(_pow_each(modulus, 1.0 / n), (arg + 2.0 * math.pi * k) / n)
+    return _wrap(complex(*_nth_root(_parts(z), n, branch)))
 
 
 @dataclass(frozen=True)
@@ -438,16 +449,28 @@ class AlphaBand:
             raise ValueError(f"band endpoints out of order: [{self.lower}, {self.upper}]")
 
 
-def alpha_cut(z: LcNumber, basis: BasisNumber, alpha: float) -> AlphaBand:
-    """The alpha-level of ``z``: ``{re + fu*x : x in [A]_alpha}``.
+def _band_array(re: np.ndarray, fu: np.ndarray, basis: BasisNumber, alphas) -> np.ndarray:
+    """Edges of the alpha-levels of the elements ``re + fu*A``.
 
-    The fuzzy coefficient's sign decides which basis endpoint lands where;
-    a crisp element collapses to the point ``re``.
+    Entry ``[i, j]`` is ``[lower, upper]`` of element ``i`` at ``alphas[j]``:
+    ``re`` plus the smaller and the larger of ``fu`` times the two basis
+    endpoints.  An edge that overflows is ``inf`` or ``nan``, without a
+    warning.
     """
-    lo, hi = basis.level(alpha)
-    if z.fu >= 0.0:
-        return AlphaBand(alpha, z.re + z.fu * lo, z.re + z.fu * hi)
-    return AlphaBand(alpha, z.re + z.fu * hi, z.re + z.fu * lo)
+    out = np.empty((re.size, len(alphas), 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, alpha in enumerate(alphas):
+            lo, hi = basis.level(alpha)
+            e1, e2 = fu * lo, fu * hi
+            out[:, j, 0] = re + np.minimum(e1, e2)
+            out[:, j, 1] = re + np.maximum(e1, e2)
+    return out
+
+
+def alpha_cut(z: LcNumber, basis: BasisNumber, alpha: float) -> AlphaBand:
+    """The alpha-level of ``z``: ``{re + fu*x : x in [A]_alpha}``."""
+    (lower, upper), = _band_array(np.array([z.re]), np.array([z.fu]), basis, (alpha,))[0].tolist()
+    return AlphaBand(alpha, lower, upper)
 
 
 def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber) -> float:
@@ -456,16 +479,10 @@ def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber) -> float:
     Every endpoint is linear in alpha between the rows of ``basis.levels``,
     so the supremum is taken at a row.
     """
-    worst = 0.0
-    for alpha, _, _ in basis.levels:
-        band_b = alpha_cut(b, basis, alpha)
-        band_c = alpha_cut(c, basis, alpha)
-        worst = max(
-            worst,
-            abs(band_b.lower - band_c.lower),
-            abs(band_b.upper - band_c.upper),
-        )
-    return worst
+    alphas = [alpha for alpha, _, _ in basis.levels]
+    edges = _band_array(np.array([b.re, c.re]), np.array([b.fu, c.fu]), basis, alphas)
+    edges_b, edges_c = edges.reshape(2, -1).tolist()
+    return max([0.0, *(abs(x - y) for x, y in zip(edges_b, edges_c))])
 
 
 @dataclass(frozen=True)

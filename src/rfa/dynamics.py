@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import Path, _exp_rfa_batch, contour_integral, derivative_cr, log_rfa
-from .core import BasisNumber, LcNumber, ONE, ZERO, _each, _prod, norm_phi
+from .analytic import Path, _exp, contour_integral, derivative_cr, log_rfa
+from .core import BasisNumber, LcNumber, ONE, ZERO, _band_array, _each, _prod, norm_phi
 
 __all__ = [
     "FuzzyCurve",
@@ -188,24 +188,13 @@ class Trajectory:
         naming the variable, the alpha and the first such time.
         """
         alphas = tuple(float(a) for a in alphas)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bands = {name: _band_array(*self.component(name), basis, alphas) for name in self.names}
+        bands = {name: _band_array(*self.component(name), basis, alphas) for name in self.names}
         bad = [~np.isfinite(band) for band in bands.values()]
         if any(b.any() for b in bad):
             i, k, j, _ = np.argwhere(np.stack(bad, axis=1))[0]
             raise OverflowError(f"alpha-band of {self.names[k]} at alpha={alphas[j]} is not finite at t={self.times[i]}")
         self.alphas, self.bands = alphas, bands
         return self
-
-
-def _band_array(re: np.ndarray, fu: np.ndarray, basis: BasisNumber, alphas) -> np.ndarray:
-    out = np.empty((re.size, len(alphas), 2))
-    for j, alpha in enumerate(alphas):
-        lo, hi = basis.level(alpha)
-        e1, e2 = fu * lo, fu * hi
-        out[:, j, 0] = re + np.minimum(e1, e2)
-        out[:, j, 1] = re + np.maximum(e1, e2)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def solve_linear_analytic(params: LinearParams, ts) -> Trajectory:
     """
     ts = np.asarray(ts, dtype=float)
     lam, w0 = params.lmbda, params.w0
-    return _closed_form(ts, (lam.re, lam.fu), lambda: _prod((w0.re, w0.fu), _exp_rfa_batch((lam.re * ts, lam.fu * ts))),
+    return _closed_form(ts, (lam.re, lam.fu), lambda: _prod((w0.re, w0.fu), _exp((lam.re * ts, lam.fu * ts))),
                         f"linear flow: e^(lambda*t) with lambda={lam}",
                         f"linear flow: w0*e^(lambda*t) with w0={w0}, lambda={lam}")
 
@@ -248,7 +237,7 @@ def _closed_form(ts: np.ndarray, rates: tuple, coeffs: Callable, growth: str, so
     with np.errstate(all="ignore"):
         try:
             re, fu = coeffs()
-        except (OverflowError, ValueError):  # math.exp beyond the range, math.cos of inf
+        except (OverflowError, FloatingPointError):  # math.exp beyond the range, a non-finite modulus or angle
             re = fu = np.full(len(ts), np.nan)
     bad = ~(np.isfinite(re) & np.isfinite(fu))
     if not bad.any():

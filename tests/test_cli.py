@@ -629,6 +629,29 @@ def test_power_overflow_names_the_power(capsys):
     assert err == "numeric error: power LcNumber(2.0, 0.0)^100000000000000000000 is out of range\n"
 
 
+def test_a_negative_power_names_the_exponent_as_written(capsys):
+    message = "numeric error: power LcNumber(1e+308, 1e+308)^-2 is out of range\n"
+    assert run(capsys, "eval", "(1e308+1e308*A)^-2") == (3, "", message)
+    # the array pass raises, and the per-sample replay names the first sample
+    path = ("--path", "1e308+1e308*A, 1.5e308+1.5e308*A", "--samples", "11")
+    assert run(capsys, "integrate", "z^-2", *path) == (3, "", message)
+
+
+@pytest.mark.parametrize(
+    "expr, integrand, path, power",
+    [
+        ("(0.5)^-1e300", "z^-1e300", "0.5, 0.6", f"LcNumber(0.5, 0.0)^{int(-1e300)}"),
+        ("(1e-300*A)^-2", "z^-2", "0+1e-300*A, 0+2e-300*A", "LcNumber(0.0, 1e-300)^-2"),
+    ],
+)
+def test_a_power_that_underflows_under_a_negative_exponent_is_out_of_range(capsys, expr, integrand, path, power):
+    # the positive power underflows to zero; the base is not the zero element
+    message = f"numeric error: power {power} is out of range\n"
+    assert run(capsys, "eval", expr) == (3, "", message)
+    assert run(capsys, "integrate", integrand, "--path", path, "--samples", "11") == (3, "", message)
+    assert run(capsys, "eval", "(0)^-1") == (3, "", "numeric error: negative power of the zero element\n")
+
+
 def test_exp_overflow_names_the_exponential(capsys):
     code, out, err = run(capsys, "eval", "exp(800)")
     assert code == 3

@@ -13,6 +13,7 @@ from rfa import (
     BasisNumber,
     LcNumber,
     LcSpace,
+    Trajectory,
     alpha_cut,
     conjugate,
     d_infty,
@@ -408,8 +409,9 @@ def _outcome(fn):
     st.one_of(st.integers(1, 3000), st.integers(1, 60).map(lambda n: 1.0 / n)),
 )
 def test_pow_each_is_the_builtin_power_bit_for_bit(bases, e):
-    # the exponents of pow_int and nth_root, over moduli and a signed zero
-    got = _outcome(lambda: core._pow_each(np.array(bases), float(e)).tolist())
+    # the exponents of pow_int and nth_root, over moduli and a signed zero,
+    # with the float exponent repeated for every entry
+    got = _outcome(lambda: core._each(math.pow, np.array(bases), float(e)).tolist())
     assert got == _outcome(lambda: [pow(b, e) for b in bases])
 
 
@@ -418,7 +420,7 @@ def test_pow_each_is_the_builtin_power_bit_for_bit(bases, e):
 def test_rect_is_the_polar_product_bit_for_bit(pairs):
     m, angle = (np.array(column) for column in zip(*pairs))
     if not all(map(math.isfinite, m.tolist() + angle.tolist())):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             core._rect(m, angle)
         return
     re, fu = core._rect(m, angle)
@@ -450,6 +452,48 @@ def test_d_infty_examples():
     assert d_infty(z, z, basis) == 0.0
     assert d_infty(LcNumber(4, 0), LcNumber(1.5, 0), basis) == 2.5
     assert d_infty(LcNumber(0, 1), LcNumber(0, 0), basis) == 1.0
+
+
+_BAND_BASES = [
+    BasisNumber.triangular(-0.5, 0.0, 1.0),
+    BasisNumber.triangular(0.0, 0.5, 1.0),
+    BasisNumber.trapezoidal(-2.0, -1.0, 0.0, 3.0),
+    BasisNumber.tabulated([(0.0, -1.0, 2.0), (0.3, -0.5, 1.0), (1.0, 0.25, 0.25)]),
+]
+_SIGNED_EDGES = _EDGE_FLOATS.flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def _edge_hex(edges):
+    return [(lower.hex(), upper.hex()) for lower, upper in edges]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.tuples(_SIGNED_EDGES, _SIGNED_EDGES),
+    st.tuples(_SIGNED_EDGES, _SIGNED_EDGES),
+    st.sampled_from(_BAND_BASES),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+)
+# signed zeros, and an infinite fuzzy part times a zero basis endpoint
+@example((-0.0, 0.0), (0.0, -0.0), _BAND_BASES[0], [0.0, 0.5, 1.0])
+@example((-0.0, -5e-324), (1.0, math.inf), _BAND_BASES[1], [0.0, 1.0])
+def test_alpha_cut_d_infty_and_the_attached_bands_share_one_band_kernel(b, c, basis, alphas):
+    cuts = [alpha_cut(LcNumber(*b), basis, alpha) for alpha in alphas]
+    edges = [(cut.lower, cut.upper) for cut in cuts]
+    try:
+        traj = Trajectory([0.0], ("w",), [list(b)]).attach_bands(basis, alphas)
+    except OverflowError:
+        # a band edge that is not a finite double is refused
+        assert not all(map(math.isfinite, sum(edges, ())))
+    else:
+        assert _edge_hex(edges) == _edge_hex(traj.bands["w"][0].tolist())
+    # the sup metric: the largest edge distance at the rows of the basis,
+    # a NaN distance left out as ``max`` leaves it out
+    distances = [0.0]
+    for alpha, _, _ in basis.levels:
+        cut_b, cut_c = alpha_cut(LcNumber(*b), basis, alpha), alpha_cut(LcNumber(*c), basis, alpha)
+        distances += [abs(cut_b.lower - cut_c.lower), abs(cut_b.upper - cut_c.upper)]
+    assert d_infty(LcNumber(*b), LcNumber(*c), basis).hex() == max(distances).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -791,6 +791,15 @@ def test_closed_forms_refuse_non_finite_cells(a1):
             solve_linear_psi_analytic(LinearParams(LcNumber(800, 0), LcNumber(2, 2)), a1, time_grid((0.0, 1.0), 1e-3))
 
 
+def test_the_fig6_bands_keep_their_bits():
+    s = PRESETS["fig6"]
+    traj = simulate_system(s.system, s.params, s.t_span, dt=s.dt, method=s.method, basis=s.space.basis)
+    traj.attach_bands(s.space.basis, s.alphas)
+    digest = hashlib.sha256(b"".join(traj.bands[name].tobytes() for name in traj.names)).hexdigest()
+    assert (len(traj), len(s.alphas)) == (50001, 11)
+    assert digest == "52f48b159f8622e6e27dd2f4a239738422920de00f7a9d6aad5776e22a05bc63"
+
+
 def test_phase_plot_reuses_the_attached_bands(monkeypatch, tmp_path):
     import rfa.dynamics
 

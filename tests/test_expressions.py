@@ -233,6 +233,66 @@ def test_the_scalar_and_array_tables_hold_the_same_operations():
     assert expressions._SCALAR.keys() == inner | set(expressions._FUNCTIONS)
 
 
+# signed zeros, subnormals, values near overflow, the non-finite doubles and
+# plain values, each with either sign, besides any double at all
+_EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 2.0, 3.0, 1.3407807929942596e154,
+                     1e308, 1.7976931348623157e308, math.inf, math.nan]),
+    st.floats(),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+_EDGE_ELEMENTS = st.tuples(_EDGE_PARTS, _EDGE_PARTS)
+# exponents and log branches: crisp integers and reals, out of range, not
+# finite and fuzzy
+_CONSTANTS = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (-1.0, 0.0), (-2.0, 0.0), (-3.0, 0.0),
+                              (0.5, 0.0), (-0.5, 0.0), (2.5, 0.0), (1e20, 0.0), (-1e300, 0.0), (math.inf, 0.0),
+                              (math.nan, 0.0), (2.0, 1.0)])
+
+
+def _parts_outcome(fn):
+    try:
+        z = fn()
+    except (ArithmeticError, ValueError):
+        return "raises"
+    return z.re.hex(), z.fu.hex()
+
+
+@pytest.mark.parametrize("key", sorted(expressions._ARRAY))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_array_operation_gives_the_scalar_bits_or_raises(key, data):
+    n = data.draw(st.integers(1, 6), label="samples")
+    elements = st.lists(_EDGE_ELEMENTS, min_size=n, max_size=n)
+    operands, options = [data.draw(elements, label="operand")], {}
+    if key in ("+", "-", "*", "/", "psi_mul"):
+        operands.append(data.draw(elements, label="second operand"))
+    elif key in ("^", "log_branch"):
+        # the same at every sample, as the array pass needs, or varying
+        operands.append(data.draw(st.one_of(_CONSTANTS.map(lambda c: [c] * n), elements), label="exponent"))
+        options["pos"] = 0
+    if key == "psi_mul":
+        options["a1"] = data.draw(st.sampled_from([0.0, 1.175, -0.4]), label="a1")
+    scalar, array = expressions._SCALAR[key], expressions._ARRAY[key]
+    if key == "const":
+        constant = LcNumber(*operands[0][0])
+        expected = [_parts_outcome(lambda: scalar(constant, 1))] * n
+        call = lambda: array(constant, n)
+    else:
+        expected = [
+            _parts_outcome(lambda: scalar(*(LcNumber(*operand[i]) for operand in operands), **options))
+            for i in range(n)
+        ]
+        call = lambda: array(*(tuple(map(np.array, zip(*operand))) for operand in operands), **options)
+    try:
+        with np.errstate(all="ignore"):
+            re, fu = call()
+    except (ArithmeticError, ValueError):
+        event("the array pass raised")
+        return
+    event("the array pass returned")
+    # a pass that returns must give every scalar value, none of which raises
+    assert list(zip(map(float.hex, re.tolist()), map(float.hex, fu.tolist()))) == expected
+
+
 def test_a_literal_error_is_an_expression_error():
     assert issubclass(LiteralError, ExprError)
     with pytest.raises(ExprError) as info:
