@@ -30,8 +30,8 @@ __all__ = [
     "trajectory_table",
 ]
 
-# Rows per formatted or encoded block: a file is written a block at a
-# time, so no writer holds a whole document in memory.
+# Rows per encoded JSON block: a file is written a block at a time, so no
+# writer holds a whole document in memory.
 _BLOCK_ROWS = 1024
 _SVG_SIZE = (800, 600)  # width and height of every figure, in pixels
 
@@ -84,18 +84,126 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
     return ExportTable(columns, np.hstack(blocks), tuple(traj.alphas or ()), band_columns)
 
 
+# -- CSV cells: the bytes of ``%.17g`` for a block of cells at once -------
+#
+# ``%.17g`` writes x in fixed notation when its decimal exponent k lies in
+# -4..16, and then its digits are the integer N nearest |x| * 10^q with
+# q = 16 - k, which has exactly 17 digits.  10^q is a double for q <= 22,
+# and Dekker's product gives |x| * 10^q exactly as p + e (one ufunc per
+# operation, so nothing fuses into an FMA).  p >= 10^16 > 2^53 is an even
+# integer, so N = p + rint(e) rounds as dtoa does, ties to even.  k comes
+# from ``log10``, and a cell is kept only when the exact pair shows that k
+# was right.  Every other cell (exponent notation, inf, nan and whatever
+# fails the check) is formatted by ``%`` on its own.
+
+_CELLS_PER_BLOCK = 16384
+_POW10 = np.array([float(10**q) for q in range(21)])
+_GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4")  # "0000" .. "9999"
+_TRAILING_ZEROS = (_GROUPS.view(np.uint8).reshape(-1, 4)[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits each, ``a = hi + lo``."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# Each cell is formatted from 24 source bytes, four per ``<u4`` word:
+#   0 sign ("-" or NUL), 1 ".", 2 "0", 3..19 the 17 digits of N,
+#   20..21 the separator ("," and NUL, or CR LF), 22..23 NUL
+# A layout gathers the 26 bytes of the cell's slot from them: the sign,
+# the text and NUL padding, then the separator.  A cell formatted by ``%``
+# has an empty layout and its text (at most 24 characters) is written
+# over the start of the slot.  The NULs are deleted from the finished block.
+_SIGN, _DOT, _ZERO, _DIGITS, _SEPARATOR, _NUL = 0, 1, 2, 3, (20, 21), 22
+_SLOT = 26
+_HEAD = int.from_bytes(b"\0.00", "little")  # word 0 with the lead digit "0" and no sign
+_COMMA, _CRLF = int.from_bytes(b",\0\0\0", "little"), int.from_bytes(b"\r\n\0\0", "little")
+
+
+def _layout(text):
+    return [_SIGN, *text, *[_NUL] * (_SLOT - 3 - len(text)), *_SEPARATOR]
+
+
+def _fixed(k: int, sig: int):
+    """The ``%g`` text of N at exponent ``k``, whose digits after the ``sig``-th are zeros."""
+    digits = range(_DIGITS, _DIGITS + 17)
+    if k < 0:
+        return [_ZERO, _DOT, *[_ZERO] * (-k - 1), *digits[:sig]]
+    keep = max(sig, k + 1)
+    return [*digits[: k + 1], *([_DOT, *digits[k + 1 : keep]] if keep > k + 1 else [])]
+
+
+# layout (k + 4) * 17 + sig - 1 for k in -4..16 and sig in 1..17, then
+# the zero's, then the empty one of a cell formatted by ``%``
+_LAYOUTS = np.array(
+    [_layout(_fixed(k, sig)) for k in range(-4, 17) for sig in range(1, 18)] + [_layout([_ZERO]), _layout([])],
+    dtype=np.intp,
+)
+_ZERO_LAYOUT, _PERCENT_LAYOUT = len(_LAYOUTS) - 2, len(_LAYOUTS) - 1
+
+
+def _csv_cells(block: np.ndarray, separators: np.ndarray) -> bytes:
+    """The ``%.17g`` text of every cell of ``block``, each followed by its column's separator."""
+    x = block.ravel()
+    n = len(x)
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.floor(np.log10(ax))
+    fixed = (k >= -4) & (k <= 16)  # false for zeros, inf, nan
+    # a cell left to ``%`` computes as 1.0, so every cast below is defined
+    k = np.where(fixed, k, 0.0).astype(np.intp)
+    ax = np.where(fixed, ax, 1.0)
+    # exact |x| * 10^q = p + e
+    q = 16 - k
+    p = ax * _POW10[q]
+    ah, al = _split(ax)
+    bh, bl = _POW10_HI[q], _POW10_LO[q]
+    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    n17 = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fixed &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (n17 < 10**17)
+    upper, lower = np.divmod(n17, 10**8)
+    lead, upper = np.divmod(upper, 10**8)
+    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    src = np.empty((n, 6), "<u4")
+    src[:, 0] = _HEAD + (lead.astype(np.uint32) << 24) + np.signbit(x) * np.uint32(ord("-"))
+    trailing = np.zeros(n, np.intp)
+    for column, g in enumerate(groups, 1):
+        src[:, column] = _GROUPS.take(g)
+        # zeros after the last nonzero digit; the lead digit of a fixed cell is nonzero
+        trailing = np.where(g == 0, trailing + 4, _TRAILING_ZEROS.take(g))
+    src.reshape(block.shape + (6,))[..., 5] = separators
+    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_LAYOUT, _PERCENT_LAYOUT))
+    index = _LAYOUTS.take(which, axis=0)
+    index += (np.arange(n) * 24)[:, None]  # 24 source bytes per cell
+    out = src.view(np.uint8).ravel().take(index)
+    percent = np.flatnonzero(which == _PERCENT_LAYOUT)
+    if len(percent):
+        texts = np.array(["%.17g" % v for v in x[percent].tolist()], "S24")
+        out[percent, :24] = texts.view(np.uint8).reshape(-1, 24)
+    return out.tobytes().translate(None, b"\0")
+
+
 def export_csv(table: ExportTable, path) -> None:
     """Header through ``csv.writer``, then ``%.17g`` cells and ``\\r\\n`` per row.
 
-    Cells are numbers, which never need quoting, so each block of rows is
-    one format of the repeated row pattern and one ``write``.
+    Cells are numbers, which never need quoting.  One array kernel formats
+    them, a block of whole rows of about 16k cells at a time.
     """
-    row_format = ",".join(["%.17g"] * len(table.columns)) + "\r\n"
+    n_rows, width = table.rows.shape
+    separators = np.full(width, _COMMA, "<u4")
+    separators[-1:] = _CRLF
+    step = max(1, _CELLS_PER_BLOCK // max(width, 1))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.columns)
-        for i in range(0, len(table.rows), _BLOCK_ROWS):
-            block = table.rows[i : i + _BLOCK_ROWS]
-            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        if not width:  # rows without cells
+            fh.write("\r\n" * n_rows)
+            return
+        for i in range(0, n_rows, step):
+            fh.write(_csv_cells(table.rows[i : i + step], separators).decode("ascii"))
 
 
 def read_csv(path) -> ExportTable:

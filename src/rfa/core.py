@@ -393,7 +393,10 @@ def _pow_int(z, n: int):
         if k > 1:
             # a zero entry has modulus 0 here; its result is replaced below
             modulus, arg = _polar_parts(z)
-            power = _rect(_each(math.pow, modulus, float(k)), float(k) * arg)
+            angle = float(k) * arg
+            if np.isinf(angle).any():
+                raise OverflowError("the angle multiple overflows")
+            power = _rect(_each(math.pow, modulus, float(k)), angle)
         if n < 0:
             if _has_zero(power):
                 raise OverflowError("the power underflows to zero")
@@ -477,12 +480,13 @@ def d_infty(b: LcNumber, c: LcNumber, basis: BasisNumber) -> float:
     """Sup metric: the largest endpoint distance of the alpha-levels.
 
     Every endpoint is linear in alpha between the rows of ``basis.levels``,
-    so the supremum is taken at a row.
+    so the supremum is taken at a row.  A NaN distance makes it NaN.
     """
     alphas = [alpha for alpha, _, _ in basis.levels]
     edges = _band_array(np.array([b.re, c.re]), np.array([b.fu, c.fu]), basis, alphas)
     edges_b, edges_c = edges.reshape(2, -1).tolist()
-    return max([0.0, *(abs(x - y) for x, y in zip(edges_b, edges_c))])
+    distances = [abs(x - y) for x, y in zip(edges_b, edges_c)]
+    return math.nan if any(map(math.isnan, distances)) else max([0.0, *distances])
 
 
 @dataclass(frozen=True)

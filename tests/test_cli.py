@@ -637,6 +637,15 @@ def test_a_negative_power_names_the_exponent_as_written(capsys):
     assert run(capsys, "integrate", "z^-2", *path) == (3, "", message)
 
 
+def test_a_power_whose_angle_multiple_overflows_is_out_of_range(capsys):
+    # 1e308 times the argument is inf, while the modulus 0.51^1e308 underflows to 0
+    message = f"numeric error: power LcNumber(-0.5, 0.1)^{int(1e308)} is out of range\n"
+    assert run(capsys, "eval", "(-0.5+0.1*A)^1e308") == (3, "", message)
+    # the array pass raises, and the per-sample replay names the first sample
+    path = ("--path", "0, 1", "--samples", "11")
+    assert run(capsys, "integrate", "(z-0.5+0.1*A)^1e308", *path) == (3, "", message)
+
+
 @pytest.mark.parametrize(
     "expr, integrand, path, power",
     [

@@ -477,6 +477,10 @@ def _edge_hex(edges):
 # signed zeros, and an infinite fuzzy part times a zero basis endpoint
 @example((-0.0, 0.0), (0.0, -0.0), _BAND_BASES[0], [0.0, 0.5, 1.0])
 @example((-0.0, -5e-324), (1.0, math.inf), _BAND_BASES[1], [0.0, 1.0])
+# a NaN part, and infinite fuzzy parts over a zero basis endpoint: NaN distances
+@example((math.nan, 0.0), (1.0, 0.0), _BAND_BASES[0], [0.0])
+@example((1.0, math.nan), (5.0, 0.0), _BAND_BASES[0], [1.0])
+@example((0.0, math.inf), (1.0, math.inf), _BAND_BASES[0], [0.5])
 def test_alpha_cut_d_infty_and_the_attached_bands_share_one_band_kernel(b, c, basis, alphas):
     cuts = [alpha_cut(LcNumber(*b), basis, alpha) for alpha in alphas]
     edges = [(cut.lower, cut.upper) for cut in cuts]
@@ -488,12 +492,13 @@ def test_alpha_cut_d_infty_and_the_attached_bands_share_one_band_kernel(b, c, ba
     else:
         assert _edge_hex(edges) == _edge_hex(traj.bands["w"][0].tolist())
     # the sup metric: the largest edge distance at the rows of the basis,
-    # a NaN distance left out as ``max`` leaves it out
+    # or NaN when any edge distance is NaN
     distances = [0.0]
     for alpha, _, _ in basis.levels:
         cut_b, cut_c = alpha_cut(LcNumber(*b), basis, alpha), alpha_cut(LcNumber(*c), basis, alpha)
         distances += [abs(cut_b.lower - cut_c.lower), abs(cut_b.upper - cut_c.upper)]
-    assert d_infty(LcNumber(*b), LcNumber(*c), basis).hex() == max(distances).hex()
+    want = math.nan if any(map(math.isnan, distances)) else max(distances)
+    assert d_infty(LcNumber(*b), LcNumber(*c), basis).hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfa import BasisNumber, LcNumber, LinearParams, OscillatorParams, simulate_system
 from rfa.cli import ExportTable, export_csv, export_json, read_csv, trajectory_table
@@ -260,19 +263,84 @@ def reference_svg_points(px, py):
 
 
 EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 7, float("inf"),
-              float("nan"), -float("inf"), 0.1, 1 / 3, 0.0]
+              float("nan"), -float("inf"), 0.1, 1 / 3, 0.0,
+              # the ends of fixed notation: 17 digits before the dot, and 10^-4
+              1e16, 1e17, math.nextafter(1e17, 0), 9.9999999999999995e-05, 1e-4, 1e-3, math.nextafter(1e-3, 0),
+              # halves, whose trailing zeros are stripped
+              0.5, 2.5, 123456.5]
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3, 2500])
 def test_writers_match_the_reference_bytes_on_edge_cells(tmp_path, n_rows):
     width = len(EDGE_CELLS)
-    # rotate the cells so every column sees every value; 2500 rows span three write blocks
+    # rotate the cells so every column sees every value; 2500 rows span
+    # four CSV blocks and three JSON blocks
     rows = [EDGE_CELLS[i % width :] + EDGE_CELLS[: i % width] for i in range(n_rows)]
     table = ExportTable([f"c{k}" for k in range(width)], rows, (0.0, 0.5, 1.0), {"w": {"0.5": ["c1", "c2"]}})
     for fast, reference, suffix in ((export_csv, reference_csv, "csv"), (export_json, reference_json, "json")):
         fast(table, tmp_path / f"fast.{suffix}")
         reference(table, tmp_path / f"reference.{suffix}")
         assert (tmp_path / f"fast.{suffix}").read_bytes() == (tmp_path / f"reference.{suffix}").read_bytes()
+
+
+def _near_powers_of_ten():
+    """Six doubles on either side of each power of ten from 10^-8 to 10^19, and the power."""
+    cells = []
+    for k in range(-8, 20):
+        for direction in (math.inf, 0.0):
+            cell = float(f"1e{k}")
+            for _ in range(7):
+                cells.append(cell)
+                cell = math.nextafter(cell, direction)
+    return np.array(cells)
+
+
+NEAR_POWERS_OF_TEN = _near_powers_of_ten()
+
+
+def _cells(source, seed, pool, size):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([1.0, -1.0], size)
+    if source == "floats":
+        return rng.choice(np.array(pool), size)
+    if source == "bits":
+        return rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    if source == "powers":
+        return rng.choice(NEAR_POWERS_OF_TEN, size) * signs
+    # odd m * 2^e: some have 18 digits ending in 5, a tie at 17 digits
+    m = (rng.integers(1, 2**53, size) >> rng.integers(0, 53, size)) | 1
+    return np.ldexp(m.astype(np.float64), rng.integers(-70, 20, size)) * signs
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(["floats", "bits", "powers", "dyadic"]),
+    st.integers(1, 105),
+    st.floats(0.0, 2.5),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(), min_size=1, max_size=40),
+)
+def test_csv_matches_the_reference_bytes_on_any_cells(tmp_path_factory, source, width, blocks, seed, pool):
+    # up to two and a half blocks of whole rows, so rows cross block ends
+    n_rows = int(blocks * max(1, exports._CELLS_PER_BLOCK // width))
+    rows = _cells(source, seed, pool, n_rows * width).reshape(n_rows, width)
+    table = ExportTable([f"c{k}" for k in range(width)], rows)
+    where = tmp_path_factory.mktemp("csv")
+    export_csv(table, where / "fast.csv")
+    reference_csv(table, where / "reference.csv")
+    assert (where / "fast.csv").read_bytes() == (where / "reference.csv").read_bytes()
+
+
+def test_csv_bytes_do_not_rest_on_log10(tmp_path, monkeypatch):
+    # a decimal exponent one too high or one too low sends the cell to ``%``
+    rng = np.random.default_rng(3)
+    cells = np.concatenate([NEAR_POWERS_OF_TEN, rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 19, 2000)])
+    table = ExportTable(["c0", "c1"], cells.reshape(-1, 2))
+    reference_csv(table, tmp_path / "reference.csv")
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + rng.integers(-1, 2, a.shape))
+    export_csv(table, tmp_path / "fast.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_svg_points_match_the_reference_on_edge_values(tmp_path, monkeypatch):
