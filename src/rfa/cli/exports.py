@@ -2,9 +2,10 @@
 
 CSV rows carry one time step each with columns ``t``, then per variable
 ``<var>_re``, ``<var>_fu`` and per alpha ``<var>_a<alpha>_lo`` /
-``<var>_a<alpha>_hi``.  Serialisation uses 17 significant digits so a
-re-read reproduces every double bit-exactly.  The JSON form mirrors the
-table and additionally maps each alpha key to its band columns.  SVG output
+``<var>_a<alpha>_hi``.  CSV cells carry 17 significant digits and JSON
+cells the shortest digits of ``repr``, so a re-read of either reproduces
+every double bit-exactly.  The JSON form mirrors the table and
+additionally maps each alpha key to its band columns.  SVG output
 is self-contained: nothing but polylines, a frame and text labels.
 """
 
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +32,6 @@ __all__ = [
     "trajectory_table",
 ]
 
-# Rows per encoded JSON block: a file is written a block at a time, so no
-# writer holds a whole document in memory.
-_BLOCK_ROWS = 1024
 _SVG_SIZE = (800, 600)  # width and height of every figure, in pixels
 
 
@@ -84,17 +83,23 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
     return ExportTable(columns, np.hstack(blocks), tuple(traj.alphas or ()), band_columns)
 
 
-# -- CSV cells: the bytes of ``%.17g`` for a block of cells at once -------
+# -- number cells: the bytes of ``%.17g`` or of ``repr`` for a block at once --
 #
-# ``%.17g`` writes x in fixed notation when its decimal exponent k lies in
-# -4..16, and then its digits are the integer N nearest |x| * 10^q with
-# q = 16 - k, which has exactly 17 digits.  10^q is a double for q <= 22,
-# and Dekker's product gives |x| * 10^q exactly as p + e (one ufunc per
-# operation, so nothing fuses into an FMA).  p >= 10^16 > 2^53 is an even
-# integer, so N = p + rint(e) rounds as dtoa does, ties to even.  k comes
-# from ``log10``, and a cell is kept only when the exact pair shows that k
-# was right.  Every other cell (exponent notation, inf, nan and whatever
-# fails the check) is formatted by ``%`` on its own.
+# Both write x in fixed notation when its decimal exponent k lies in
+# -4..16 (``%.17g``) or -4..15 (``repr``), and read every digit string
+# there off |x| * 10^q with q = 16 - k, which has 17 digits before the
+# point.  10^q is a double for q <= 22, and Dekker's product gives
+# |x| * 10^q exactly as p + e (one ufunc per operation, so nothing fuses
+# into an FMA).  p >= 10^16 > 2^53 is an even integer, so N17 = p + rint(e)
+# rounds as dtoa does, ties to even.  k comes from ``log10``, and a cell
+# is kept only when the exact pair shows that k was right.  ``%.17g``
+# writes N17.  ``repr`` writes the shortest digits that read back as x
+# (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018): the 15-digit
+# rounding of p + e when it lies inside the rounding interval of x, else
+# the 16-digit one, else N17.  The interval is half an ulp of x on either
+# side, exact at the scale of p.  Every other cell is formatted on its own
+# by the writer's text function: exponent notation, inf, nan, a tie at 16
+# digits, a carry into the next decade and whatever fails the check of k.
 
 _CELLS_PER_BLOCK = 16384
 _POW10 = np.array([float(10**q) for q in range(21)])
@@ -111,50 +116,95 @@ def _split(a):
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
-# Each cell is formatted from 24 source bytes, four per ``<u4`` word:
+# Each cell is formatted from 28 source bytes, four per ``<u4`` word:
 #   0 sign ("-" or NUL), 1 ".", 2 "0", 3..19 the 17 digits of N,
-#   20..21 the separator ("," and NUL, or CR LF), 22..23 NUL
-# A layout gathers the 26 bytes of the cell's slot from them: the sign,
-# the text and NUL padding, then the separator.  A cell formatted by ``%``
-# has an empty layout and its text (at most 24 characters) is written
-# over the start of the slot.  The NULs are deleted from the finished block.
-_SIGN, _DOT, _ZERO, _DIGITS, _SEPARATOR, _NUL = 0, 1, 2, 3, (20, 21), 22
-_SLOT = 26
+#   20..23 the separator, NUL-padded, 24..27 NUL
+# A layout gathers the bytes of the cell's slot from them: the sign, the
+# text and NUL padding, then the separator.  A cell the kernel leaves has
+# the empty layout, and its text (at most 24 characters) is written over
+# the start of the slot.  The NULs are deleted from the finished block.
+_SIGN, _DOT, _ZERO, _DIGITS, _SEPARATOR, _NUL = 0, 1, 2, 3, 20, 24
 _HEAD = int.from_bytes(b"\0.00", "little")  # word 0 with the lead digit "0" and no sign
-_COMMA, _CRLF = int.from_bytes(b",\0\0\0", "little"), int.from_bytes(b"\r\n\0\0", "little")
 
 
-def _layout(text):
-    return [_SIGN, *text, *[_NUL] * (_SLOT - 3 - len(text)), *_SEPARATOR]
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(4, b"\0"), "little")
 
 
-def _fixed(k: int, sig: int):
-    """The ``%g`` text of N at exponent ``k``, whose digits after the ``sig``-th are zeros."""
+def _fixed(k: int, sig: int, integral):
+    """The fixed text of N at exponent ``k``, whose digits after the ``sig``-th are zeros.
+
+    ``integral`` ends a text without a fractional digit.
+    """
     digits = range(_DIGITS, _DIGITS + 17)
     if k < 0:
         return [_ZERO, _DOT, *[_ZERO] * (-k - 1), *digits[:sig]]
-    keep = max(sig, k + 1)
-    return [*digits[: k + 1], *([_DOT, *digits[k + 1 : keep]] if keep > k + 1 else [])]
+    if sig <= k + 1:
+        return [*digits[: k + 1], *integral]
+    return [*digits[: k + 1], _DOT, *digits[k + 1 : sig]]
 
 
-# layout (k + 4) * 17 + sig - 1 for k in -4..16 and sig in 1..17, then
-# the zero's, then the empty one of a cell formatted by ``%``
-_LAYOUTS = np.array(
-    [_layout(_fixed(k, sig)) for k in range(-4, 17) for sig in range(1, 18)] + [_layout([_ZERO]), _layout([])],
-    dtype=np.intp,
-)
-_ZERO_LAYOUT, _PERCENT_LAYOUT = len(_LAYOUTS) - 2, len(_LAYOUTS) - 1
+def _layouts(integral, zero, separator_bytes: int) -> np.ndarray:
+    """Layout ``(k + 4) * 17 + sig - 1`` for k in -4..16 and sig in 1..17, then the zero's, then the empty one."""
+    texts = [_fixed(k, sig, integral) for k in range(-4, 17) for sig in range(1, 18)] + [zero, []]
+    separator = range(_SEPARATOR, _SEPARATOR + separator_bytes)
+    return np.array([[_SIGN, *text, *[_NUL] * (23 - len(text)), *separator] for text in texts], dtype=np.intp)
 
 
-def _csv_cells(block: np.ndarray, separators: np.ndarray) -> bytes:
-    """The ``%.17g`` text of every cell of ``block``, each followed by its column's separator."""
+@dataclass(frozen=True)
+class _Cells:
+    """One writer's number text: its layouts, its widest fixed exponent,
+    whether it writes the shortest digits, and the text of a cell the
+    kernel leaves."""
+
+    layouts: np.ndarray
+    k_max: int
+    shortest: bool
+    text: Callable[[float], str]
+
+
+_CSV = _Cells(_layouts([], [_ZERO], 2), 16, False, "%.17g".__mod__)
+_JSON = _Cells(_layouts([_DOT, _ZERO], [_ZERO, _DOT, _ZERO], 4), 15, True, json.dumps)
+_ZERO_LAYOUT, _LEFT_LAYOUT = -2, -1  # the last two rows of every table
+
+
+def _shortest(ax, q, p, e, n17):
+    """The 17-digit N of the shortest digits that read back as ``ax``, and where the kernel decides them.
+
+    p is rounded and its ulp is 2 to 16, so the remainder r of p past the
+    kept digits and r + e can differ by a carry: the rounding comes from
+    the exact r + e.  No rounding lies on an end of the interval, which is
+    an odd multiple of half an ulp with 54 significant bits, so whether
+    the ends count never arises.  The interval reaches at most 11.1 to
+    either side at this scale, so a tie at 15 digits, 50 from p + e, is
+    never inside it.  Powers of two, whose interval is narrower below,
+    get ``repr``'s digits all the same (``tests/test_exports.py`` checks
+    every one).
+    """
+    whole = p.astype(np.int64)
+    half_ulp = np.spacing(ax) * _POW10[q] * 0.5
+    r15 = whole % 100
+    r16 = r15 % 10
+    s15, s16 = r15 + e, r16 + e  # p + e = whole - r + s, exactly
+    up15 = (s15 > 50).astype(np.int64)
+    up16 = (s16 > 5).astype(np.int64) + (s16 > 15) - (s16 < -5)
+    n = np.where(
+        np.abs(up15 * 100 - s15) < half_ulp,
+        whole - r15 + up15 * 100,
+        np.where(np.abs(up16 * 10 - s16) < half_ulp, whole - r16 + up16 * 10, n17),
+    )
+    return n, s16 % 10 != 5
+
+
+def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
+    """The text of every cell of ``block``, each followed by its separator (broadcast over the block)."""
     x = block.ravel()
     n = len(x)
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(ax))
-    fixed = (k >= -4) & (k <= 16)  # false for zeros, inf, nan
-    # a cell left to ``%`` computes as 1.0, so every cast below is defined
+    fixed = (k >= -4) & (k <= kind.k_max)  # false for zeros, inf, nan
+    # a cell left to the text function computes as 1.0, so every cast below is defined
     k = np.where(fixed, k, 0.0).astype(np.intp)
     ax = np.where(fixed, ax, 1.0)
     # exact |x| * 10^q = p + e
@@ -163,47 +213,57 @@ def _csv_cells(block: np.ndarray, separators: np.ndarray) -> bytes:
     ah, al = _split(ax)
     bh, bl = _POW10_HI[q], _POW10_LO[q]
     e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-    n17 = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    fixed &= ((p > 1e16) | ((p == 1e16) & (e >= 0))) & (n17 < 10**17)
-    upper, lower = np.divmod(n17, 10**8)
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fixed &= (p > 1e16) | ((p == 1e16) & (e >= 0))
+    if kind.shortest:
+        digits, decided = _shortest(ax, q, p, e, digits)
+        fixed &= decided
+    fixed &= digits < 10**17
+    upper, lower = np.divmod(digits, 10**8)
     lead, upper = np.divmod(upper, 10**8)
     groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    src = np.empty((n, 6), "<u4")
+    src = np.empty((n, 7), "<u4")
     src[:, 0] = _HEAD + (lead.astype(np.uint32) << 24) + np.signbit(x) * np.uint32(ord("-"))
     trailing = np.zeros(n, np.intp)
     for column, g in enumerate(groups, 1):
         src[:, column] = _GROUPS.take(g)
         # zeros after the last nonzero digit; the lead digit of a fixed cell is nonzero
         trailing = np.where(g == 0, trailing + 4, _TRAILING_ZEROS.take(g))
-    src.reshape(block.shape + (6,))[..., 5] = separators
-    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_LAYOUT, _PERCENT_LAYOUT))
-    index = _LAYOUTS.take(which, axis=0)
-    index += (np.arange(n) * 24)[:, None]  # 24 source bytes per cell
+    src.reshape(block.shape + (7,))[..., 5] = separators
+    src[:, 6] = 0
+    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_LAYOUT, _LEFT_LAYOUT))
+    index = kind.layouts.take(which, axis=0)
+    index += (np.arange(n) * 28)[:, None]  # 28 source bytes per cell
     out = src.view(np.uint8).ravel().take(index)
-    percent = np.flatnonzero(which == _PERCENT_LAYOUT)
-    if len(percent):
-        texts = np.array(["%.17g" % v for v in x[percent].tolist()], "S24")
-        out[percent, :24] = texts.view(np.uint8).reshape(-1, 24)
+    left = np.flatnonzero(which == _LEFT_LAYOUT)
+    if len(left):
+        texts = np.array([kind.text(v) for v in x[left].tolist()], "S24")
+        out[left, :24] = texts.view(np.uint8).reshape(-1, 24)
     return out.tobytes().translate(None, b"\0")
+
+
+def _blocks(rows: np.ndarray) -> list[np.ndarray]:
+    """``rows`` (at least one column wide) as blocks of whole rows, about ``_CELLS_PER_BLOCK`` cells each."""
+    step = max(1, _CELLS_PER_BLOCK // rows.shape[1])
+    return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
 def export_csv(table: ExportTable, path) -> None:
     """Header through ``csv.writer``, then ``%.17g`` cells and ``\\r\\n`` per row.
 
-    Cells are numbers, which never need quoting.  One array kernel formats
-    them, a block of whole rows of about 16k cells at a time.
+    Cells are numbers, which never need quoting.  The cell kernel formats
+    them a block of whole rows at a time.
     """
     n_rows, width = table.rows.shape
-    separators = np.full(width, _COMMA, "<u4")
-    separators[-1:] = _CRLF
-    step = max(1, _CELLS_PER_BLOCK // max(width, 1))
+    separators = np.full(width, _word(b","), "<u4")
+    separators[-1:] = _word(b"\r\n")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.columns)
         if not width:  # rows without cells
             fh.write("\r\n" * n_rows)
             return
-        for i in range(0, n_rows, step):
-            fh.write(_csv_cells(table.rows[i : i + step], separators).decode("ascii"))
+        for block in _blocks(table.rows):
+            fh.write(_cells(block, separators, _CSV).decode("ascii"))
 
 
 def read_csv(path) -> ExportTable:
@@ -221,18 +281,28 @@ def read_csv(path) -> ExportTable:
 def export_json(table: ExportTable, path) -> None:
     """The bytes of ``json.dump`` of ``{columns, alphas, bands, rows}``.
 
-    ``json.dump`` encodes in pure Python; ``json.dumps`` uses the C
-    encoder.  The head and each block of rows are encoded on their own, so
-    the whole document is never one string.
+    ``json.dumps`` encodes the head, and the cell kernel the rows with the
+    digits of ``repr``, a block of whole rows at a time, so the whole
+    document is never one string.  ``json.dump`` writes ASCII only, so the
+    file is written in binary.
     """
     head = json.dumps({"columns": table.columns, "alphas": list(table.alphas), "bands": table.band_columns})
-    with open(path, "w") as fh:
-        fh.write(head[:-1] + ', "rows": [')
-        for i in range(0, len(table.rows), _BLOCK_ROWS):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(table.rows[i : i + _BLOCK_ROWS].tolist())[1:-1])
-        fh.write("]}")
+    n_rows, width = table.rows.shape
+    with open(path, "wb") as fh:
+        fh.write(head[:-1].encode("ascii") + b', "rows": [')
+        if not n_rows or not width:
+            fh.write(b", ".join([b"[]"] * n_rows) + b"]}")
+            return
+        fh.write(b"[")
+        separators = np.full(width, _word(b", "), "<u4")
+        separators[-1] = _word(b"], [")
+        *blocks, last = _blocks(table.rows)
+        for block in blocks:
+            fh.write(_cells(block, separators, _JSON))
+        # the last cell closes its row, the rows and the document
+        separators = np.tile(separators, (len(last), 1))
+        separators[-1, -1] = _word(b"]]}")
+        fh.write(_cells(last, separators, _JSON))
 
 
 def band_color(alpha: float) -> str:
