@@ -124,15 +124,23 @@ class CrReport:
     derivative: LcNumber
 
 
+def _check_step(h: float, **centres: float) -> None:
+    """Refuse a step that is not finite and positive, or that rounds away at a stencil centre."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
+    for name, c in centres.items():
+        if c + h == c - h:
+            raise ValueError(f"step h={h} is lost at {name}={c}: {name} + h and {name} - h round to the same double")
+
+
 def derivative_cr(f: MapLike, z0: LcNumber, h: float = 1e-5) -> CrReport:
     """Numerical derivative at ``z0`` from a four-point central stencil.
 
     The derivative is ``u_x + v_x*A``; evaluation failures inside the
     stencil propagate unchanged.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step h must be finite and positive, got {h}")
     x0, y0 = z0.re, z0.fu
+    _check_step(h, x0=x0, y0=y0)
     f_xp = f(LcNumber(x0 + h, y0))
     f_xm = f(LcNumber(x0 - h, y0))
     f_yp = f(LcNumber(x0, y0 + h))

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import Path, _exp, contour_integral, derivative_cr, log_rfa
+from .analytic import Path, _check_step, _exp, contour_integral, derivative_cr, log_rfa
 from .core import BasisNumber, LcNumber, ONE, ZERO, _band_array, _each, _prod, norm_phi
 
 __all__ = [
@@ -101,8 +101,7 @@ class FuzzyCurve:
 
 def curve_derivative(w: FuzzyCurve, t0: float, h: float = 1e-5) -> LcNumber:
     """Componentwise central difference ``x'(t0) + y'(t0)*A``."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    _check_step(h, t0=t0)
     if w.domain is not None and not (w.domain[0] <= t0 - h and t0 + h <= w.domain[1]):
         raise ValueError(f"stencil [{t0 - h}, {t0 + h}] leaves the curve domain {w.domain}")
     inv = 0.5 / h
@@ -629,17 +628,18 @@ class System:
 
     ``entries`` is the ``(section, key)`` config entry of each ``params``
     field, in field order; the ``"initial"`` keys name the trajectory's
-    variables.  ``rk4(params, a1, t_span, dt)`` returns ``(times, states)``
-    in ``Trajectory`` column order, and ``closed_form(params, a1, ts)`` the
-    trajectory on the grid ``ts``.  The kernels look the solvers up as
-    module globals when they run.
+    variables.  A linear class has ``generator(params, a1)``, its field's
+    real matrix on every real part, then every fuzzy coefficient;
+    ``rk4(params, t_span, dt)`` runs any other in ``Trajectory`` order.  Only
+    ``closed_form(params, a1, ts)`` looks its solver up as a module global.
     """
 
     name: str
     aliases: tuple[str, ...]
     params: type
     entries: tuple[tuple[str, str], ...]
-    rk4: Callable
+    generator: Callable | None = None
+    rk4: Callable | None = None
     closed_form: Callable | None = None
     needs_a1: bool = False
 
@@ -648,23 +648,17 @@ class System:
         return tuple(key for section, key in self.entries if section == "initial")
 
 
-def _oscillator_rk4(p: OscillatorParams, a1, t_span, dt: float):
-    times, states = _rk4_linear(oscillator_matrix(p), (p.x0.re, p.y0.re, p.x0.fu, p.y0.fu), t_span, dt)
-    return times, states[:, (0, 2, 1, 3)]
-
-
 SYSTEMS = {system.name: system for system in (
     System("linear", (), LinearParams, (("params", "lambda"), ("initial", "w")),
-           lambda p, a1, t_span, dt: _rk4_linear(realify_linear(p.lmbda), (p.w0.re, p.w0.fu), t_span, dt),
-           lambda p, a1, ts: solve_linear_analytic(p, ts)),
+           generator=lambda p, a1: realify_linear(p.lmbda), closed_form=lambda p, a1, ts: solve_linear_analytic(p, ts)),
     System("linear_psi", ("linear-psi",), LinearParams, (("params", "lambda"), ("initial", "w")),
-           lambda p, a1, t_span, dt: _rk4_linear(realify_linear_psi(p.lmbda, a1), (p.w0.re, p.w0.fu), t_span, dt),
-           lambda p, a1, ts: solve_linear_psi_analytic(p, a1, ts), needs_a1=True),
-    System("oscillator", (), OscillatorParams,
-           (("initial", "x"), ("initial", "y"), ("params", "c1"), ("params", "c2")), _oscillator_rk4),
+           generator=lambda p, a1: realify_linear_psi(p.lmbda, a1),
+           closed_form=lambda p, a1, ts: solve_linear_psi_analytic(p, a1, ts), needs_a1=True),
+    System("oscillator", (), OscillatorParams, (("initial", "x"), ("initial", "y"), ("params", "c1"), ("params", "c2")),
+           generator=lambda p, a1: oscillator_matrix(p)),
     System("lotka_volterra", ("lv", "lotka-volterra"), LvParams,
            tuple(("params", key) for key in ("alpha", "beta", "a", "b")) + (("initial", "x"), ("initial", "y")),
-           lambda p, a1, t_span, dt: _rk4_lotka_volterra(p, t_span, dt)),
+           rk4=_rk4_lotka_volterra),
 )}
 
 
@@ -688,13 +682,12 @@ def simulate_system(
 
     ``linear`` and ``linear_psi`` default to their closed forms
     (``method="rk4"`` integrates the realified system instead); the
-    oscillator and predator-prey systems always integrate.  RK4 on the
-    linear fields (both flows and the oscillator) runs as powers of the
-    step propagator, on predator-prey as a loop over the complex pair
-    ``(x, y)``; both follow the grid and the abort rule of
-    ``rk4_integrate``.  Bands are attached afterwards, with
-    ``Trajectory.attach_bands``.  ``linear_psi`` reads the single point
-    ``a1`` of its 1-level from ``basis``.
+    oscillator and predator-prey systems always integrate.  RK4 runs as
+    powers of the step propagator of the record's ``generator``, or as
+    predator-prey's loop over the complex pair ``(x, y)``; both follow the
+    grid and the abort rule of ``rk4_integrate``.  Bands are attached
+    afterwards, with ``Trajectory.attach_bands``.  ``linear_psi`` reads the
+    single point ``a1`` of its 1-level from ``basis``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -705,7 +698,13 @@ def simulate_system(
     if method == "rk4" or record.closed_form is None:
         if method == "analytic":
             raise ValueError(f"{system} has no analytic solution; use rk4")
-        times, states = record.rk4(params, a1, t_span, dt)
+        if record.generator is None:
+            times, states = record.rk4(params, t_span, dt)
+        else:  # the state is every real part, then every fuzzy coefficient
+            start = [getattr(params, f.name) for f, (sec, _) in zip(fields(params), record.entries) if sec == "initial"]
+            s0 = np.array(start, dtype=complex)
+            times, states = _rk4_linear(record.generator(params, a1), np.r_[s0.real, s0.imag], t_span, dt)
+            states = states.reshape(len(times), 2, -1).swapaxes(1, 2).reshape(len(times), -1)
         return Trajectory(times, record.variables, states)
     return record.closed_form(params, a1, time_grid(t_span, dt))
 

@@ -697,6 +697,15 @@ def test_derive_refuses_a_non_finite_residual(capsys, expr, residual):
     assert (code, out, err) == (3, "", f"numeric error: {residual}\n")
 
 
+@pytest.mark.parametrize("at, centre", [("1e17", "x0=1e+17"), ("1e308", "x0=1e+308"), ("3+1e17*A", "y0=1e+17")])
+def test_derive_refuses_a_step_lost_in_rounding(capsys, at, centre):
+    # the stencil's two points round to one double: no derivative 0.0 with a residual of 1
+    code, out, err = run(capsys, "derive", "z", "--at", at)
+    name = centre.partition("=")[0]
+    expected = f"numeric error: step h=1e-05 is lost at {centre}: {name} + h and {name} - h round to the same double\n"
+    assert (code, out, err) == (3, "", expected)
+
+
 def test_polyline_edge_sum_overflow_integrates_the_closed_path(capsys):
     code, out, _ = run(capsys, "integrate", "1", "--path", "1e308, -7e307, 1e308", "--samples", "101")
     assert (code, out) == (0, "0.0\n")

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -41,6 +42,7 @@ from rfa import (
 )
 from rfa.analytic import derivative_cr
 from rfa.dynamics import (
+    SYSTEMS,
     check_curve_chain_rule,
     matrix_field,
     oscillator_matrix,
@@ -90,6 +92,26 @@ def test_derivative_steps_must_be_finite_and_positive(h):
         curve_derivative(FuzzyCurve(lambda t: t, lambda t: t), 1.0, h=h)
     with pytest.raises(ValueError, match="finite and positive"):
         derivative_cr(lambda z: z, LcNumber(1, 0), h=h)
+
+
+@pytest.mark.parametrize(
+    "derive, centre",
+    [
+        (lambda f: derivative_cr(f, LcNumber(1e17, 0)), "x0=1e+17"),
+        (lambda f: derivative_cr(f, LcNumber(1e308, 0)), "x0=1e+308"),
+        (lambda f: derivative_cr(f, LcNumber(3, 1e17)), "y0=1e+17"),
+        (lambda f: curve_derivative(FuzzyCurve(f, f), 1e300), "t0=1e+300"),
+    ],
+    ids=["x0", "x0-near-max", "y0", "t0"],
+)
+def test_a_step_lost_in_rounding_is_refused(derive, centre):
+    # both stencil points round to the centre, which would read a derivative of 0
+    calls = []
+    name = centre.partition("=")[0]
+    message = f"step h=1e-05 is lost at {centre}: {name} + h and {name} - h round to the same double"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derive(lambda v: calls.append(v) or v)
+    assert calls == []
 
 
 def test_curve_integral_examples():
@@ -625,12 +647,27 @@ def test_propagator_round_off_does_not_build_up(params):
     assert float(np.max(np.abs(got - exact)) / np.max(np.abs(exact))) < 2e-14
 
 
-def test_oscillator_matrix_is_the_oscillator_field():
-    field = realify_oscillator(FUZZY_OSCILLATOR)
+# each generator's parameters and the element-level field it realifies, on the
+# state of every variable's real part, then every fuzzy coefficient
+ELEMENT_FIELDS = {
+    "linear": (LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2)), lambda p, a1, s: p.lmbda * LcNumber(*s)),
+    "linear_psi": (
+        LinearParams(LcNumber(-1.2, 0.7), LcNumber(2, 2)),
+        lambda p, a1, s: cross_product_psi(p.lmbda, LcNumber(*s), a1),
+    ),
+    "oscillator": (FUZZY_OSCILLATOR, lambda p, a1, s: realify_oscillator(p)(0.0, s)),
+}
+
+
+@pytest.mark.parametrize("record", [r for r in SYSTEMS.values() if r.generator is not None], ids=lambda r: r.name)
+def test_generators_are_the_element_fields(record):
+    params, field = ELEMENT_FIELDS[record.name]
     rng = random.Random(4)
     for _ in range(20):
-        s = [rng.uniform(-10, 10) for _ in range(4)]
-        assert np.allclose(oscillator_matrix(FUZZY_OSCILLATOR) @ s, field(0.0, s), rtol=1e-15, atol=1e-13)
+        s = [rng.uniform(-10, 10) for _ in range(2 * len(record.variables))]
+        want = field(params, 0.3, s)
+        want = (want.re, want.fu) if isinstance(want, LcNumber) else want
+        assert np.allclose(record.generator(params, 0.3) @ s, want, rtol=1e-15, atol=1e-13)
 
 
 @pytest.mark.parametrize("span", KERNEL_SPANS.values(), ids=KERNEL_SPANS.keys())
