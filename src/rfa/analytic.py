@@ -124,13 +124,17 @@ class CrReport:
     derivative: LcNumber
 
 
-def _check_step(h: float, **centres: float) -> None:
-    """Refuse a step that is not finite and positive, or that rounds away at a stencil centre."""
+def _stencil(h: float, c: float, name: str) -> tuple[float, float, float]:
+    """``c - h``, ``c + h`` and the width between them as a double; a bad or lost step raises.
+
+    The width, not ``2*h``, divides a central difference (Press et al., *Numerical Recipes* 5.7).
+    """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"step h must be finite and positive, got {h}")
-    for name, c in centres.items():
-        if c + h == c - h:
-            raise ValueError(f"step h={h} is lost at {name}={c}: {name} + h and {name} - h round to the same double")
+    lo, hi = c - h, c + h
+    if lo == hi:
+        raise ValueError(f"step h={h} is lost at {name}={c}: {name} + h and {name} - h round to the same double")
+    return lo, hi, hi - lo
 
 
 def derivative_cr(f: MapLike, z0: LcNumber, h: float = 1e-5) -> CrReport:
@@ -140,16 +144,16 @@ def derivative_cr(f: MapLike, z0: LcNumber, h: float = 1e-5) -> CrReport:
     stencil propagate unchanged.
     """
     x0, y0 = z0.re, z0.fu
-    _check_step(h, x0=x0, y0=y0)
-    f_xp = f(LcNumber(x0 + h, y0))
-    f_xm = f(LcNumber(x0 - h, y0))
-    f_yp = f(LcNumber(x0, y0 + h))
-    f_ym = f(LcNumber(x0, y0 - h))
-    inv = 0.5 / h
-    d_ux = (f_xp.re - f_xm.re) * inv
-    d_vx = (f_xp.fu - f_xm.fu) * inv
-    d_uy = (f_yp.re - f_ym.re) * inv
-    d_vy = (f_yp.fu - f_ym.fu) * inv
+    x_lo, x_hi, dx = _stencil(h, x0, "x0")
+    y_lo, y_hi, dy = _stencil(h, y0, "y0")
+    f_xp = f(LcNumber(x_hi, y0))
+    f_xm = f(LcNumber(x_lo, y0))
+    f_yp = f(LcNumber(x0, y_hi))
+    f_ym = f(LcNumber(x0, y_lo))
+    d_ux = (f_xp.re - f_xm.re) / dx
+    d_vx = (f_xp.fu - f_xm.fu) / dx
+    d_uy = (f_yp.re - f_ym.re) / dy
+    d_vy = (f_yp.fu - f_ym.fu) / dy
     return CrReport(
         d_ux=d_ux,
         d_uy=d_uy,

@@ -27,12 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from ..analytic import _exp, _log, _pow_real, exp_rfa, log_rfa
+from ..analytic import _exp, _log, _pow_real
 from ..core import (
     LcNumber,
     _as_complex,
+    _cross_product_psi_parts,
     _difference,
     _each,
+    _is_zero,
     _join,
     _nth_root,
     _parts,
@@ -40,13 +42,10 @@ from ..core import (
     _pow_int,
     _prod,
     _quotient,
+    _select,
     _sum,
     _wrap,
-    conjugate,
-    norm_phi,
-    nth_root,
 )
-from ..dynamics import _cross_product_psi_parts, cross_product_psi
 
 __all__ = ["ExprError", "UnboundVariableError", "calls_psi_mul", "eval_expression", "eval_expression_batch"]
 
@@ -140,27 +139,9 @@ def _broadcast(value, n: int):
     return np.broadcast_to(z.real, n), np.broadcast_to(z.imag, n)
 
 
-# the same operations on elements and on ``(re, fu)`` pairs of float64
-# arrays, keyed by operator symbol, function name or node kind: the element
-# kernels themselves over ``_ARRAY``, their element wrappers over ``_SCALAR``
-_SCALAR = {
-    "const": lambda z, n: z,
-    "neg": operator.neg,
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "^": _on_elements(_power),
-    "log_branch": _on_elements(_log_branch),
-    "psi_mul": cross_product_psi,
-    "exp": exp_rfa,
-    "log": log_rfa,
-    "sqrt": lambda z: nth_root(z, 2, 0),
-    "conj": conjugate,
-    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
-    "polar": _on_elements(_polar),
-}
-_ARRAY = {
-    "const": _broadcast,
-    "neg": lambda z: (-z[0], -z[1]),
-    "+": _sum, "-": _difference, "*": _prod, "/": _quotient,
+# every function and power, written once over ``(re, fu)`` pairs of floats
+# or of float64 arrays
+_KERNELS = {
     "^": _power,
     "log_branch": _log_branch,
     "psi_mul": _cross_product_psi_parts,
@@ -168,8 +149,23 @@ _ARRAY = {
     "log": _log,
     "sqrt": lambda z: _nth_root(z, 2, 0),
     "conj": lambda z: (z[0], -z[1]),
-    "norm": lambda z: (_each(math.hypot, *z), np.zeros_like(z[0])),
+    "norm": lambda z: (_each(math.hypot, *z), _select(_is_zero(z), 0.0, 0.0)),
     "polar": _polar,
+}
+# the operations on elements and on pairs of arrays, keyed by operator
+# symbol, function name or node kind: constants and field operators are
+# ``LcNumber``'s own over ``_SCALAR``, the rest the kernels above
+_SCALAR = {
+    "const": lambda z, n: z,
+    "neg": operator.neg,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    **{key: _on_elements(kernel) for key, kernel in _KERNELS.items()},
+}
+_ARRAY = {
+    "const": _broadcast,
+    "neg": lambda z: (-z[0], -z[1]),
+    "+": _sum, "-": _difference, "*": _prod, "/": _quotient,
+    **_KERNELS,
 }
 # the names the grammar calls; ``log`` with a second argument is ``log_branch``
 _FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul")

@@ -230,6 +230,12 @@ def _prod(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _cross_product_psi_parts(b, c, a1: float):
+    """``cross_product_psi`` over ``(re, fu)`` pairs of floats or of arrays."""
+    (rb, qb), (rc, qc) = b, c
+    return rb * rc - a1 * a1 * qc * qb, qb * (rc + qc * a1) + qc * (rb + qb * a1)
+
+
 def _quotient(num, den):
     """``num / den`` per entry, as CPython 3.11's ``_Py_c_quot`` rounds it.
 

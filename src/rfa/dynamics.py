@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import Path, _check_step, _exp, contour_integral, derivative_cr, log_rfa
-from .core import BasisNumber, LcNumber, ONE, ZERO, _band_array, _each, _prod, norm_phi
+from .analytic import Path, _exp, _stencil, contour_integral, derivative_cr, log_rfa
+from .core import BasisNumber, LcNumber, ONE, ZERO, _band_array, _cross_product_psi_parts, _each, _prod, norm_phi
 
 __all__ = [
     "FuzzyCurve",
@@ -101,11 +101,10 @@ class FuzzyCurve:
 
 def curve_derivative(w: FuzzyCurve, t0: float, h: float = 1e-5) -> LcNumber:
     """Componentwise central difference ``x'(t0) + y'(t0)*A``."""
-    _check_step(h, t0=t0)
-    if w.domain is not None and not (w.domain[0] <= t0 - h and t0 + h <= w.domain[1]):
-        raise ValueError(f"stencil [{t0 - h}, {t0 + h}] leaves the curve domain {w.domain}")
-    inv = 0.5 / h
-    return LcNumber((w.x(t0 + h) - w.x(t0 - h)) * inv, (w.y(t0 + h) - w.y(t0 - h)) * inv)
+    lo, hi, width = _stencil(h, t0, "t0")
+    if w.domain is not None and not (w.domain[0] <= lo and hi <= w.domain[1]):
+        raise ValueError(f"stencil [{lo}, {hi}] leaves the curve domain {w.domain}")
+    return LcNumber((w.x(hi) - w.x(lo)) / width, (w.y(hi) - w.y(lo)) / width)
 
 
 def curve_integral(w: FuzzyCurve, a: float, b: float, samples: int = 1001) -> LcNumber:
@@ -260,12 +259,6 @@ def cross_product_psi(b: LcNumber, c: LcNumber, a1: float) -> LcNumber:
     to ``(rb*rc - a1^2*qb*qc) + (qb*(rc + qc*a1) + qc*(rb + qb*a1))*A``.
     """
     return LcNumber(*_cross_product_psi_parts((b.re, b.fu), (c.re, c.fu), a1))
-
-
-def _cross_product_psi_parts(b, c, a1: float):
-    """``cross_product_psi`` over ``(re, fu)`` pairs of floats or of arrays."""
-    (rb, qb), (rc, qc) = b, c
-    return rb * rc - a1 * a1 * qc * qb, qb * (rc + qc * a1) + qc * (rb + qb * a1)
 
 
 def realify_linear_psi(lmbda: LcNumber, a1: float) -> np.ndarray:

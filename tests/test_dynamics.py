@@ -114,6 +114,15 @@ def test_a_step_lost_in_rounding_is_refused(derive, centre):
     assert calls == []
 
 
+def test_a_step_a_few_ulps_wide_gives_a_linear_map_its_slope():
+    # the stencil's points round to a width other than 2*h, which divides each difference
+    assert curve_derivative(FuzzyCurve(lambda t: t, lambda t: 2 * t), 1e11) == LcNumber(1, 2)
+    for f, z0, slope in [(lambda z: z, LcNumber(1e11, 0), LcNumber(1, 0)),
+                         (lambda z: z * LcNumber(0, 1), LcNumber(0, 1e11), LcNumber(0, 1))]:
+        report = derivative_cr(f, z0)
+        assert (report.derivative, report.residual1, report.residual2) == (slope, 0.0, 0.0)
+
+
 def test_curve_integral_examples():
     squared = FuzzyCurve(lambda t: 1 - t * t, lambda t: 2 * t)
     assert norm_phi(curve_integral(squared, 0, 1) - LcNumber(2 / 3, 1)) < 1e-9

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import math
+import operator
 import random
 
 import numpy as np
@@ -9,7 +10,18 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from rfa import BasisNumber, LcNumber, Path, contour_integral
+from rfa import (
+    BasisNumber,
+    LcNumber,
+    Path,
+    conjugate,
+    contour_integral,
+    cross_product_psi,
+    exp_rfa,
+    log_rfa,
+    norm_phi,
+    nth_root,
+)
 from rfa.cli import (
     ExprError,
     LiteralError,
@@ -231,6 +243,8 @@ def test_the_scalar_and_array_tables_hold_the_same_operations():
     # every entry is an operator, an inner node kind or a function the grammar calls
     inner = {"const", "neg", "+", "-", "*", "/", "^", "log_branch"}
     assert expressions._SCALAR.keys() == inner | set(expressions._FUNCTIONS)
+    # each function and power is one kernel, the array table's own entry
+    assert all(expressions._ARRAY[key] is kernel for key, kernel in expressions._KERNELS.items())
 
 
 # signed zeros, subnormals, values near overflow, the non-finite doubles and
@@ -246,6 +260,26 @@ _EDGE_ELEMENTS = st.tuples(_EDGE_PARTS, _EDGE_PARTS)
 _CONSTANTS = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (-1.0, 0.0), (-2.0, 0.0), (-3.0, 0.0),
                               (0.5, 0.0), (-0.5, 0.0), (2.5, 0.0), (1e20, 0.0), (-1e300, 0.0), (math.inf, 0.0),
                               (math.nan, 0.0), (2.0, 1.0)])
+
+
+# the per-sample reference: ``LcNumber``'s operators and the public element
+# functions, so that no kernel is checked against itself; ``^``,
+# ``log_branch`` and ``polar`` have no public function and keep the scalar
+# evaluator's entry
+_REFERENCE = {
+    "const": expressions._SCALAR["const"],
+    "neg": operator.neg,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": expressions._SCALAR["^"],
+    "log_branch": expressions._SCALAR["log_branch"],
+    "psi_mul": cross_product_psi,
+    "exp": exp_rfa,
+    "log": log_rfa,
+    "sqrt": lambda z: nth_root(z, 2),
+    "conj": conjugate,
+    "norm": lambda z: LcNumber(norm_phi(z), 0.0),
+    "polar": expressions._SCALAR["polar"],
+}
 
 
 def _parts_outcome(fn):
@@ -271,14 +305,14 @@ def test_every_array_operation_gives_the_scalar_bits_or_raises(key, data):
         options["pos"] = 0
     if key == "psi_mul":
         options["a1"] = data.draw(st.sampled_from([0.0, 1.175, -0.4]), label="a1")
-    scalar, array = expressions._SCALAR[key], expressions._ARRAY[key]
+    reference, array = _REFERENCE[key], expressions._ARRAY[key]
     if key == "const":
         constant = LcNumber(*operands[0][0])
-        expected = [_parts_outcome(lambda: scalar(constant, 1))] * n
+        expected = [_parts_outcome(lambda: reference(constant, 1))] * n
         call = lambda: array(constant, n)
     else:
         expected = [
-            _parts_outcome(lambda: scalar(*(LcNumber(*operand[i]) for operand in operands), **options))
+            _parts_outcome(lambda: reference(*(LcNumber(*operand[i]) for operand in operands), **options))
             for i in range(n)
         ]
         call = lambda: array(*(tuple(map(np.array, zip(*operand))) for operand in operands), **options)

@@ -95,6 +95,9 @@ CALCULUS = [
     ["integrate", "q*z", "--path", "0, 1"],
     ["integrate", "z^(1+z)", "--path", "1, 1+1*A", "--samples", "11"],
     ["integrate", "z^norm(z)", "--path", "1, 2+1*A", "--samples", "101"],
+    # stencil points a few ulps apart, 2*h away only in exact arithmetic
+    ["derive", "z", "--at", "1e11"],
+    ["derive", "z*A", "--at", "0+1e11*A"],
 ]
 
 
