@@ -125,7 +125,7 @@ class CrReport:
 
 
 def _stencil(h: float, c: float, name: str) -> tuple[float, float, float]:
-    """``c - h``, ``c + h`` and the width between them as a double; a bad or lost step raises.
+    """``c - h``, ``c + h`` and the width between them as a double; a bad, lost or overflowing step raises.
 
     The width, not ``2*h``, divides a central difference (Press et al., *Numerical Recipes* 5.7).
     """
@@ -134,7 +134,10 @@ def _stencil(h: float, c: float, name: str) -> tuple[float, float, float]:
     lo, hi = c - h, c + h
     if lo == hi:
         raise ValueError(f"step h={h} is lost at {name}={c}: {name} + h and {name} - h round to the same double")
-    return lo, hi, hi - lo
+    width = hi - lo
+    if not math.isfinite(width):
+        raise ValueError(f"step h={h} overflows at {name}={c}: ({name} + h) - ({name} - h) is {width}")
+    return lo, hi, width
 
 
 def derivative_cr(f: MapLike, z0: LcNumber, h: float = 1e-5) -> CrReport:

@@ -116,6 +116,17 @@ def _split(a):
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
+
+def _exact_product(a, b, bh, bl):
+    """``a * b`` exactly, as the rounded product ``p`` and its error ``e`` (Dekker's product).
+
+    ``bh + bl`` is Veltkamp's split of ``b``.
+    """
+    p = a * b
+    ah, al = _split(a)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
 # Each cell is formatted from 28 source bytes, four per ``<u4`` word:
 #   0 sign ("-" or NUL), 1 ".", 2 "0", 3..19 the 17 digits of N,
 #   20..23 the separator, NUL-padded, 24..27 NUL
@@ -207,12 +218,8 @@ def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
     # a cell left to the text function computes as 1.0, so every cast below is defined
     k = np.where(fixed, k, 0.0).astype(np.intp)
     ax = np.where(fixed, ax, 1.0)
-    # exact |x| * 10^q = p + e
     q = 16 - k
-    p = ax * _POW10[q]
-    ah, al = _split(ax)
-    bh, bl = _POW10_HI[q], _POW10_LO[q]
-    e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    p, e = _exact_product(ax, _POW10[q], _POW10_HI[q], _POW10_LO[q])  # exact |x| * 10^q = p + e
     digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
     fixed &= (p > 1e16) | ((p == 1e16) & (e >= 0))
     if kind.shortest:
@@ -311,11 +318,58 @@ def band_color(alpha: float) -> str:
     return f"#{gray:02x}{gray:02x}{gray:02x}"
 
 
+# -- SVG pixels: the bytes of ``%.6g`` for coordinates in [10, 1000) --
+#
+# A pixel of a finite span lies in [50, 750].  For v in [10, 1000),
+# v * 10^d with d = 4 below 100 and 3 from 100 has the 6 significant
+# digits of ``%.6g`` before the point, and Dekker's product gives it
+# exactly as p + e.  p < 2^20, so f = floor(p) and (p - f) - 0.5 are
+# exact, and the rounded sum ((p - f) - 0.5) + e has the sign of the
+# exact remainder less a half, since rounding keeps signs: above zero
+# rounds up, zero is a tie and goes to even.  Scaled to 4 decimals, the
+# rounded N splits into an integer part 10..1000 (999.9995 carries to
+# 1000) and a fraction 0..9999.  Each part is one NUL-padded table word:
+# the integer's digits, and the fraction as ``.dddd`` without trailing
+# zeros (nothing for 0).  The separator goes in the last byte of the
+# fraction word, and the NULs are deleted from the text.  Every other
+# coordinate (below 10, from 1000, negative, nan, inf) goes to ``%.6g``
+# on its own.
+
+_INTEGERS = _GROUPS[:1001].astype(np.uint64) >> (  # the digits of 0 .. 1000 without leading zeros
+    8 * (np.arange(1001) < np.array([[10], [100], [1000]])).sum(axis=0).astype(np.uint64)
+)
+_FRACTIONS = np.where(  # "", ".0001" .. ".9999" for 0 .. 9999, without trailing zeros
+    np.arange(10000) == 0,
+    np.uint64(0),
+    ((_GROUPS.astype(np.uint64) << np.uint64(8)) | np.uint64(ord(".")))
+    & ((np.uint64(1) << (8 * (5 - _TRAILING_ZEROS)).astype(np.uint64)) - np.uint64(1)),
+)
+_PAIR_SEPARATORS = np.array([ord(","), ord(" ")], np.uint64) << np.uint64(56)  # after x, after y
+
+
 def _svg_points(px: np.ndarray, py: np.ndarray) -> str:
-    """``x,y`` pairs at 6 significant digits, one format over the interleaved pairs."""
+    """``x,y`` pairs at 6 significant digits (the bytes of ``%.6g``), separated by single spaces."""
     xy = np.empty(2 * len(px))
     xy[0::2], xy[1::2] = px, py
-    return " ".join(["%.6g,%.6g"] * len(px)) % tuple(xy.tolist())
+    inside = (xy >= 10.0) & (xy < 1000.0)  # false for nan
+    v = np.where(inside, xy, 10.0)
+    small = v < 100.0
+    scale = np.where(small, 1e4, 1e3)
+    p, e = _exact_product(v, scale, scale, 0.0)  # 10^4 and 10^3 are their own high halves
+    f = np.floor(p)
+    s = ((p - f) - 0.5) + e
+    n = f.astype(np.int64)
+    n += (s > 0.0) | ((s == 0.0) & (n & 1).astype(bool))
+    whole, fraction = np.divmod(np.where(small, n, n * 10), 10000)
+    words = np.empty((len(xy), 2), "<u8")
+    words[:, 0] = _INTEGERS.take(whole)
+    words[:, 1] = _FRACTIONS.take(fraction)
+    left = np.flatnonzero(~inside)
+    if len(left):
+        texts = np.array(["%.6g" % c for c in xy[left].tolist()], "S16")  # at most 13 bytes
+        words[left] = texts.view("<u8").reshape(-1, 2)
+    words.reshape(-1, 2, 2)[:, :, 1] |= _PAIR_SEPARATORS
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def emit_svg(series, path, x_label: str = "", y_label: str = "") -> None:

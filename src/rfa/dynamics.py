@@ -537,24 +537,25 @@ def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
     ts, n_full = _grid(t_span, dt)
     alpha, beta, a, b = (complex(z.re, z.fu) for z in (params.alpha, params.beta, params.a, params.b))
     x, y = complex(params.x0.re, params.x0.fu), complex(params.y0.re, params.y0.fu)
-    states = [(x, y)]
-    append = states.append
-    h, hh, h6 = dt, 0.5 * dt, dt / 6.0
-    for j in range(len(ts) - 1):
-        if j == n_full:
-            h = ts[-1] - ts[j]
-            hh, h6 = 0.5 * h, h / 6.0
-        k1x, k1y = x * (alpha - a * y), y * (b * x - beta)
-        x2, y2 = x + hh * k1x, y + hh * k1y
-        k2x, k2y = x2 * (alpha - a * y2), y2 * (b * x2 - beta)
-        x3, y3 = x + hh * k2x, y + hh * k2y
-        k3x, k3y = x3 * (alpha - a * y3), y3 * (b * x3 - beta)
-        x4, y4 = x + h * k3x, y + h * k3y
-        k4x, k4y = x4 * (alpha - a * y4), y4 * (b * x4 - beta)
-        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        append((x, y))
-    states = np.asarray(states)
+    xs, ys = [x], [y]
+    append_x, append_y = xs.append, ys.append
+    # the full steps, then the shortened last one where dt does not divide the span
+    for h, steps in ((dt, n_full), (ts[-1] - ts[n_full], len(ts) - 1 - n_full)):
+        hh, h6 = 0.5 * h, h / 6.0
+        for _ in range(steps):
+            k1x, k1y = x * (alpha - a * y), y * (b * x - beta)
+            x2, y2 = x + hh * k1x, y + hh * k1y
+            k2x, k2y = x2 * (alpha - a * y2), y2 * (b * x2 - beta)
+            x3, y3 = x + hh * k2x, y + hh * k2y
+            k3x, k3y = x3 * (alpha - a * y3), y3 * (b * x3 - beta)
+            x4, y4 = x + h * k3x, y + h * k3y
+            k4x, k4y = x4 * (alpha - a * y4), y4 * (b * x4 - beta)
+            x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+            y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+            append_x(x)
+            append_y(y)
+    states = np.empty((len(xs), 2), complex)
+    states[:, 0], states[:, 1] = xs, ys
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise IntegrationAbort(ts[int(np.argmax(bad))])

@@ -690,11 +690,29 @@ def test_non_finite_exponent_or_log_branch_is_named(capsys, expr, cause):
 
 
 @pytest.mark.parametrize(
-    "expr, residual", [("norm(z)", "cr_residual2 is not finite: nan"), ("exp(z*A)", "cr_residual1 is not finite: nan")]
+    "expr, residual",
+    [
+        ("(z-conj(z))*(z-conj(z))", "cr_residual2 is not finite: nan"),
+        ("(z-conj(z))*(z-conj(z))*A", "cr_residual1 is not finite: nan"),
+    ],
 )
 def test_derive_refuses_a_non_finite_residual(capsys, expr, residual):
-    code, out, err = run(capsys, "derive", expr, "--at", "0 + 1e308*A", "--step", "1e308")
+    # -4y^2 overflows to -inf on both sides of y0 = 0, over a finite width of 2e154
+    code, out, err = run(capsys, "derive", expr, "--at", "0", "--step", "1e154")
     assert (code, out, err) == (3, "", f"numeric error: {residual}\n")
+
+
+@pytest.mark.parametrize(
+    "at, step, centre",
+    [("1", "1e308", "x0=1.0"), ("0 + 1e308*A", "1e308", "x0=0.0"), ("1 + 1.7e308*A", "1e307", "y0=1.7e+308")],
+)
+def test_derive_refuses_a_step_whose_width_overflows(capsys, at, step, centre):
+    # (c + h) - (c - h) is not finite: the partials would read nan
+    code, out, err = run(capsys, "derive", "z", "--at", at, "--step", step)
+    name = centre.partition("=")[0]
+    h = float(step)
+    expected = f"numeric error: step h={h} overflows at {centre}: ({name} + h) - ({name} - h) is inf\n"
+    assert (code, out, err) == (3, "", expected)
 
 
 @pytest.mark.parametrize("at, centre", [("1e17", "x0=1e+17"), ("1e308", "x0=1e+308"), ("3+1e17*A", "y0=1e+17")])

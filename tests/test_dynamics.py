@@ -114,6 +114,25 @@ def test_a_step_lost_in_rounding_is_refused(derive, centre):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "derive, step, centre",
+    [
+        (lambda f: derivative_cr(f, LcNumber(1, 0), 1e308), 1e308, "x0=1.0"),
+        (lambda f: derivative_cr(f, LcNumber(0, 1.7e308), 1e307), 1e307, "y0=1.7e+308"),
+        (lambda f: curve_derivative(FuzzyCurve(f, f), -1e308, 1e308), 1e308, "t0=-1e+308"),
+    ],
+    ids=["x0", "y0-near-max", "t0"],
+)
+def test_a_step_whose_width_overflows_is_refused(derive, step, centre):
+    # (c + h) - (c - h) is not finite, so every partial would read nan or 0
+    calls = []
+    name = centre.partition("=")[0]
+    message = f"step h={step} overflows at {centre}: ({name} + h) - ({name} - h) is inf"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derive(lambda v: calls.append(v) or v)
+    assert calls == []
+
+
 def test_a_step_a_few_ulps_wide_gives_a_linear_map_its_slope():
     # the stencil's points round to a width other than 2*h, which divides each difference
     assert curve_derivative(FuzzyCurve(lambda t: t, lambda t: 2 * t), 1e11) == LcNumber(1, 2)
@@ -709,6 +728,21 @@ def test_fused_lotka_volterra_aborts_where_stage_by_stage_rk4_does():
     with pytest.raises(IntegrationAbort) as kernel:
         simulate_system("lotka_volterra", params, (0.0, 20.0), dt=1e-3)
     assert kernel.value.t == generic.value.t == 0.007
+
+
+def test_fused_lotka_volterra_aborts_in_a_shortened_last_step():
+    # the six full steps stay finite (predators near 1e249); the half step after them overflows
+    params = LvParams(
+        alpha=LcNumber(0.25, 0.001), beta=LcNumber(0.18, 0.003), a=LcNumber(0.01, 0), b=LcNumber(0.007, 0.001),
+        x0=LcNumber(1e6, 5), y0=LcNumber(1e-3, 1e-4),
+    )
+    assert np.isfinite(simulate_system("lotka_volterra", params, (0.0, 0.006), dt=1e-3).coeffs).all()
+    s0 = (params.x0.re, params.y0.re, params.x0.fu, params.y0.fu)
+    with pytest.raises(IntegrationAbort) as generic:
+        rk4_integrate(realify_lotka_volterra(params), s0, (0.0, 0.0065), 1e-3)
+    with pytest.raises(IntegrationAbort) as kernel:
+        simulate_system("lotka_volterra", params, (0.0, 0.0065), dt=1e-3)
+    assert kernel.value.t == generic.value.t == 0.0065
 
 
 @pytest.mark.parametrize(

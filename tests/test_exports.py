@@ -402,6 +402,48 @@ def test_svg_points_match_the_reference_on_edge_values(tmp_path, monkeypatch):
     assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
 
 
+def _pixel_cells():
+    """Every exact tie of ``%.6g`` in [10, 1000), both neighbours of every 6-digit midpoint in [50, 750], edge cells."""
+    # v * 10^4 (below 100) or v * 10^3 (from 100) is a half-integer at an odd multiple of 1/32 or 1/16
+    ties = np.concatenate([np.arange(321, 3200, 2) / 32, np.arange(1601, 16000, 2) / 16])
+    # (2N + 1) / (2 * 10^d) is the double nearest the midpoint: one neighbour, the other beside it
+    nearest = np.concatenate([np.arange(1000001, 2000000, 2) / 2e4, np.arange(200001, 1500000, 2) / 2e3])
+    edges = [99.99995, 999.9995, 10.0, 1000.0, 750.0, math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    return np.concatenate([ties, nearest, np.nextafter(nearest, 0.0), np.nextafter(nearest, math.inf), edges])
+
+
+def test_svg_points_match_the_reference_on_every_tie_and_midpoint():
+    cells = _pixel_cells()
+    assert (cells >= 50).sum() > 3 * 1_150_000
+    for start in range(0, len(cells), 2**18):  # even chunks, so each holds whole pairs
+        chunk = cells[start : start + 2**18]
+        # reference_svg_points' bytes, from one "%" over the chunk: an f-string per pair takes seconds more
+        reference = " ".join(["%.6g,%.6g"] * (len(chunk) // 2)) % tuple(chunk.tolist())
+        assert exports._svg_points(chunk[0::2], chunk[1::2]) == reference, start
+
+
+def _pixel_source(source, seed, pool, size):
+    rng = np.random.default_rng(seed)
+    if source == "pixels":
+        return rng.uniform(0.0, 1100.0, size)
+    if source == "ticks":  # dyadic pixels, many of them ties at 6 digits
+        return rng.integers(0, 2**21, size) / 2.0 ** rng.integers(0, 12, size)
+    return _cells(source, seed, pool, size)
+
+
+@settings(deadline=None, max_examples=80, phases=NO_SHRINK)
+@given(
+    st.sampled_from(["pixels", "ticks", "floats", "bits", "powers", "dyadic"]),
+    st.integers(0, 3000),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(), min_size=1, max_size=40),
+)
+def test_svg_points_match_the_reference_on_any_cells(source, n_pairs, seed, pool):
+    cells = _pixel_source(source, seed, pool, 2 * n_pairs)
+    px, py = cells[0::2], cells[1::2]
+    assert exports._svg_points(px, py) == reference_svg_points(px, py)
+
+
 @pytest.mark.parametrize(
     "fig, plot",
     [("fig2", "time-series"), ("fig6", "phase:x-vs-s"), ("fig12", "phase:r-vs-y"), ("fig8", "components")],
