@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -102,7 +102,7 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
 # digits, a carry into the next decade and whatever fails the check of k.
 
 _CELLS_PER_BLOCK = 16384
-_POW10 = np.array([float(10**q) for q in range(21)])
+_POW10 = np.array([float(10**q) for q in range(23)])  # exact doubles
 _GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4")  # "0000" .. "9999"
 _TRAILING_ZEROS = (_GROUPS.view(np.uint8).reshape(-1, 4)[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
 
@@ -259,29 +259,277 @@ def export_csv(table: ExportTable, path) -> None:
     """Header through ``csv.writer``, then ``%.17g`` cells and ``\\r\\n`` per row.
 
     Cells are numbers, which never need quoting.  The cell kernel formats
-    them a block of whole rows at a time.
+    them a block of whole rows at a time, and its ASCII goes to the file
+    as bytes.
     """
     n_rows, width = table.rows.shape
     separators = np.full(width, _word(b","), "<u4")
     separators[-1:] = _word(b"\r\n")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.columns)
+        fh.flush()
+        body = fh.buffer
         if not width:  # rows without cells
-            fh.write("\r\n" * n_rows)
+            body.write(b"\r\n" * n_rows)
             return
         for block in _blocks(table.rows):
-            fh.write(_cells(block, separators, _CSV).decode("ascii"))
+            body.write(_cells(block, separators, _CSV))
+
+
+# -- CSV bodies: the doubles of ``np.loadtxt(delimiter=",")``, a chunk of whole rows at a time --
+#
+# The body is read in chunks of about ``_CHUNK_BYTES``, each cut after its
+# last line end (LF, CRLF or a lone CR); the partial row after the cut is
+# carried into the next chunk.  Separators split a chunk into cells, an
+# empty line is skipped, and every other line must hold one cell per
+# column.  A cell of at most 24 bytes that is an optional "-", then digits
+# with at most one "." among them, is read from the three 8-byte words
+# that end where it ends: "0" is written over the bytes before its digits
+# and over the dot, and each word gives the value of its 8 digits at once
+# (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  With the dot
+# read as 0 the window holds W, and with f digits after the dot the cell
+# holds V = W - 9 * (W - W mod 10^f) / 10 (V = W without a dot), read as
+# the double nearest V / 10^f:
+#   V <= 2^53, f <= 22: V and 10^f are doubles, and one division rounds
+#   V / 10^f correctly (Clinger, "How to Read Floating Point Numbers
+#   Accurately", PLDI 1990).
+#   2^53 < V < 10^18, f <= 22: the candidate c = float(V) / 10^f is two
+#   roundings from V / 10^f, and the double nearest V / 10^f is c or, as a
+#   rule, a neighbour of c.  c is that double iff V / 10^f lies strictly
+#   inside its rounding interval, half the gap to either neighbour on
+#   either side (the gap below a power of two is halved).  At the scale of
+#   10^f the half gaps are a power of two times 10^f, doubles, and
+#   Dekker's product gives c * 10^f exactly as p + e, with p > 2^52 an
+#   integer.  So V - c * 10^f is (V - p) - e, an exact integer less a
+#   double, rounded once.  Rounding is monotone and keeps a double, so the
+#   rounded difference lies strictly inside the interval's ends only if
+#   the exact one does; an end it meets, a tie among them, is left to the
+#   per-cell reader.  c is checked, then its neighbour on the side the
+#   difference points to.
+# Every other cell is read on its own by ``_number`` as ``np.loadtxt``
+# reads it: exponent notation, inf, nan, "+", spaces, more than 17
+# digits, a cell neither candidate passes and what is not a number.
+
+_CHUNK_BYTES = 1 << 17
+_PAD = 24  # bytes before a chunk, so the window of its first cell lies in the buffer
+
+
+def _low(n: int) -> int:
+    """The low ``n`` bytes of a word, for n clipped to 0..8."""
+    return (1 << 8 * min(max(n, 0), 8)) - 1
+
+
+# Word k (bytes 8k..8k+7) of the window of a cell whose first j bytes lie
+# before its digits: _KEEP[k, j] keeps the bytes from the j-th on, and
+# _ADD[k, 25 * j + t] then turns the bytes before them into "0", and a
+# "." t bytes before the window's end into "0" too (t = 0: no dot).
+_KEEP = np.array([[_low(8) ^ _low(j - 8 * k) for j in range(25)] for k in range(3)], np.uint64)
+_FILL = np.array([[0x3030303030303030 & _low(j - 8 * k) for j in range(25)] for k in range(3)], np.uint64)
+_DOT = np.array([[(0 < t and 24 - t >> 3 == k) * (2 << 8 * (-t % 8)) for t in range(25)] for k in range(3)], np.uint64)
+_ADD = (_FILL[:, :, None] + _DOT[:, None]).reshape(3, 625)
+_POW10_INT = np.array([10**q for q in range(19)], np.int64)
+
+
+def _eight_digits(w):
+    """Read each word of ``w`` in place as the value of its 8 ASCII digits, first digit in the low byte.
+
+    Returns an array that is nonzero where a word is not 8 digits.
+    """
+    bad = w + 0x0606060606060606
+    bad &= 0xF0F0F0F0F0F0F0F0
+    bad >>= 4
+    bad |= w & 0xF0F0F0F0F0F0F0F0
+    bad ^= 0x3333333333333333
+    w &= 0x0F0F0F0F0F0F0F0F
+    w *= 2561
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001
+    w >>= 32
+    return bad
+
+
+def _misses(c, v, f):
+    """Where ``v / 10^f`` lies from the rounding interval of the double ``c``: 0 strictly inside, else -1 or 1."""
+    scale = _POW10.take(f)
+    p, e = _exact_product(c, scale, _POW10_HI.take(f), _POW10_LO.take(f))
+    off = (v - p.astype(np.int64)).astype(np.float64) - e  # v - c * 10^f, rounded once
+    bits = c.view(np.int64)
+    above = ((bits >> 52) - 53 << 52).view(np.float64) * scale  # half the gap to the next double, times 10^f
+    below = np.where(bits & (2**52 - 1), above, above * 0.5)  # a power of two has the gap below halved
+    return (off >= above).astype(np.int64) - (off <= -below)
+
+
+def _nearest(c, v, f):
+    """Where candidate ``c > 0`` or its neighbour toward ``v / 10^f`` is the double nearest it; ``c`` takes that one."""
+    miss = _misses(c, v, f)
+    found = miss == 0
+    away = np.flatnonzero(~found)
+    # a positive double's bits count its neighbours off by one
+    near = (c[away].view(np.int64) + miss[away]).view(np.float64)
+    hit = _misses(near, v[away], f[away]) == 0
+    c[away[hit]] = near[hit]
+    found[away[hit]] = True
+    return found
+
+
+def _number(cell: bytes, encoding: str) -> float:
+    """One cell as ``np.loadtxt`` reads it: ``float`` of the text between spaces, without "_" or non-ASCII."""
+    text = cell.decode(encoding).strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert {cell!r} to a number")
+    return float(text)
+
+
+def _split_lines(b: np.ndarray, width: int):
+    """Where each cell of the whole lines ``b`` starts and ends, how far before its end its last dot lies, and the rows.
+
+    An empty line is skipped, unless the header names no column, and every
+    other line must hold ``width`` cells.
+    """
+    at = np.flatnonzero(b < 47)  # separators and dots, and signs, spaces and the like
+    kind = b[at]
+    cr = kind == 13
+    crlf = np.zeros_like(cr)
+    crlf[:-1] = cr[:-1] & (kind[1:] == 10) & (at[1:] == at[:-1] + 1)
+    closes = cr | (kind == 10)
+    closes[1:] &= ~crlf[:-1]  # the LF of a CRLF ends nothing: its CR ends the line
+    cell = np.flatnonzero(closes | (kind == 44))  # the separator that ends each cell
+    ends = at.take(cell)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1 + crlf.take(cell[:-1])
+    # a dot just before the separator; a cell with another one fails as digits
+    # (before the first cell lies the chunk's last event, a line end)
+    dot = np.where(kind.take(cell - 1) == 46, ends - at.take(cell - 1), 0)
+    closes = np.flatnonzero(closes.take(cell))  # the last cell of each line
+    counts = np.diff(closes, prepend=-1)
+    blank = (counts == 1) & (ends[closes] == starts[closes])
+    if not width:
+        if not blank.all():
+            raise ValueError("a row holds cells, but the header names no column")
+        return starts[:0], ends[:0], dot[:0], len(closes)
+    wrong = np.flatnonzero(~blank & (counts != width))
+    if len(wrong):
+        raise ValueError(f"a row holds {counts[wrong[0]]} cells, but the header names {width} columns")
+    if blank.any():
+        keep = np.repeat(~blank, counts)
+        starts, ends, dot = starts[keep], ends[keep], dot[keep]
+    return starts, ends, dot, len(ends) // width
+
+
+def _fixed(buf: np.ndarray, lo: int, starts, ends, dot):
+    """Each cell's digits V, its digits f after the dot, its sign, and whether the kernel reads it.
+
+    ``starts``, ``ends`` and ``dot`` are as ``_split_lines`` gives them for
+    ``buf[lo:]``, which ``_PAD`` bytes precede.
+    """
+    neg = buf.take(starts + lo) == 45
+    digits = (ends - starts) - neg
+    fast = (digits >= 1 + (dot > 0)) & (digits <= 24)
+    dot = np.minimum(dot, 24)
+    j = np.clip(24 - digits, 0, 24)
+    # the 24-byte window that ends with the cell, from aligned words; then "0"
+    # over the bytes before the digits and over the dot
+    start = ends + (lo - 24)
+    aligned = buf.view("<u8")
+    at = start >> 3
+    right = ((start & 7) << 3).astype(np.uint64)
+    left = 64 - right  # a shift by 64 gives 0
+    fix = j * 25 + dot
+    values = []
+    word = aligned.take(at)
+    for k in range(3):
+        w = word >> right
+        word = aligned.take(at + (k + 1))
+        w |= word << left
+        w &= _KEEP[k].take(j)
+        w += _ADD[k].take(fix)
+        fast &= _eight_digits(w) == 0
+        values.append(w)
+    fast &= values[0] < 100
+    whole = (values[0] * 10**16 + values[1] * 10**8 + values[2]).view(np.int64)  # the digits, the dot read as 0
+    f = np.maximum(dot - 1, 0)
+    fast &= f <= 22
+    f[~fast] = 0  # a cell left to ``_number`` reads as V / 1 meanwhile
+    after = np.where(dot > 0, whole % _POW10_INT.take(np.minimum(f, 18)), whole)
+    return whole - 9 * ((whole - after) // 10), f, neg, fast
+
+
+def _lines(buf: np.ndarray, lo: int, hi: int, width: int, encoding: str):
+    """The cells of the whole lines ``buf[lo:hi]`` as doubles, and their number of rows.
+
+    ``buf`` holds ``_PAD`` bytes before ``lo`` and a multiple of 8 bytes.
+    """
+    b = buf[lo:hi]
+    starts, ends, dot, rows = _split_lines(b, width)
+    v, f, neg, fast = _fixed(buf, lo, starts, ends, dot)
+    x = v.astype(np.float64) / _POW10.take(f)
+    big = np.flatnonzero(fast & (v > 2**53))
+    c = x[big]
+    fast[big] = _nearest(c, v[big], f[big])
+    x[big] = c
+    np.negative(x, out=x, where=neg)
+    for i in np.flatnonzero(~fast).tolist():
+        x[i] = _number(b[starts[i] : ends[i]].tobytes(), encoding)
+    return x, rows
+
+
+def _body(fh, width: int, encoding: str) -> np.ndarray:
+    """The rows of the binary file ``fh`` from its position on, read in chunks of whole lines."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = bytearray(_PAD + _CHUNK_BYTES + 8)  # 8 bytes of room to end a last line
+    out = np.empty(0)
+    n_cells = n_rows = read = 0
+    filled = _PAD
+    while True:
+        with memoryview(buf) as view:
+            got = fh.readinto(view[filled:-8])
+        filled += got
+        if not got and filled > _PAD and buf[filled - 1] not in b"\r\n":
+            buf[filled] = 10  # a last line without its line end
+            filled += 1
+        # a CR at the end of what is read may be the start of a CRLF
+        cut = filled
+        if got:
+            cut = max(buf.rfind(b"\n", _PAD, filled) + 1, buf.rfind(b"\r", _PAD, filled - 1) + 1, _PAD)
+        if cut > _PAD:
+            cells, rows = _lines(np.frombuffer(buf, np.uint8), _PAD, cut, width, encoding)
+            read += cut - _PAD
+            need = n_cells + len(cells)
+            if need > len(out):  # room for the cells the rest of the file holds at this density
+                room = max(need * size // read, len(out) * 9 // 8, need)
+                if len(out):
+                    out.resize(room, refcheck=False)  # realloc moves the pages, and no copy is held
+                else:
+                    out = np.empty(room)  # pages past the last cell are never touched
+            out[n_cells:need] = cells
+            n_cells, n_rows = need, n_rows + rows
+        if not got:
+            out.resize(n_cells, refcheck=False)
+            return out.reshape(n_rows, width)
+        buf[_PAD : _PAD + filled - cut] = buf[cut:filled]
+        filled -= cut - _PAD
+        if filled == len(buf) - 8:  # a line longer than the buffer
+            buf += bytes(len(buf))
 
 
 def read_csv(path) -> ExportTable:
-    """``csv`` reads the header and ``np.loadtxt`` the body; a header alone is an empty table."""
+    """``csv`` reads the header and the body kernel the rows; a header alone is an empty table.
+
+    A cell reads as ``np.loadtxt(delimiter=",")`` reads it, to the bit,
+    and what ``np.loadtxt`` refuses raises ``ValueError``.
+    """
     with open(path, newline="") as fh:
-        columns = next(csv.reader(fh), None)
+        header = []  # the lines the header was read from, untranslated
+        columns = next(csv.reader(header.append(line) or line for line in iter(fh.readline, "")), None)
         if columns is None:
             raise ValueError(f"{path} is empty: no header")
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        fh.buffer.seek(len("".join(header).encode(fh.encoding)))
+        rows = _body(fh.buffer, len(columns), fh.encoding)
     return ExportTable(columns, rows)
 
 

@@ -466,6 +466,38 @@ def test_cli_import_loads_no_scipy():
     assert _python("-c", probe) == (0, "[]\n", "")
 
 
+# The modules the benchmark imports, then 10 warm-up calls and 100 measured
+# ones of one of its ``calculus`` integrals, in a fresh interpreter.
+_FAULTS_PER_INTEGRAL = """
+import contextlib, importlib, io, resource
+for name in ("rfa.core", "rfa.analytic", "rfa.dynamics", "rfa.cli.presets", "rfa.cli.exports",
+             "rfa.cli.expressions", "rfa.cli.literals", "rfa.cli.main"):
+    importlib.import_module(name)
+from rfa.cli.main import main
+argv = ["integrate", "k*exp(c*z)", "--path", "-1+0.5*A, 0.7-0.2*A, 1.2+1*A", "--samples", "10001",
+        "--scheme", "trapezoid", "--bind", "k=1.2 - 0.4*A", "--bind", "c=0.8 + 0.3*A"]
+def call():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+for _ in range(10):
+    call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+def test_an_integral_does_not_fault_the_heap_back_in_each_call():
+    # When what is allocated at import leaves the heap's top free, glibc trims
+    # it after each call and the next call faults it back in: about 100 minor
+    # page faults an integral, and a slower one.  About 0.05 is usual.
+    pytest.importorskip("resource")
+    code, out, err = _python("-c", _FAULTS_PER_INTEGRAL)
+    assert code == 0, err
+    assert float(out) < 5, f"{out.strip()} minor page faults per integral"
+
+
 def test_parse_errors_exit_2(capsys):
     assert run(capsys, "eval", "1 + * 2")[0] == 2
     assert run(capsys, "eval", "ghost + 1")[0] == 2

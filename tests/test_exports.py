@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ def test_read_csv_of_a_header_alone_is_an_empty_table_without_a_warning(tmp_path
         table = read_csv(target)
     assert table.columns == ["t", "w_re", "w_fu"]
     assert table.rows.shape == (0, 3)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3])
+def test_a_table_without_columns_round_trips(tmp_path, n_rows):
+    # with an empty header, each following line is a row of no cells
+    target = tmp_path / "empty.csv"
+    export_csv(ExportTable([], np.zeros((n_rows, 0))), target)
+    assert target.read_bytes() == b"\r\n" * (n_rows + 1)
+    table = read_csv(target)
+    assert table.columns == [] and table.rows.shape == (n_rows, 0)
+    target.write_bytes(b"\r\n\r\n1\r\n")
+    with pytest.raises(ValueError, match="names no column"):
+        read_csv(target)
 
 
 @pytest.mark.parametrize(
@@ -462,13 +476,17 @@ def test_scenario_files_match_the_reference_bytes(tmp_path, monkeypatch, fig, pl
         assert fast_path.read_bytes() == reference_path.read_bytes(), fast_path.name
 
 
-def test_writers_hold_a_block_not_the_document(tmp_path):
-    # 10001 rows x 105 columns: a full-resolution 51-alpha CSV with two variables.
-    # A writer that builds the whole document as one string peaks above the file
-    # size; the block writers measured 20-30% of it.
+def _full_resolution_table():
+    """10001 rows x 105 columns: a full-resolution 51-alpha table with two variables."""
     rng = np.random.default_rng(7)
     row = (rng.standard_normal(105) * 10.0 ** rng.integers(-5, 5, 105)).tolist()
-    table = ExportTable(["t"] + [f"c{k}" for k in range(104)], [row] * 10001)
+    return ExportTable(["t"] + [f"c{k}" for k in range(104)], [row] * 10001)
+
+
+def test_writers_hold_a_block_not_the_document(tmp_path):
+    # A writer that builds the whole document as one string peaks above the file
+    # size; the block writers measured 20-30% of it.
+    table = _full_resolution_table()
     for writer in (export_csv, export_json):
         target = tmp_path / f"big.{writer.__name__}"
         tracemalloc.start()
@@ -478,3 +496,176 @@ def test_writers_hold_a_block_not_the_document(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < target.stat().st_size / 2, (writer.__name__, peak, target.stat().st_size)
+
+
+# -- the reader against its oracle: the doubles of np.loadtxt, bit for bit ----
+
+
+def reference_read_csv(path):
+    """``csv`` reads the header and ``np.loadtxt`` the body."""
+    with open(path, newline="") as fh:
+        columns = next(csv.reader(fh), None)
+        if columns is None:
+            raise ValueError(f"{path} is empty: no header")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    return ExportTable(columns, rows)
+
+
+def assert_reads_as_loadtxt(path):
+    """``read_csv`` gives the oracle's columns and bits, or both raise ``ValueError``."""
+    try:
+        want = reference_read_csv(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_csv(path)
+        return
+    got = read_csv(path)
+    assert got.columns == want.columns
+    assert_same_bits(got.rows, want.rows)
+
+
+# texts np.loadtxt reads or refuses that the writer never writes
+ODD_CELLS = [" 1.5", "+1.5", ".5", "5.", "-.5", "1e5", "-2.5E-3", "inf", "-Infinity", "nan", "-nan", "1_0", "x", "",
+             "2#3", "1.2.3", ".", "-", "+", "1 2", "-1-", "\t7\x0b", "0x10", "1e", "00012.5000", "123456789012345678",
+             "0.1234567890123456789012", "-98765432109876543210.5", "0.00000000000000000000001"]
+
+
+@settings(deadline=None, max_examples=80, phases=NO_SHRINK)
+@given(
+    st.sampled_from(["floats", "bits", "powers", "dyadic"]),
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(), min_size=1, max_size=40),
+    st.lists(st.tuples(st.sampled_from(["odd", "blank", "short", "long"]), st.integers(0, 2**16),
+                       st.sampled_from(ODD_CELLS)), max_size=4),
+    st.sampled_from(["\r\n", "\n", "\r"]),
+    st.booleans(),
+    st.sampled_from([8, 64, 1024, exports._CHUNK_BYTES]),
+)
+def test_read_csv_matches_loadtxt_on_any_text(tmp_path_factory, source, width, n_rows, seed, pool, edits, line_end,
+                                              final_line_end, chunk):
+    where = tmp_path_factory.mktemp("read")
+    cells = _cells(source, seed, pool, n_rows * width).reshape(n_rows, width)
+    reference_csv(ExportTable([f"c{k}" for k in range(width)], cells), where / "written.csv")
+    header, *rows = [line.split(",") for line in (where / "written.csv").read_bytes().decode().split("\r\n")[:-1]]
+    for edit, at, odd in edits:
+        if edit == "blank":
+            rows.insert(at % (len(rows) + 1), [""])
+        elif rows:
+            row = rows[at % len(rows)]
+            if edit == "odd":
+                row[at % len(row)] = odd
+            elif edit == "short":
+                del row[-1:]
+            else:
+                row.append("1")
+    text = line_end.join(",".join(row) for row in [header, *rows]) + line_end * final_line_end
+    (where / "edited.csv").write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exports, "_CHUNK_BYTES", chunk)
+        assert_reads_as_loadtxt(where / "edited.csv")
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 64])
+@pytest.mark.parametrize("line_end", ["\r\n", "\n", "\r"])
+def test_read_csv_carries_rows_across_chunks(tmp_path, monkeypatch, chunk, line_end):
+    # every line end, a CRLF among them, falls on a chunk's end for one of the sizes
+    monkeypatch.setattr(exports, "_CHUNK_BYTES", chunk)
+    body = ["0.5,-1", "12345.678901234567,1e-300", "", "7,-0", "-0.0001,3.25"]
+    for final in ("", line_end):
+        target = tmp_path / "rows.csv"
+        target.write_text(line_end.join(["a,b", *body]) + final, newline="")
+        assert_reads_as_loadtxt(target)
+        assert read_csv(target).rows.shape == (4, 2)
+
+
+def _fixed_text(digits: str, k: int, negative: bool) -> str:
+    """``digits`` (lead nonzero) scaled to the decimal exponent ``k``, in fixed notation."""
+    if k < 0:
+        text = "0." + "0" * (-k - 1) + digits
+    elif len(digits) <= k + 1:
+        text = digits + "0" * (k + 1 - len(digits))
+    else:
+        text = digits[: k + 1] + "." + digits[k + 1 :]
+    return "-" * negative + text
+
+
+def _scaled_text(v: int, f: int) -> str:
+    """The integer ``v`` over 10^f, with f digits after the dot."""
+    text = str(v).rjust(f + 1, "0")
+    return f"{text[:-f]}.{text[-f:]}" if f else text
+
+
+def _kernel_cells():
+    """Every fixed shape of ``%.17g`` with random digits, powers of two, and cells whose candidate is a double off."""
+    rng = np.random.default_rng(11)
+    cells = [
+        _fixed_text("".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, sig - 1)])), k, negative)
+        for k in range(-4, 17) for sig in range(1, 18) for negative in (False, True) for _ in range(3)
+    ]
+    # the doubles at and beside every power of two in fixed notation: the gap below one is halved
+    cells += [
+        text for k in range(-14, 57) for x in (math.nextafter(2.0**k, 0.0), 2.0**k, math.nextafter(2.0**k, math.inf))
+        for text in ("%.17g" % x, "%.17g" % -x) if "e" not in text
+    ]
+    # float(V) / 10^f above and below the double nearest V / 10^f; half of them
+    # with V below 2^54, where V itself rounds
+    off = {True: [], False: []}
+    while min(map(len, off.values())) < 60:
+        v = int(rng.integers(2**53 + 1, 2**54 if rng.random() < 0.5 else 10**17))
+        f = int(rng.integers(1, 21))
+        nearest, candidate = float(_scaled_text(v, f)), float(v) / 10.0**f
+        if candidate != nearest:
+            off[candidate > nearest].append(_scaled_text(v, f))
+    # a tie between two doubles is the per-cell reader's to break
+    return [cell for cell in cells if not _is_tie(cell)] + off[True][:60] + off[False][:60]
+
+
+def _is_tie(text: str) -> bool:
+    exact, nearest = Fraction(text), float(text)
+    return any(exact == (Fraction(nearest) + Fraction(math.nextafter(nearest, toward))) / 2
+               for toward in (-math.inf, math.inf))
+
+
+def _write_cells(target, cells, width=7):
+    cells = cells + ["0"] * (-len(cells) % width)
+    rows = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+    target.write_text("\r\n".join([",".join(f"c{k}" for k in range(width)), *rows, ""]), newline="")
+
+
+def test_read_csv_reads_every_fixed_shape_in_the_kernel(tmp_path, monkeypatch):
+    target = tmp_path / "cells.csv"
+    _write_cells(target, _kernel_cells())
+    want = reference_read_csv(target)
+
+    def refuse(cell, encoding):
+        raise AssertionError(f"{cell!r} was left to the per-cell reader")
+
+    monkeypatch.setattr(exports, "_number", refuse)
+    assert_same_bits(read_csv(target).rows, want.rows)
+
+
+def test_read_csv_matches_loadtxt_on_both_sides_of_two_to_the_53_and_on_ties(tmp_path):
+    # 2^53 + 1 and 2^53 + 3 are ties at f = 0, and n + 1/2 for n in [2^52, 2^53)
+    # lies halfway between two doubles: ties go to the even one
+    halves = [f"{n}.5" for n in [*range(2**52 - 2, 2**52 + 3), *np.random.default_rng(5).integers(2**52, 2**53, 60)]]
+    target = tmp_path / "cells.csv"
+    _write_cells(target, [_scaled_text(2**53 + d, f) for d in range(-3, 4) for f in range(23)] + halves)
+    assert_reads_as_loadtxt(target)
+
+
+def test_reader_holds_a_chunk_not_the_document(tmp_path):
+    table = _full_resolution_table()
+    target = tmp_path / "big.csv"
+    export_csv(table, target)
+    tracemalloc.start()
+    try:
+        back = read_csv(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(back.rows, table.rows)
+    assert peak < back.rows.nbytes + target.stat().st_size / 4, (peak, back.rows.nbytes, target.stat().st_size)

@@ -8,7 +8,9 @@ filename`` line per file, sorted by name, as
 ``sha256sum`` does.  Then it runs the fixed ``CALCULUS`` list of ``rfa
 eval``/``derive``/``integrate`` commands in process and prints each
 command with its exit code, stdout and stderr, and last the ``float.hex``
-parts of one ``solve_linear_mapping_ode`` result.  ``rfa`` is imported from
+parts of one ``solve_linear_mapping_ode`` result.  Every CSV is read back
+with ``read_csv`` and must give the rows it was written from bit for bit,
+or the script exits with code 1.  ``rfa`` is imported from
 ``ROOT/src``, by default the checkout this script sits in, so one command
 compares the bytes and digits of two checkouts:
 
@@ -108,14 +110,27 @@ def platform_line() -> str:
 
 
 def export_lines(out: Path) -> list[str]:
-    """Write every preset export into ``out``; one ``sha256  filename`` per file."""
+    """Write every preset export into ``out``; one ``sha256  filename`` per file.
+
+    Every CSV is read back with ``read_csv``, and a table that does not come
+    back bit for bit ends the run with exit code 1.
+    """
+    from rfa.cli.exports import read_csv
     from rfa.cli.presets import PRESETS, preset_config, run_scenario
 
-    for fig in PRESETS:
-        run_scenario(preset_config(fig), out_dir=out, formats=("csv", "json", "svg"))
-    for fig in FULL_FIGS:
-        full = preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv"], name=f"{fig}-full")
-        run_scenario(full, out_dir=out)
+    runs = [(preset_config(fig), ("csv", "json", "svg")) for fig in PRESETS] + [
+        (preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv"], name=f"{fig}-full"), None)
+        for fig in FULL_FIGS
+    ]
+    for config, formats in runs:
+        table, written = run_scenario(config, out_dir=out, formats=formats)
+        for path in written:
+            if path.suffix == ".csv":
+                back = read_csv(path)
+                if back.columns != table.columns or not np.array_equal(
+                    back.rows.view(np.uint64), np.ascontiguousarray(table.rows).view(np.uint64)
+                ):
+                    sys.exit(f"{path.name} does not read back as the table it was written from")
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}" for path in sorted(out.iterdir())]
 
 
