@@ -127,56 +127,58 @@ def _exact_product(a, b, bh, bl):
     return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-# Each cell is formatted from 28 source bytes, four per ``<u4`` word:
-#   0 sign ("-" or NUL), 1 ".", 2 "0", 3..19 the 17 digits of N,
-#   20..23 the separator, NUL-padded, 24..27 NUL
-# A layout gathers the bytes of the cell's slot from them: the sign, the
-# text and NUL padding, then the separator.  A cell the kernel leaves has
-# the empty layout, and its text (at most 24 characters) is written over
-# the start of the slot.  The NULs are deleted from the finished block.
-_SIGN, _DOT, _ZERO, _DIGITS, _SEPARATOR, _NUL = 0, 1, 2, 3, 20, 24
-_HEAD = int.from_bytes(b"\0.00", "little")  # word 0 with the lead digit "0" and no sign
+# Each cell fills a slot of 48 bytes, twelve ``<u4`` words, that holds the
+# 17 digits D0..D16 of N twice:
+#   0 sign ("-" or NUL), 1 "0", 2 NUL, 3..19 D0..D16, 20..23 ".000",
+#   24..26 NUL, 27..43 D0..D16 again, 44..47 the separator, NUL-padded
+# The text at exponent k with sig significant digits is the slot ANDed with
+# one mask row, which keeps the sign, then D0..Dk of the first copy and "."
+# and D(k+1)..D(sig-1) of the second for k >= 0 (for an integral JSON cell
+# ".0" of ".000" instead), or "0", "." and -k-1 zeros of ".000" before
+# D0..D(sig-1) of the second for k < 0, then the separator.  Each kept byte
+# lies after the one before it, so nothing moves.  A cell the kernel leaves
+# keeps only its separator, and its text (at most 24 characters) is written
+# over the start of the slot.  The NULs are deleted from the finished block.
+_SIGN, _ZERO, _INTEGER, _POINT, _FRACTION, _SEPARATOR = 0, 1, 3, 20, 27, 44
 
 
 def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(4, b"\0"), "little")
 
 
-def _fixed(k: int, sig: int, integral):
-    """The fixed text of N at exponent ``k``, whose digits after the ``sig``-th are zeros.
-
-    ``integral`` ends a text without a fractional digit.
-    """
-    digits = range(_DIGITS, _DIGITS + 17)
-    if k < 0:
-        return [_ZERO, _DOT, *[_ZERO] * (-k - 1), *digits[:sig]]
-    if sig <= k + 1:
-        return [*digits[: k + 1], *integral]
-    return [*digits[: k + 1], _DOT, *digits[k + 1 : sig]]
-
-
-def _layouts(integral, zero, separator_bytes: int) -> np.ndarray:
-    """Layout ``(k + 4) * 17 + sig - 1`` for k in -4..16 and sig in 1..17, then the zero's, then the empty one."""
-    texts = [_fixed(k, sig, integral) for k in range(-4, 17) for sig in range(1, 18)] + [zero, []]
-    separator = range(_SEPARATOR, _SEPARATOR + separator_bytes)
-    return np.array([[_SIGN, *text, *[_NUL] * (23 - len(text)), *separator] for text in texts], dtype=np.intp)
+def _masks(integral, zero) -> np.ndarray:
+    """Row ``(k + 4) * 17 + sig - 1`` for k in -4..16 and sig in 1..17, then the zero's, then the left cell's."""
+    texts = []
+    for k in range(-4, 17):
+        for sig in range(1, 18):
+            if k < 0:
+                texts.append([_ZERO, *range(_POINT, _POINT - k), *range(_FRACTION, _FRACTION + sig)])
+            elif sig <= k + 1:
+                texts.append([*range(_INTEGER, _INTEGER + k + 1), *integral])
+            else:
+                texts.append([*range(_INTEGER, _INTEGER + k + 1), _POINT, *range(_FRACTION + k + 1, _FRACTION + sig)])
+    masks = np.zeros((len(texts) + 2, 48), np.uint8)
+    for row, text in zip(masks, [*texts, zero]):
+        row[[_SIGN, *text]] = 255
+    masks[:, _SEPARATOR:] = 255
+    return masks.view("<u8")
 
 
 @dataclass(frozen=True)
 class _Cells:
-    """One writer's number text: its layouts, its widest fixed exponent,
+    """One writer's number text: its mask rows, its widest fixed exponent,
     whether it writes the shortest digits, and the text of a cell the
     kernel leaves."""
 
-    layouts: np.ndarray
+    masks: np.ndarray
     k_max: int
     shortest: bool
     text: Callable[[float], str]
 
 
-_CSV = _Cells(_layouts([], [_ZERO], 2), 16, False, "%.17g".__mod__)
-_JSON = _Cells(_layouts([_DOT, _ZERO], [_ZERO, _DOT, _ZERO], 4), 15, True, json.dumps)
-_ZERO_LAYOUT, _LEFT_LAYOUT = -2, -1  # the last two rows of every table
+_CSV = _Cells(_masks([], [_ZERO]), 16, False, "%.17g".__mod__)
+_JSON = _Cells(_masks([_POINT, _POINT + 1], [_ZERO, _POINT, _POINT + 1]), 15, True, json.dumps)
+_ZERO_ROW, _LEFT_ROW = -2, -1  # the last two rows of every table
 
 
 def _shortest(ax, q, p, e, n17):
@@ -226,23 +228,31 @@ def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
         digits, decided = _shortest(ax, q, p, e, digits)
         fixed &= decided
     fixed &= digits < 10**17
-    upper, lower = np.divmod(digits, 10**8)
-    lead, upper = np.divmod(upper, 10**8)
-    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
-    src = np.empty((n, 7), "<u4")
-    src[:, 0] = _HEAD + (lead.astype(np.uint32) << 24) + np.signbit(x) * np.uint32(ord("-"))
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    groups = np.empty((4, n), np.int64)  # D1..D4, D5..D8, D9..D12, D13..D16
+    groups[0] = upper // 10**4
+    groups[1] = upper - groups[0] * 10**4
+    groups[2] = lower // 10**4
+    groups[3] = lower - groups[2] * 10**4
     trailing = np.zeros(n, np.intp)
-    for column, g in enumerate(groups, 1):
-        src[:, column] = _GROUPS.take(g)
+    for g in groups:
         # zeros after the last nonzero digit; the lead digit of a fixed cell is nonzero
         trailing = np.where(g == 0, trailing + 4, _TRAILING_ZEROS.take(g))
-    src.reshape(block.shape + (7,))[..., 5] = separators
-    src[:, 6] = 0
-    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_LAYOUT, _LEFT_LAYOUT))
-    index = kind.layouts.take(which, axis=0)
-    index += (np.arange(n) * 28)[:, None]  # 28 source bytes per cell
-    out = src.view(np.uint8).ravel().take(index)
-    left = np.flatnonzero(which == _LEFT_LAYOUT)
+    slots = np.empty((n, 2, 6), "<u4")  # the slot's words 0..5 and 6..11
+    head = (lead.astype(np.uint32) + np.uint32(ord("0"))) << 24
+    slots[:, 1, 0] = head
+    slots[:, 0, 0] = head + (np.signbit(x) * np.uint32(ord("-")) + np.uint32(ord("0") << 8))
+    slots[:, :, 1:5] = _GROUPS.take(groups).T[:, None]
+    slots[:, 0, 5] = _word(b".000")
+    slots.reshape(block.shape + (12,))[..., 11] = separators
+    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_ROW, _LEFT_ROW))
+    out = slots.view("<u8").reshape(n, 6)
+    out &= kind.masks.take(which, axis=0)
+    out = out.view(np.uint8)
+    left = np.flatnonzero(which == _LEFT_ROW)
     if len(left):
         texts = np.array([kind.text(v) for v in x[left].tolist()], "S24")
         out[left, :24] = texts.view(np.uint8).reshape(-1, 24)

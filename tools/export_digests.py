@@ -3,9 +3,9 @@
 First prints one ``#`` line naming the ``np.longdouble`` format, which the
 linear propagator keeps its powers in.  Then writes all 15 presets (csv,
 json and svg) and fig2-fig5 at stride 1 with 51 alpha levels (10001 rows x
-105 columns each) into a temporary directory, and prints one ``sha256
-filename`` line per file, sorted by name, as
-``sha256sum`` does.  Then it runs the fixed ``CALCULUS`` list of ``rfa
+105 columns each, csv and json) into a temporary directory, and prints one
+``sha256  filename`` line per file, sorted by name, as ``sha256sum`` does.
+Then it runs the fixed ``CALCULUS`` list of ``rfa
 eval``/``derive``/``integrate`` commands in process and prints each
 command with its exit code, stdout and stderr, and last the ``float.hex``
 parts of one ``solve_linear_mapping_ode`` result.  Every CSV is read back
@@ -119,7 +119,7 @@ def export_lines(out: Path) -> list[str]:
     from rfa.cli.presets import PRESETS, preset_config, run_scenario
 
     runs = [(preset_config(fig), ("csv", "json", "svg")) for fig in PRESETS] + [
-        (preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv"], name=f"{fig}-full"), None)
+        (preset_config(fig, alphas=FULL_ALPHAS, stride=1, formats=["csv", "json"], name=f"{fig}-full"), None)
         for fig in FULL_FIGS
     ]
     for config, formats in runs:
