@@ -44,6 +44,8 @@ class ExportTable:
 
     def __post_init__(self):
         width = len(self.columns)
+        if not width:
+            raise ValueError("a table needs at least one column")
         rows = np.asarray(self.rows, dtype=np.float64)
         # no rows at all (``[]``, a header-only CSV) is a table of the header's width
         self.rows = rows.reshape(0, width) if rows.shape[:1] == (0,) else rows
@@ -103,6 +105,8 @@ def trajectory_table(traj: Trajectory) -> ExportTable:
 
 _CELLS_PER_BLOCK = 16384
 _POW10 = np.array([float(10**q) for q in range(23)])  # exact doubles
+# from "%04d" bytes: a numpy build of the same array moved the glibc heap so that each integral
+# faulted about 104 pages back in (ROADMAP item 19, guarded in tests/test_cli.py)
 _GROUPS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), "<u4")  # "0000" .. "9999"
 _TRAILING_ZEROS = (_GROUPS.view(np.uint8).reshape(-1, 4)[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1)
 
@@ -210,7 +214,7 @@ def _shortest(ax, q, p, e, n17):
 
 
 def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
-    """The text of every cell of ``block``, each followed by its separator (broadcast over the block)."""
+    """The text of every cell of ``block``, each followed by the separator of its column."""
     x = block.ravel()
     n = len(x)
     ax = np.abs(x)
@@ -260,7 +264,7 @@ def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
 
 
 def _blocks(rows: np.ndarray) -> list[np.ndarray]:
-    """``rows`` (at least one column wide) as blocks of whole rows, about ``_CELLS_PER_BLOCK`` cells each."""
+    """``rows`` as blocks of whole rows, about ``_CELLS_PER_BLOCK`` cells each."""
     step = max(1, _CELLS_PER_BLOCK // rows.shape[1])
     return [rows[i : i + step] for i in range(0, len(rows), step)]
 
@@ -272,18 +276,13 @@ def export_csv(table: ExportTable, path) -> None:
     them a block of whole rows at a time, and its ASCII goes to the file
     as bytes.
     """
-    n_rows, width = table.rows.shape
-    separators = np.full(width, _word(b","), "<u4")
-    separators[-1:] = _word(b"\r\n")
+    separators = np.full(len(table.columns), _word(b","), "<u4")
+    separators[-1] = _word(b"\r\n")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(table.columns)
         fh.flush()
-        body = fh.buffer
-        if not width:  # rows without cells
-            body.write(b"\r\n" * n_rows)
-            return
         for block in _blocks(table.rows):
-            body.write(_cells(block, separators, _CSV))
+            fh.buffer.write(_cells(block, separators, _CSV))
 
 
 # -- CSV bodies: the doubles of ``np.loadtxt(delimiter=",")``, a chunk of whole rows at a time --
@@ -397,8 +396,8 @@ def _number(cell: bytes, encoding: str) -> float:
 def _split_lines(b: np.ndarray, width: int):
     """Where each cell of the whole lines ``b`` starts and ends, how far before its end its last dot lies, and the rows.
 
-    An empty line is skipped, unless the header names no column, and every
-    other line must hold ``width`` cells.
+    An empty line is skipped, and every other line must hold ``width``
+    cells.
     """
     at = np.flatnonzero(b < 47)  # separators and dots, and signs, spaces and the like
     kind = b[at]
@@ -418,10 +417,6 @@ def _split_lines(b: np.ndarray, width: int):
     closes = np.flatnonzero(closes.take(cell))  # the last cell of each line
     counts = np.diff(closes, prepend=-1)
     blank = (counts == 1) & (ends[closes] == starts[closes])
-    if not width:
-        if not blank.all():
-            raise ValueError("a row holds cells, but the header names no column")
-        return starts[:0], ends[:0], dot[:0], len(closes)
     wrong = np.flatnonzero(~blank & (counts != width))
     if len(wrong):
         raise ValueError(f"a row holds {counts[wrong[0]]} cells, but the header names {width} columns")
@@ -531,13 +526,14 @@ def read_csv(path) -> ExportTable:
     """``csv`` reads the header and the body kernel the rows; a header alone is an empty table.
 
     A cell reads as ``np.loadtxt(delimiter=",")`` reads it, to the bit,
-    and what ``np.loadtxt`` refuses raises ``ValueError``.
+    and what ``np.loadtxt`` refuses raises ``ValueError``.  An empty file
+    or an empty header, which names no column, raises ``ValueError`` too.
     """
     with open(path, newline="") as fh:
         header = []  # the lines the header was read from, untranslated
         columns = next(csv.reader(header.append(line) or line for line in iter(fh.readline, "")), None)
-        if columns is None:
-            raise ValueError(f"{path} is empty: no header")
+        if not columns:
+            raise ValueError(f"{path} is empty: no header" if columns is None else f"the header of {path} names no column")
         fh.buffer.seek(len("".join(header).encode(fh.encoding)))
         rows = _body(fh.buffer, len(columns), fh.encoding)
     return ExportTable(columns, rows)
@@ -552,22 +548,19 @@ def export_json(table: ExportTable, path) -> None:
     file is written in binary.
     """
     head = json.dumps({"columns": table.columns, "alphas": list(table.alphas), "bands": table.band_columns})
-    n_rows, width = table.rows.shape
     with open(path, "wb") as fh:
         fh.write(head[:-1].encode("ascii") + b', "rows": [')
-        if not n_rows or not width:
-            fh.write(b", ".join([b"[]"] * n_rows) + b"]}")
+        if not len(table.rows):
+            fh.write(b"]}")
             return
         fh.write(b"[")
-        separators = np.full(width, _word(b", "), "<u4")
+        separators = np.full(len(table.columns), _word(b", "), "<u4")
         separators[-1] = _word(b"], [")
         *blocks, last = _blocks(table.rows)
         for block in blocks:
             fh.write(_cells(block, separators, _JSON))
         # the last cell closes its row, the rows and the document
-        separators = np.tile(separators, (len(last), 1))
-        separators[-1, -1] = _word(b"]]}")
-        fh.write(_cells(last, separators, _JSON))
+        fh.write(_cells(last, separators, _JSON)[:-4] + b"]]}")
 
 
 def band_color(alpha: float) -> str:

@@ -306,12 +306,13 @@ def matrix_field(matrix) -> Field:
     return fieldfn
 
 
-def _grid(t_span, dt: float) -> tuple[list[float], int]:
-    """Grid times over ``t_span`` and the number of full ``dt`` steps.
+def _grid(t_span, dt: float) -> tuple[np.ndarray, int]:
+    """Grid times ``t0 + j*dt`` over ``t_span`` and the number of full ``dt`` steps.
 
     A span that is a whole number of steps (to a relative 1e-9) ends with
     a full step landing exactly on ``t1``; otherwise a shortened last step
-    from the last full one reaches ``t1``.
+    from the last full one reaches ``t1``.  ``j`` converts to a double
+    exactly, so each time is one product and one sum, as in Python floats.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -323,17 +324,17 @@ def _grid(t_span, dt: float) -> tuple[list[float], int]:
     exact = n_full > 0 and abs(n_full * dt - span) <= 1e-9 * max(dt, span)
     if not exact:
         n_full = int(math.floor(span / dt))
-    ts = [t0 + j * dt for j in range(n_full + 1)]
+    ts = t0 + np.arange(n_full + 1) * dt
     if exact or ts[-1] >= t1:
         ts[-1] = t1
     else:
-        ts.append(t1)
+        ts = np.append(ts, t1)
     return ts, n_full
 
 
 def time_grid(t_span, dt: float) -> np.ndarray:
-    """The grid rk4_integrate visits, for analytic solutions to share."""
-    return np.asarray(_grid(t_span, dt)[0])
+    """The grid every RK4 path steps along, for analytic solutions to share."""
+    return _grid(t_span, dt)[0]
 
 
 def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
@@ -346,15 +347,17 @@ def rk4_integrate(fieldfn: Field, s0: Sequence[float], t_span, dt: float):
     ts, n_full = _grid(t_span, dt)
     s = tuple(float(v) for v in s0)
     states = [s] + _rk4_steps(fieldfn, s, ts, n_full, dt, range(len(ts) - 1))
-    return np.asarray(ts), np.asarray(states)
+    return ts, np.asarray(states)
 
 
-def _rk4_steps(fieldfn: Field, s: tuple, ts: list, n_full: int, dt: float, steps: range) -> list:
+def _rk4_steps(fieldfn: Field, s: tuple, ts: np.ndarray, n_full: int, dt: float, steps: range) -> list:
     """Stage-by-stage RK4 over grid ``steps`` from the state ``s`` at ``ts[steps[0]]``.
 
     Step ``j`` goes from ``ts[j]`` to ``ts[j + 1]``, by ``dt`` for the
     first ``n_full`` steps and by the remainder of the span after them.
+    The field sees the times as Python floats.
     """
+    ts = ts.tolist()
     idx = range(len(s))
     states = []
     for j in steps:
@@ -428,7 +431,7 @@ def _rk4_linear(matrix, s0: Sequence[float], t_span, dt: float):
                 advance(a, b, powers[:b - a])
         if len(ts) - 1 > n_full:
             advance(n_full, n_full + 1, _rk4_polynomial((ts[-1] - ts[n_full]) * m)[None])
-    return np.asarray(ts), states
+    return ts, states
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +542,9 @@ def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
     x, y = complex(params.x0.re, params.x0.fu), complex(params.y0.re, params.y0.fu)
     xs, ys = [x], [y]
     append_x, append_y = xs.append, ys.append
-    # the full steps, then the shortened last one where dt does not divide the span
-    for h, steps in ((dt, n_full), (ts[-1] - ts[n_full], len(ts) - 1 - n_full)):
+    # the full steps, then the shortened last one where dt does not divide the span;
+    # h stays a Python float, so the stages stay Python complex arithmetic
+    for h, steps in ((dt, n_full), (float(ts[-1] - ts[n_full]), len(ts) - 1 - n_full)):
         hh, h6 = 0.5 * h, h / 6.0
         for _ in range(steps):
             k1x, k1y = x * (alpha - a * y), y * (b * x - beta)
@@ -558,8 +562,8 @@ def _rk4_lotka_volterra(params: LvParams, t_span, dt: float):
     states[:, 0], states[:, 1] = xs, ys
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
-        raise IntegrationAbort(ts[int(np.argmax(bad))])
-    return np.asarray(ts), states.view(float)
+        raise IntegrationAbort(float(ts[np.argmax(bad)]))
+    return ts, states.view(float)
 
 
 def lv_equilibria(params: LvParams):

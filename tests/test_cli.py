@@ -587,13 +587,17 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
         ({"alphas": [0.5, 0.2]}, "ascending within [0, 1]"),
         ({"alphas": [0.0, 1.5]}, "ascending within [0, 1]"),
         ({"initial": {"w": "tri(0;1;2)"}}, "'w' must be an element literal, got a basis"),
+        (
+            {"system": "oscillator", "params": {}, "initial": {"x": "1", "y": "1"}, "plot": "phase:q-vs-z"},
+            "unknown projection 'q-vs-z'",
+        ),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
          "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot", "components-detail",
          "literal-beyond-double", "basis-span-overflow", "alpha-keys-collide", "alpha-repeated",
          "alpha-signed-zeros", "invalid-json", "no-basis", "alpha-descending", "alpha-above-one",
-         "initial-is-a-basis"],
+         "initial-is-a-basis", "unknown-projection"],
 )
 def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
     if isinstance(config, dict):
@@ -644,8 +648,11 @@ def test_a_negative_zero_alpha_is_the_level_0(tmp_path):
         ["derive", "z", "--at", "1", "--step", "-1"],
         ["derive", "z", "--at", "1", "--step", "nan"],
         ["derive", "z", "--at", "1", "--step", "inf"],
+        ["integrate", "z", "--path", "0, 1", "--samples", "abc"],
+        ["derive", "z", "--at", "1", "--step", "x"],
     ],
-    ids=["samples-1", "samples-0", "samples-over-budget", "step-0", "step-negative", "step-nan", "step-inf"],
+    ids=["samples-1", "samples-0", "samples-over-budget", "step-0", "step-negative", "step-nan", "step-inf",
+         "samples-not-a-number", "step-not-a-number"],
 )
 def test_bad_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -86,6 +86,13 @@ def test_curve_derivative_domain():
         curve_derivative(w, 1.0, h=1e-3)
 
 
+def test_curves_add_componentwise_and_are_called_inside_their_domain():
+    w = FuzzyCurve(lambda t: t, lambda t: 2 * t, domain=(0.0, 1.0))
+    assert (w + w)(0.5) == LcNumber(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"t=2.0 outside the curve domain \(0.0, 1.0\)"):
+        w(2.0)
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
 def test_derivative_steps_must_be_finite_and_positive(h):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -349,6 +356,37 @@ def test_span_far_below_one_step_is_one_step():
     assert states[-1][0] == pytest.approx(1e-12)
 
 
+GRID_CASES = {  # span, dt, and how many times t0 + j*dt come before t1
+    "exact": ((0.0, 1.0), 0.1, 10),
+    "ragged": ((0.0, 10.05), 0.1, 101),
+    "offset": ((0.7, 3.1), 0.01, 240),
+    "preset": (PRESETS["fig6"].t_span, PRESETS["fig6"].dt, 50000),
+}
+
+
+@pytest.mark.parametrize("span, dt, points", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_every_path_steps_along_the_grid_of_python_float_times(span, dt, points):
+    # each time is one product and one sum; np.linspace and np.arange(t0, t1, dt) round differently
+    t0, t1 = span
+    want = np.array([t0 + j * dt for j in range(points)] + [t1])
+    seen = set()
+
+    def still(t, s):
+        seen.add(type(t))
+        return (0.0,)
+
+    grids = {"time_grid": time_grid(span, dt), "rk4_integrate": rk4_integrate(still, (1.0,), span, dt)[0]}
+    for system, params in (
+        ("linear", LinearParams(LcNumber(-0.5, 0.8), LcNumber(2, 2))),
+        ("oscillator", OscillatorParams(LcNumber(1, 0.1), LcNumber(0, 0))),
+        ("lotka_volterra", lv_paper_params()),
+    ):
+        grids[system] = simulate_system(system, params, span, dt).times
+    for name, got in grids.items():
+        assert got.dtype == np.float64 and np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert seen == {float}
+
+
 # ---------------------------------------------------------------------------
 # predator-prey
 
@@ -543,6 +581,11 @@ def test_simulate_validates():
         simulate_system("oscillator", OscillatorParams(LcNumber(1, 0), LcNumber(1, 0)), (0.0, 1.0), method="analytic")
     with pytest.raises(ValueError, match="linear_psi needs a basis with a single-point 1-level"):
         simulate_system("linear_psi", params, (0.0, 1.0))
+
+
+def test_simulate_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'euler'"):
+        simulate_system("linear", LinearParams(LcNumber(0, 1), LcNumber(2, 2)), (0.0, 1.0), method="euler")
 
 
 @pytest.mark.parametrize(

@@ -118,22 +118,23 @@ def test_read_csv_of_a_header_alone_is_an_empty_table_without_a_warning(tmp_path
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 3])
-def test_a_table_without_columns_round_trips(tmp_path, n_rows):
-    # with an empty header, each following line is a row of no cells
+def test_a_table_without_columns_is_refused(tmp_path, n_rows):
+    with pytest.raises(ValueError, match="at least one column"):
+        ExportTable([], np.zeros((n_rows, 0)))
+    # an empty header names no column, whatever lines follow it
     target = tmp_path / "empty.csv"
-    export_csv(ExportTable([], np.zeros((n_rows, 0))), target)
-    assert target.read_bytes() == b"\r\n" * (n_rows + 1)
-    table = read_csv(target)
-    assert table.columns == [] and table.rows.shape == (n_rows, 0)
-    target.write_bytes(b"\r\n\r\n1\r\n")
+    target.write_bytes(b"\r\n" * (n_rows + 1))
     with pytest.raises(ValueError, match="names no column"):
         read_csv(target)
 
 
 @pytest.mark.parametrize(
     "text",
-    ["", "a,b\r\n1,2\r\n3\r\n", "a,b\r\n1,2,3\r\n", "a,b\r\n1,x\r\n", "a,b\r\n1,2#3\r\n", "a,b,c\r\n1,2\r\n"],
-    ids=["empty-file", "short-row", "long-row", "not-a-number", "comment-mark", "header-wider"],
+    ["", "a,b\r\n1,2\r\n3\r\n", "a,b\r\n1,2,3\r\n", "a,b\r\n1,x\r\n", "a,b\r\n1,2#3\r\n", "a,b,c\r\n1,2\r\n",
+     # float() reads both, np.loadtxt neither
+     "a,b\r\n1,1_0\r\n", "a,b\r\n1,\u0661\r\n"],
+    ids=["empty-file", "short-row", "long-row", "not-a-number", "comment-mark", "header-wider", "underscore",
+         "non-ascii-digit"],
 )
 def test_read_csv_refuses_what_is_not_a_table(tmp_path, text):
     target = tmp_path / "bad.csv"
@@ -163,6 +164,14 @@ def test_emit_svg_counts_polylines(tmp_path):
 def test_emit_svg_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_svg([], tmp_path / "empty.svg")
+
+
+def test_emit_svg_centres_a_constant_coordinate(tmp_path):
+    # a span of zero widens to one around the value, which lands mid-frame
+    emit_svg([([2.0, 2.0, 2.0], [0.0, 1.0, 2.0], "black", 1.0)], tmp_path / "vertical.svg")
+    emit_svg([([0.0, 1.0], [3.0, 3.0], "black", 1.0)], tmp_path / "horizontal.svg")
+    assert re.findall(r'points="([^"]*)"', (tmp_path / "vertical.svg").read_text()) == ["400,550 400,300 400,50"]
+    assert re.findall(r'points="([^"]*)"', (tmp_path / "horizontal.svg").read_text()) == ["50,300 750,300"]
 
 
 def test_phase_svg_has_two_polylines_per_level_plus_crisp(tmp_path):
@@ -314,9 +323,11 @@ def test_writers_match_the_reference_bytes_on_edge_cells(tmp_path, n_rows):
 
 @pytest.mark.parametrize("rows", [[[], [], []], []], ids=["three-empty-rows", "no-rows"])
 def test_writers_match_the_reference_bytes_on_tables_without_cells(tmp_path, rows):
-    table = ExportTable([], rows)
-    for fast, reference, suffix in WRITERS:
-        assert_same_bytes(fast, reference, suffix, table, tmp_path)
+    with pytest.raises(ValueError, match="at least one column"):
+        ExportTable([], rows)
+    if not rows:  # a column of no rows is a table without cells too
+        for fast, reference, suffix in WRITERS:
+            assert_same_bytes(fast, reference, suffix, ExportTable(["a"], rows), tmp_path)
 
 
 def test_writers_match_the_reference_bytes_on_every_power_of_two(tmp_path):
@@ -584,6 +595,14 @@ def test_read_csv_carries_rows_across_chunks(tmp_path, monkeypatch, chunk, line_
         target.write_text(line_end.join(["a,b", *body]) + final, newline="")
         assert_reads_as_loadtxt(target)
         assert read_csv(target).rows.shape == (4, 2)
+
+
+def test_read_csv_strips_unicode_spaces_as_loadtxt_does(tmp_path):
+    # the cells leave the kernel, so the file's own encoding decodes them before the strip
+    target = tmp_path / "spaces.csv"
+    target.write_bytes("a,b\r\n\u00a01.5,2\u2003\r\n".encode())  # a no-break space and an em space
+    assert_reads_as_loadtxt(target)
+    assert read_csv(target).rows.tolist() == [[1.5, 2.0]]
 
 
 def _fixed_text(digits: str, k: int, negative: bool) -> str:
