@@ -12,14 +12,14 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import replace
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber, LcSpace
 from ..dynamics import PROJECTIONS, SYSTEMS, system_record
 from .expressions import ExprError, calls_psi_mul, eval_expression, eval_expression_batch
 from .literals import parse_fuzzy_literal, print_literal
-from .presets import ConfigError, _config_text, _preset_text
-from .presets import load_config, preset_config, run_scenario
+from .presets import ConfigError, load_config, preset_config, run_scenario
 
 __all__ = ["main"]
 
@@ -160,12 +160,9 @@ def _cmd_preset(args) -> int:
 def _cmd_phase(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("phase needs exactly one of --preset or --config")
-    text = _preset_text(args.preset) if args.preset is not None else _config_text(args.config)
-    name = text.get("name", "scenario")
-    if isinstance(name, str):  # any other name reaches load_config as given, to be refused there
-        name = f"{name}-phase"
-    scenario = load_config(text, plot=f"phase:{args.projection}", name=name)
-    return _run_and_report(scenario, args)
+    plot = f"phase:{args.projection}"
+    scenario = preset_config(args.preset, plot=plot) if args.preset is not None else load_config(args.config, plot=plot)
+    return _run_and_report(replace(scenario, name=f"{scenario.name}-phase"), args)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,11 +1,12 @@
-"""Scenarios: configs checked and parsed once, runs, and the figure presets.
+"""Scenarios: configs parsed once, scenarios that check themselves, runs, presets.
 
 A scenario's text (literals for the basis, rates and initial data, plus
 plain numbers and names) lives in a JSON file or a dict.  ``load_config``
-checks every entry and parses the literals once, into a frozen
-``Scenario`` of typed values; ``run_scenario`` parses nothing: it
-simulates, attaches alpha-level bands and writes the requested CSV/JSON/SVG
-outputs.
+refuses unknown and missing entries and parses the literals once, into a
+frozen ``Scenario`` of typed values, which checks every value itself: made
+by ``load_config``, directly or with ``dataclasses.replace``.
+``run_scenario`` parses nothing: it simulates, attaches alpha-level bands
+and writes the requested CSV/JSON/SVG outputs.
 
 Presets ``fig2`` through ``fig16`` reproduce the library's reference
 figures: fig2-fig5 the decaying and growing linear flows under the two
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path as FsPath
 
@@ -57,11 +58,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One checked run: every literal parsed, every entry of its final type.
+    """One run, every entry of its final type.
 
-    Made by ``load_config`` (``preset_config`` included), which runs every
-    check; build one through it rather than directly or with
-    ``dataclasses.replace``.
+    It checks its own values, however it is made: by ``load_config``,
+    directly or with ``dataclasses.replace``.  Lists given for ``t_span``,
+    ``alphas`` and ``formats`` become tuples, numbers become floats and a
+    system alias its record's name; any fault, the plot's and the size
+    budgets' included, raises ``ConfigError``.
     """
 
     system: str
@@ -77,6 +80,65 @@ class Scenario:
     stride: int | None = None
     out_dir: str | None = None
 
+    def __post_init__(self):
+        system = _normalize_system(self.system)
+        if not isinstance(self.formats, (list, tuple)):
+            raise ConfigError(f"formats must be a list, got {self.formats!r}")
+        for fmt in self.formats:
+            if fmt not in ("csv", "json", "svg"):
+                raise ConfigError(f"unknown output format {fmt!r}")
+        if not isinstance(self.space, LcSpace):
+            raise ConfigError(f"space must be an LcSpace, got {type(self.space).__name__}")
+        if system.needs_a1:
+            try:
+                self.space.basis.one_level_value()
+            except ValueError as exc:
+                raise ConfigError(f"{system.name} needs a basis with a single-point 1-level: {exc}") from exc
+        if not isinstance(self.params, system.params):
+            raise ConfigError(f"{system.name} takes {system.params.__name__}, got {type(self.params).__name__}")
+        t_span, alphas = (tuple(v) if isinstance(v, list) else v for v in (self.t_span, self.alphas))
+        if not isinstance(t_span, tuple) or len(t_span) != 2:
+            raise ConfigError(f"t_span must be a pair of times, got {t_span!r}")
+        t0, t1 = (_real("t_span", t) for t in t_span)
+        if not t1 > t0:
+            raise ConfigError(f"t_span must be a nonempty increasing interval, got {t_span}")
+        dt = _real("dt", self.dt)
+        if dt <= 0.0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
+        steps = (t1 - t0) / dt
+        if not steps <= MAX_STEPS:
+            raise ConfigError(f"t_span at dt {self.dt} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
+        if not isinstance(alphas, tuple) or not alphas:
+            raise ConfigError(f"alpha grid must be a nonempty list, got {alphas!r}")
+        alphas = tuple(_real("alpha", a) + 0.0 for a in alphas)  # a level -0.0 is the level 0, named a0
+        if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
+            raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
+        if len({alpha_key(a) for a in alphas}) != len(alphas):
+            raise ConfigError(f"alpha levels must differ at 6 significant digits, got {alphas}")
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}")
+        if self.method == "analytic" and system.closed_form is None:
+            raise ConfigError(f"{system.name} has no analytic solution; use rk4")
+        stride = self.stride
+        if stride is not None and (not isinstance(stride, Integral) or isinstance(stride, bool) or stride < 1):
+            raise ConfigError(f"stride must be a positive integer, got {stride!r}")
+        # an upper bound: the grid has at most int(steps) + 2 points, and each
+        # variable has one "initial" entry and 2 + 2 * len(alphas) columns
+        points = int(steps) + 2
+        rows = min(points, MAX_EXPORT_ROWS) if stride is None else points // stride + 2
+        cells = rows * (1 + 2 * len(system.variables) * (1 + len(alphas)))
+        if cells > MAX_CELLS:
+            raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
+        name, plot = self.name, self.plot
+        if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
+            raise ConfigError(f"name must be a plain file name, got {name!r}")
+        if not isinstance(plot, str) or not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError(f"plot and out_dir must be strings, got {plot!r}, {self.out_dir!r}")
+        _check_plot(plot, system.variables)
+        normal = dict(system=system.name, t_span=(t0, t1), dt=dt, alphas=alphas, formats=tuple(self.formats))
+        for key, value in normal.items():
+            object.__setattr__(self, key, value)
+
 
 # a config may leave out every entry but "system" and "basis"; the others
 # default to the text of the Scenario field defaults
@@ -85,87 +147,43 @@ _DEFAULTS.update((f.name, f.default) for f in fields(Scenario) if f.default is n
 _CONFIG_KEYS = {"system", "basis", *_DEFAULTS}
 
 
-def _config_text(source) -> dict:
-    """The entries of a JSON file path or a plain dict, as given."""
-    if isinstance(source, dict):
-        return source
-    try:
-        with open(source) as fh:
-            text = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
-    if not isinstance(text, dict):
-        raise ConfigError(f"a scenario must be a JSON object, got {type(text).__name__}")
-    return text
-
-
 def load_config(source, **overrides) -> Scenario:
-    """Check a config and parse it, once, into a ``Scenario``.
+    """Parse a config, once, into a ``Scenario``, which checks the values.
 
     ``source`` is a JSON file path or a plain dict; each override replaces
-    one whole top-level entry before anything is checked.  Every fault,
-    the plot's and the size budgets' included, raises ``ConfigError``.
+    one whole top-level entry before anything is read.  Every fault, of
+    the text or of a value, raises ``ConfigError``.
     """
-    text = {**_config_text(source), **overrides}
+    if not isinstance(source, dict):
+        try:
+            with open(source) as fh:
+                source = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"invalid JSON in {source}: {exc}") from exc
+        if not isinstance(source, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got {type(source).__name__}")
+    text = {**source, **overrides}
     unknown = set(text) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown, key=str)}")
     if "system" not in text or "basis" not in text:
         raise ConfigError("a scenario needs at least 'system' and 'basis'")
     text = {**_DEFAULTS, **text}
-    for key in ("t_span", "alphas", "formats"):
-        if isinstance(text[key], list):
-            text[key] = tuple(text[key])
-    system = _normalize_system(text["system"])
-    formats = _checked_formats(text["formats"])
-    space = _parse_space(system, text["basis"])
-    params, initial, t_span, stride, name, plot = (
-        text[key] for key in ("params", "initial", "t_span", "stride", "name", "plot")
-    )
+    basis_text, params, initial = (text.pop(key) for key in ("basis", "params", "initial"))
     if not isinstance(params, dict) or not isinstance(initial, dict):
         raise ConfigError("'params' and 'initial' must map names to literals")
-    if not isinstance(t_span, tuple) or len(t_span) != 2:
-        raise ConfigError(f"t_span must be a pair of times, got {t_span!r}")
-    t0, t1 = (_real("t_span", t) for t in t_span)
-    if not t1 > t0:
-        raise ConfigError(f"t_span must be a nonempty increasing interval, got {t_span}")
-    dt = _real("dt", text["dt"])
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {text['dt']}")
-    steps = (t1 - t0) / dt
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"t_span at dt {text['dt']} is {steps:.3g} steps, over the budget of {MAX_STEPS}")
-    if not isinstance(text["alphas"], tuple) or not text["alphas"]:
-        raise ConfigError(f"alpha grid must be a nonempty list, got {text['alphas']!r}")
-    alphas = tuple(_real("alpha", a) + 0.0 for a in text["alphas"])  # a level -0.0 is the level 0, named a0
-    if any(not 0.0 <= a <= 1.0 for a in alphas) or list(alphas) != sorted(alphas):
-        raise ConfigError(f"alpha grid must be ascending within [0, 1], got {alphas}")
-    if len({alpha_key(a) for a in alphas}) != len(alphas):
-        raise ConfigError(f"alpha levels must differ at 6 significant digits, got {alphas}")
-    method = text["method"]
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "analytic" and system.closed_form is None:
-        raise ConfigError(f"{system.name} has no analytic solution; use rk4")
-    if stride is not None and (not isinstance(stride, Integral) or isinstance(stride, bool) or stride < 1):
-        raise ConfigError(f"stride must be a positive integer, got {stride!r}")
-    # an upper bound: the grid has at most int(steps) + 2 points, and each
-    # variable has one "initial" entry and 2 + 2 * len(alphas) columns
-    points = int(steps) + 2
-    rows = min(points, MAX_EXPORT_ROWS) if stride is None else points // stride + 2
-    cells = rows * (1 + 2 * len(system.variables) * (1 + len(alphas)))
-    if cells > MAX_CELLS:
-        raise ConfigError(f"the export table would be {cells:.3g} cells, over the budget of {MAX_CELLS}")
-    if not isinstance(name, str) or name in ("", ".", "..") or FsPath(name).name != name:
-        raise ConfigError(f"name must be a plain file name, got {name!r}")
-    if not isinstance(plot, str) or not isinstance(text["out_dir"], (str, type(None))):
-        raise ConfigError(f"plot and out_dir must be strings, got {plot!r}, {text['out_dir']!r}")
-    _check_plot(plot, system.variables)
-    params = _build_params(system, params, initial)
-    return Scenario(
-        system.name, space, params, t_span=(t0, t1), dt=dt, alphas=alphas, formats=formats,
-        name=name, method=method, plot=plot, stride=stride, out_dir=text["out_dir"],
-    )
+    try:
+        basis = parse_fuzzy_literal(str(basis_text))
+    except LiteralError as exc:
+        raise ConfigError(f"bad basis literal: {exc}") from exc
+    if not isinstance(basis, BasisNumber):
+        raise ConfigError("the 'basis' entry must be a tri(...) or trap(...) literal")
+    try:
+        space = LcSpace(basis)
+    except ValueError:
+        raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected") from None
+    params = _build_params(_normalize_system(text["system"]), params, initial)
+    return Scenario(space=space, params=params, **text)
 
 
 def _normalize_system(system) -> System:
@@ -183,15 +201,6 @@ def _real(label: str, value) -> float:
     raise ConfigError(f"{label} must be a finite number, got {value!r}")
 
 
-def _checked_formats(formats) -> tuple[str, ...]:
-    if not isinstance(formats, (list, tuple)):
-        raise ConfigError(f"formats must be a list, got {formats!r}")
-    for fmt in formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-    return tuple(formats)
-
-
 def _parse_element(cfg_field: str, text) -> LcNumber:
     try:
         value = parse_fuzzy_literal(str(text))
@@ -200,26 +209,6 @@ def _parse_element(cfg_field: str, text) -> LcNumber:
     if not isinstance(value, LcNumber):
         raise ConfigError(f"{cfg_field!r} must be an element literal, got a basis")
     return value
-
-
-def _parse_space(system: System, text) -> LcSpace:
-    """The basis literal as an ``LcSpace``, with a point 1-level if the system needs ``a1``."""
-    try:
-        basis = parse_fuzzy_literal(str(text))
-    except LiteralError as exc:
-        raise ConfigError(f"bad basis literal: {exc}") from exc
-    if not isinstance(basis, BasisNumber):
-        raise ConfigError("the 'basis' entry must be a tri(...) or trap(...) literal")
-    try:
-        space = LcSpace(basis)
-    except ValueError:
-        raise ConfigError("the basis fuzzy number is symmetric; the scenario is rejected") from None
-    if system.needs_a1:
-        try:
-            basis.one_level_value()
-        except ValueError as exc:
-            raise ConfigError(f"{system.name} needs a basis with a single-point 1-level: {exc}") from exc
-    return space
 
 
 def _check_plot(plot: str, names) -> None:
@@ -267,7 +256,7 @@ def resolve_out_dir(explicit=None, cfg_dir=None) -> FsPath:
 
 
 def _svg_series(plot: str, traj: Trajectory):
-    """Polyline series plus axis labels for the plot kind ``load_config`` accepted."""
+    """Polyline series plus axis labels for the plot kind the scenario accepted."""
     ts = traj.times
     kind, _, detail = plot.partition(":")
     if kind == "components":
@@ -299,10 +288,11 @@ def _svg_series(plot: str, traj: Trajectory):
 def run_scenario(scenario: Scenario, out_dir=None, formats=None):
     """Simulate, attach bands, export.  Returns ``(table, written paths)``.
 
-    The scenario was checked when it was loaded; a ``formats`` override is
-    checked here, before anything runs.
+    A ``formats`` override is checked as the scenario's own, before
+    anything runs.
     """
-    chosen = scenario.formats if formats is None else _checked_formats(formats)
+    if formats is not None:
+        scenario = replace(scenario, formats=formats)
     basis = scenario.space.basis
     # the basis is for the 1-level of a system that needs a1; bands go on the exported rows only
     traj = simulate_system(
@@ -311,15 +301,15 @@ def run_scenario(scenario: Scenario, out_dir=None, formats=None):
     idx = _export_indices(len(traj), scenario.stride)
     rows = Trajectory(traj.times[idx], traj.names, traj.coeffs[idx]).attach_bands(basis, scenario.alphas)
     table = trajectory_table(rows)
-    if "svg" in chosen:
+    if "svg" in scenario.formats:
         series, x_label, y_label = _svg_series(scenario.plot, rows)
     writers = {
         "csv": lambda target: export_csv(table, target),
         "json": lambda target: export_json(table, target),
         "svg": lambda target: emit_svg(series, target, x_label, y_label),
     }
-    directory = resolve_out_dir(out_dir, scenario.out_dir) if chosen else None
-    written = {fmt: directory / f"{scenario.name}.{fmt}" for fmt in writers if fmt in chosen}
+    directory = resolve_out_dir(out_dir, scenario.out_dir) if scenario.formats else None
+    written = {fmt: directory / f"{scenario.name}.{fmt}" for fmt in writers if fmt in scenario.formats}
     for fmt, target in written.items():
         writers[fmt](target)
     return table, list(written.values())
@@ -395,18 +385,11 @@ _PRESET_TEXTS = {
 }
 
 
-def _preset_text(fig_id: str) -> dict:
-    try:
-        return _PRESET_TEXTS[fig_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {fig_id!r}; choose one of {', '.join(sorted(_PRESET_TEXTS))}"
-        ) from None
-
-
 def preset_config(fig_id: str, **overrides) -> Scenario:
     """Preset ``fig_id`` through ``load_config``, whole entries overridden as there."""
-    return load_config(_preset_text(fig_id), **overrides)
+    if fig_id not in _PRESET_TEXTS:
+        raise ConfigError(f"unknown preset {fig_id!r}; choose one of {', '.join(sorted(_PRESET_TEXTS))}")
+    return load_config(_PRESET_TEXTS[fig_id], **overrides)
 
 
 PRESETS: dict[str, Scenario] = {fig: load_config(text) for fig, text in _PRESET_TEXTS.items()}

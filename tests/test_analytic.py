@@ -238,6 +238,12 @@ def test_path_validation():
         Path.polyline([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         contour_integral(lambda z: z, Path(points=(LcNumber(0, 0),)))
+    with pytest.raises(ValueError, match="^path samples must be finite$"):
+        Path([0j, complex(math.inf, 0)])
+    with pytest.raises(ValueError, match="^samples must be at least 2, got 1$"):
+        Path.polyline([LcNumber(0, 0), LcNumber(1, 0)], samples=1)
+    with pytest.raises(ValueError, match="^unknown quadrature scheme 'midpoint'$"):
+        contour_integral(lambda z: z, Path.segment(LcNumber(0, 0), LcNumber(1, 0), samples=3), "midpoint")
 
 
 def test_polyline_with_an_edge_too_long_for_a_double_is_a_range_error():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -556,50 +557,83 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "from_env" / "fig2.csv").exists()
 
 
+# the entries that a config and a Scenario spell alike: "params" is literal
+# text in the one and a parsed dataclass in the other
+_PLAIN_ENTRIES = {field.name for field in dataclasses.fields(presets.Scenario)} - {"params"}
+
+
+def _values(config, message, preset="fig2"):
+    """A fault of the values: its config text, and the same entries replaced on ``preset``."""
+    return config, (preset, {key: value for key, value in config.items() if key in _PLAIN_ENTRIES}), message
+
+
+# (config text, (preset, entries given to dataclasses.replace), message): a
+# fault of the text alone has no replace entries, and a fault that no config
+# text can carry has no text
 @pytest.mark.parametrize(
-    "config, message",
+    "config, replaced, message",
     [
-        ({"dt": "0.001"}, "dt must be a finite number"),
-        ({"alphas": ["x"]}, "alpha must be a finite number"),
-        ([1, 2], "must be a JSON object"),
-        ({"name": "../escaped"}, "plain file name"),
-        ({"t_span": 5}, "pair of times"),
-        ({"stride": "2"}, "stride must be a positive integer"),
-        ({"method": "euler"}, "unknown method"),
-        ({"plot": "phase:x-vs-s"}, "two-variable"),
-        ({"dt": 1e-7}, "steps, over the budget of 1000000"),
-        (
+        _values({"dt": "0.001"}, "dt must be a finite number"),
+        _values({"alphas": ["x"]}, "alpha must be a finite number"),
+        ([1, 2], None, "must be a JSON object"),
+        _values({"name": "../escaped"}, "plain file name"),
+        _values({"t_span": 5}, "pair of times"),
+        _values({"stride": "2"}, "stride must be a positive integer"),
+        _values({"method": "euler"}, "unknown method"),
+        _values({"plot": "phase:x-vs-s"}, "two-variable"),
+        _values({"dt": 1e-7}, "steps, over the budget of 1000000"),
+        _values(
             {"t_span": [0.0, 100.0], "dt": 0.001, "stride": 1, "alphas": [i / 50 for i in range(51)]},
             "cells, over the budget of 10000000",
         ),
-        ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, "unknown entries for linear: params['c3']"),
-        ({"initial": {"w": "2 + 2*A", "z": "zz"}}, "unknown entries for linear: initial['z']"),
-        ({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
-        ({"plot": "components:zzz"}, "plot 'components' draws every variable and takes no detail"),
-        ({"initial": {"w": "1e309"}}, "beyond the double range (at offset 0)"),
-        ({"basis": "tri(-1.7e308;-1.7e308;1.7e308)"}, "span inf that is not a finite double"),
+        ({"params": {"lambda": "-0.5 + 0.8*A", "c3": "5"}}, None, "unknown entries for linear: params['c3']"),
+        ({"initial": {"w": "2 + 2*A", "z": "zz"}}, None, "unknown entries for linear: initial['z']"),
+        _values({"plot": "time-series:zz", "formats": ["csv"]}, "unknown variable 'zz'"),
+        _values({"plot": "components:zzz"}, "plot 'components' draws every variable and takes no detail"),
+        ({"initial": {"w": "1e309"}}, None, "beyond the double range (at offset 0)"),
+        ({"basis": "tri(-1.7e308;-1.7e308;1.7e308)"}, None, "span inf that is not a finite double"),
         # 0.1 and 0.1000001 both name the columns w_a0.1_lo and w_a0.1_hi
-        ({"alphas": [0.1, 0.1000001, 0.5]}, "alpha levels must differ at 6 significant digits"),
-        ({"alphas": [0.5, 0.5]}, "alpha levels must differ at 6 significant digits"),
-        ({"alphas": [-0.0, 0.0]}, "alpha levels must differ at 6 significant digits"),
-        ("{not json", "invalid JSON in"),
-        (json.dumps({key: value for key, value in LINEAR_CONFIG.items() if key != "basis"}), "needs at least 'system' and 'basis'"),
-        ({"alphas": [0.5, 0.2]}, "ascending within [0, 1]"),
-        ({"alphas": [0.0, 1.5]}, "ascending within [0, 1]"),
-        ({"initial": {"w": "tri(0;1;2)"}}, "'w' must be an element literal, got a basis"),
+        _values({"alphas": [0.1, 0.1000001, 0.5]}, "alpha levels must differ at 6 significant digits"),
+        _values({"alphas": [0.5, 0.5]}, "alpha levels must differ at 6 significant digits"),
+        _values({"alphas": [-0.0, 0.0]}, "alpha levels must differ at 6 significant digits"),
+        ("{not json", None, "invalid JSON in"),
         (
+            json.dumps({key: value for key, value in LINEAR_CONFIG.items() if key != "basis"}),
+            None,
+            "needs at least 'system' and 'basis'",
+        ),
+        _values({"alphas": [0.5, 0.2]}, "ascending within [0, 1]"),
+        _values({"alphas": [0.0, 1.5]}, "ascending within [0, 1]"),
+        ({"initial": {"w": "tri(0;1;2)"}}, None, "'w' must be an element literal, got a basis"),
+        _values(
             {"system": "oscillator", "params": {}, "initial": {"x": "1", "y": "1"}, "plot": "phase:q-vs-z"},
             "unknown projection 'q-vs-z'",
+            preset="fig6",
         ),
+        _values({"plot": "bogus"}, "unknown plot kind 'bogus'", preset="fig6"),
+        _values({"stride": 0}, "stride must be a positive integer, got 0"),
+        _values({"formats": ["pdf"]}, "unknown output format 'pdf'"),
+        _values({"dt": -1.0}, "dt must be positive, got -1.0"),
+        (None, ("fig9", {"system": "lv"}), "lotka_volterra takes LvParams, got OscillatorParams"),
+        (None, ("fig2", {"space": LINEAR_CONFIG["basis"]}), "space must be an LcSpace, got str"),
     ],
     ids=["string-dt", "string-alpha", "top-level-list", "name-escapes", "scalar-span",
          "string-stride", "unknown-method", "phase-of-one-variable", "step-budget",
          "cell-budget", "unknown-param", "unknown-initial", "csv-only-bad-plot", "components-detail",
          "literal-beyond-double", "basis-span-overflow", "alpha-keys-collide", "alpha-repeated",
          "alpha-signed-zeros", "invalid-json", "no-basis", "alpha-descending", "alpha-above-one",
-         "initial-is-a-basis", "unknown-projection"],
+         "initial-is-a-basis", "unknown-projection", "unknown-plot-kind", "stride-zero", "unknown-format",
+         "negative-dt", "params-of-another-system", "space-as-text"],
 )
-def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, message):
+def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config, replaced, message):
+    if replaced is not None:
+        # the scenario checks its own values, however it is made
+        preset, entries = replaced
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(presets.PRESETS[preset], **entries)
+        assert message in str(info.value)
+    if config is None:
+        return
     if isinstance(config, dict):
         target = linear_config(tmp_path, **config)
     else:
@@ -948,6 +982,10 @@ _PHASE_CONFIGS = [
     ({**_OSC_CONFIG, "plot": "components:zzz"}, "quick-phase"),  # the phase plot replaces it
     ({**_OSC_CONFIG, "name": 5}, None),
     (LINEAR_CONFIG, None),  # one variable
+    # refused as by solve, not made plain file names by the "-phase" suffix
+    ({**_OSC_CONFIG, "name": ""}, None),
+    ({**_OSC_CONFIG, "name": "."}, None),
+    ({**_OSC_CONFIG, "name": ".."}, None),
 ]
 _FORMAT_OPTIONS = {"": (), "svg": ("svg",), "csv,json": ("csv", "json"), "pdf": None}
 
@@ -978,6 +1016,9 @@ def _expected_run(command, source, fig, config, projection, formats):
     st.sampled_from(list(_FORMAT_OPTIONS)),
 )
 @example("phase", "preset", "", 0, "x-vs-s", "")  # an empty preset id is a preset id, not a missing one
+@example("phase", "config", "fig6", 5, "x-vs-s", "svg")  # the names "", "." and ".."
+@example("phase", "config", "fig6", 6, "r-vs-y", "csv,json")
+@example("phase", "config", "fig6", 7, "x-vs-s", "svg")
 def test_preset_and_phase_keep_the_exit_code_contract(command, source, fig, config, projection, formats):
     if command == "preset":
         argv = ["preset", fig]

@@ -296,6 +296,10 @@ def test_add_sub_examples():
     assert LcNumber(3, 5) - LcNumber(2, 3) == LcNumber(1, 2)
     assert z - z == LcNumber(0, 0)
     assert LcNumber(0, 0) - LcNumber(2.5, -3) == LcNumber(-2.5, 3)
+    # an operand that is neither an element nor a real is not one of the field's
+    with pytest.raises(TypeError):
+        LcNumber(1, 2) + "x"
+    assert (LcNumber(1, 2) == "x") is False
 
 
 def test_mul_examples():

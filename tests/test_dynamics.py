@@ -631,6 +631,8 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), ("w",), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), ("w",), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^a trajectory needs at least one time step$"):
+        Trajectory(np.empty(0), ("w",), np.empty((0, 2)))
 
 
 def test_phase_portrait_projections():

@@ -144,6 +144,9 @@ def test_basis_print_is_canonical():
     assert print_literal(BasisNumber.tabulated([(0.0, -2.0, 4.0), (1.0, 0.0, 0.0)])) == "tri(-2.0;0.0;4.0)"
     with pytest.raises(ValueError):
         print_literal(BasisNumber.tabulated([(0.0, -0.5, 1.0), (0.5, -0.25, 0.5), (1.0, 0.0, 0.0)]))
+    # a plain real is no literal value: an element is written with its fuzzy part
+    with pytest.raises(TypeError):
+        print_literal(3.0)
 
 
 # ---------------------------------------------------------------------------
