@@ -322,7 +322,7 @@ def contour_integral(f: MapLike, path: Path, scheme: str = "trapezoid") -> LcNum
             weighted = _sum(_sum(left, _prod((mid.real, mid.imag), (4.0, 0.0))), right)
             mean = _prod(weighted, (1.0 / 6.0, 0.0))
         inc_re, inc_im = _prod(mean, (np.diff(z.real), np.diff(z.imag)))
-    return LcNumber(math.fsum(inc_re.tolist()), math.fsum(inc_im.tolist()))
+    return LcNumber(math.fsum(memoryview(inc_re)), math.fsum(memoryview(inc_im)))
 
 
 def solve_linear_mapping_ode(

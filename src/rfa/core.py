@@ -157,23 +157,17 @@ def _divide(num: complex, den: complex) -> complex:
 # replays the samples one by one.
 
 
-# entries per block in ``_each``, which bounds its lists of Python floats
-_EACH_BLOCK = 4096
-
-
 def _each(fn, *args, dtype=np.float64):
     """``fn(*args)`` per entry: the plain call when the first is a float.
 
-    On arrays ``fn`` maps over the entries as Python floats, a block at a
-    time, and a float argument is repeated for every entry.
+    On arrays ``fn`` maps over the entries in one pass, each array read
+    through ``memoryview`` as one Python float per entry, and a float
+    argument is repeated for every entry.
     """
     if not isinstance(args[0], np.ndarray):
         return fn(*args)
-    out = np.empty(len(args[0]), dtype)
-    for i in range(0, len(out), _EACH_BLOCK):
-        block = [a[i : i + _EACH_BLOCK].tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
-        out[i : i + _EACH_BLOCK] = np.fromiter(map(fn, *block), dtype, len(block[0]))
-    return out
+    columns = [memoryview(a) if isinstance(a, np.ndarray) else repeat(a) for a in args]
+    return np.fromiter(map(fn, *columns), dtype, len(args[0]))
 
 
 def _rect(m, angle):
@@ -415,9 +409,9 @@ def _pow_int(z, n: int):
 def pow_int(z: LcNumber, n: int) -> LcNumber:
     """Integer power evaluated in polar form.
 
-    Small exponents are answered directly so identities such as ``z**1``
-    stay bitwise exact; everything else goes through the angle-multiple
-    formula, and negative exponents through the reciprocal.  A power that
+    Small exponents are answered directly so identities such as
+    ``pow_int(z, 1)`` stay bitwise exact; everything else goes through the
+    angle-multiple formula, and negative exponents through the reciprocal.  A power that
     overflows, or that underflows to zero under a negative exponent, raises
     ``OverflowError`` naming ``z`` and ``n``.
     """

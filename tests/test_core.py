@@ -1,3 +1,4 @@
+import cmath
 import math
 import pickle
 import random
@@ -430,6 +431,45 @@ def test_rect_is_the_polar_product_bit_for_bit(pairs):
     re, fu = core._rect(m, angle)
     expected = [(r * math.cos(t), r * math.sin(t)) for r, t in pairs]
     assert [(x.hex(), y.hex()) for x, y in zip(re.tolist(), fu.tolist())] == [(x.hex(), y.hex()) for x, y in expected]
+
+
+def _each_cases():
+    # 10001 entries, more than a fixed block of 4096 would hold
+    rng = np.random.default_rng(32)
+    z = (rng.standard_normal(10001) + 1j * rng.standard_normal(10001)) * 10.0 ** rng.integers(-3, 4, 10001)
+    z[:3] = [-0.0, complex(-1.0, -0.0), complex(0.0, -2.5)]
+    pairs = z.tolist()
+    three = np.broadcast_to(np.float64(3.0), len(z))
+    moduli = np.abs(z.real)
+    assert (z.real.strides, z.imag.strides, three.strides) == ((16,), (16,), (0,))
+    return {
+        "strided-real-views": (math.atan2, (z.imag, z.real), np.float64,
+                               [math.atan2(w.imag, w.real) for w in pairs]),
+        "zero-stride-broadcast": (math.hypot, (three, z.real), np.float64,
+                                  [math.hypot(3.0, w.real) for w in pairs]),
+        "repeated-float": (math.pow, (moduli, 0.5), np.float64, [pow(abs(w.real), 0.5) for w in pairs]),
+        "complex-rect": (cmath.rect, (moduli, z.imag), np.complex128,
+                         [cmath.rect(abs(w.real), w.imag) for w in pairs]),
+    }
+
+
+@pytest.mark.parametrize("case", ["strided-real-views", "zero-stride-broadcast", "repeated-float", "complex-rect"])
+def test_each_is_the_per_entry_call_bit_for_bit(case):
+    fn, args, dtype, expected = _each_cases()[case]
+    got = core._each(fn, *args, dtype=dtype)
+    assert got.dtype == dtype and len(got) == len(expected) == 10001
+    assert np.array_equal(got.view(np.uint64), np.array(expected, dtype).view(np.uint64))
+
+
+def test_each_raises_what_the_float_call_raises_mid_array():
+    x = np.zeros(10001)
+    x[5000] = 1000.0
+    with pytest.raises(ArithmeticError) as expected:
+        math.exp(1000.0)
+    with pytest.raises(ArithmeticError) as got:
+        core._each(math.exp, x)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 def test_alpha_cut_examples():
