@@ -30,7 +30,6 @@ import numpy as np
 from ..analytic import _exp, _log, _pow_real
 from ..core import (
     LcNumber,
-    _as_complex,
     _cross_product_psi_parts,
     _difference,
     _each,
@@ -49,9 +48,9 @@ from ..core import (
 
 __all__ = ["ExprError", "UnboundVariableError", "calls_psi_mul", "eval_expression", "eval_expression_batch"]
 
-# ``(env, n) -> value``: ``env`` binds names to elements over ``_SCALAR`` (``n``
-# unused), to ``(re, fu)`` pairs of length-n float64 arrays over ``_ARRAY``
-Compiled = Callable[[dict, int], object]
+# ``env -> value``: ``env`` binds names to elements over ``_SCALAR``, to
+# ``(re, fu)`` pairs of floats or of float64 arrays over ``_ARRAY``
+Compiled = Callable[[dict], object]
 
 
 class ExprError(ValueError):
@@ -133,12 +132,6 @@ def _on_elements(kernel):
     return lambda *operands, **options: _wrap(complex(*kernel(*map(_parts, operands), **options)))
 
 
-def _broadcast(value, n: int):
-    """One element as n samples: read-only views that take no memory per sample."""
-    z = _as_complex(value)
-    return np.broadcast_to(z.real, n), np.broadcast_to(z.imag, n)
-
-
 # every function and power, written once over ``(re, fu)`` pairs of floats
 # or of float64 arrays
 _KERNELS = {
@@ -152,17 +145,17 @@ _KERNELS = {
     "norm": lambda z: (_each(math.hypot, *z), _select(_is_zero(z), 0.0, 0.0)),
     "polar": _polar,
 }
-# the operations on elements and on pairs of arrays, keyed by operator
-# symbol, function name or node kind: constants and field operators are
-# ``LcNumber``'s own over ``_SCALAR``, the rest the kernels above
+# the operations on elements and on ``(re, fu)`` pairs, keyed by operator
+# symbol, function name or node kind: ``const`` lifts a literal once, field
+# operators are ``LcNumber``'s own over ``_SCALAR``, the rest the kernels above
 _SCALAR = {
-    "const": lambda z, n: z,
+    "const": lambda z: z,
     "neg": operator.neg,
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
     **{key: _on_elements(kernel) for key, kernel in _KERNELS.items()},
 }
 _ARRAY = {
-    "const": _broadcast,
+    "const": _parts,
     "neg": lambda z: (-z[0], -z[1]),
     "+": _sum, "-": _difference, "*": _prod, "/": _quotient,
     **_KERNELS,
@@ -174,14 +167,14 @@ _FUNCTIONS = ("exp", "log", "sqrt", "conj", "norm", "polar", "psi_mul")
 def _apply(fn, a: Compiled, b: Compiled | None = None) -> Compiled:
     """The node ``fn(a)``, or ``fn(a, b)`` with ``a`` evaluated first."""
     if b is None:
-        return lambda env, n: fn(a(env, n))
-    return lambda env, n: fn(a(env, n), b(env, n))
+        return lambda env: fn(a(env))
+    return lambda env: fn(a(env), b(env))
 
 
 class _Parser:
     """Recursive descent over the token list.
 
-    Expression productions return compiled closures ``(env, n) -> value``
+    Expression productions return compiled closures ``env -> value``
     over the operation ``table``; ``rfa.cli.literals`` adds the
     constants-only productions.  ``error`` is the exception class raised
     for malformed input.
@@ -243,10 +236,10 @@ class _Parser:
         if not rest:
             return first
 
-        def chain(env, n):
-            acc = first(env, n)
+        def chain(env):
+            acc = first(env)
             for op, node in rest:
-                acc = op(acc, node(env, n))
+                acc = op(acc, node(env))
             return acc
 
         return chain
@@ -283,8 +276,8 @@ class _Parser:
         token = self.take()
         kind, value, pos = token
         if kind == "num":
-            constant, lift = LcNumber(value, 0.0), self.table["const"]
-            return lambda env, n: lift(constant, n)
+            constant = self.table["const"](LcNumber(value, 0.0))
+            return lambda env: constant
         if kind == "name":
             if self.at_op("("):
                 self.take()
@@ -297,7 +290,7 @@ class _Parser:
                 self.expect_op(")")
                 return self.call(value, args, pos)
 
-            def variable(env, n):
+            def variable(env):
                 try:
                     return env[value]
                 except KeyError:
@@ -352,7 +345,7 @@ def eval_expression(expr: str, bindings=None, a1: float = 0.0) -> LcNumber:
     env = {"A": _FUZZY_UNIT}
     if bindings:
         env.update(bindings)
-    return _compile(expr, a1, False)(env, 1)
+    return _compile(expr, a1, False)(env)
 
 
 def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndarray:
@@ -367,12 +360,12 @@ def eval_expression_batch(expr: str, bindings: dict, a1: float = 0.0) -> np.ndar
     ``eval_expression`` does not (a zero base under a power, an exponent
     that varies between samples); evaluate per sample then.  Run it under
     ``np.errstate(all="ignore")``, as overflow to ``inf`` is not an error.
+
+    ``A`` and each element bound stay one ``(re, fu)`` float pair, so a
+    subexpression of them alone is computed once, as the closures compute it.
     """
     n = next(len(v) for v in bindings.values() if isinstance(v, np.ndarray))
-    env = {"A": _broadcast(_FUZZY_UNIT, n)}
+    env = {"A": _parts(_FUZZY_UNIT)}
     for name, value in bindings.items():
-        if isinstance(value, np.ndarray):
-            env[name] = value.real, value.imag
-        else:
-            env[name] = _broadcast(value, n)
-    return _join(*_compile(expr, a1, True)(env, n))
+        env[name] = (value.real, value.imag) if isinstance(value, np.ndarray) else _parts(value)
+    return _join(*(np.broadcast_to(part, n) for part in _compile(expr, a1, True)(env)))

@@ -146,15 +146,17 @@ def _divide(num: complex, den: complex) -> complex:
 
 # Element kernels.  Each is written once, over elements as ``(re, fu)``
 # pairs whose parts are Python floats (one element) or float64 arrays (one
-# entry per sample), and rounds every entry as it rounds that element:
-# ``+ - * /`` on arrays are ufuncs in CPython's operand order, and a
-# transcendental is one libm call per entry through ``math`` (numpy's own
-# kernels round differently, and which one runs depends on the CPU).  Only
-# ``_each``, ``_rect``, ``_select``, ``_has_zero`` and ``_quotient`` tell
-# floats from arrays, by ``isinstance(x, np.ndarray)``.  Where the float
-# path raises, or takes a branch the array path does not reproduce, the
-# array path raises ``ArithmeticError`` or ``ValueError`` and the caller
-# replays the samples one by one.
+# entry per sample), never one of each; a binary kernel takes a float pair
+# next to an array pair as that element at every entry.  Each entry rounds
+# as that element does: ``+ - * /`` on arrays are ufuncs in CPython's
+# operand order, and a transcendental is one libm call per entry through
+# ``math`` (numpy's own kernels round differently, and which one runs
+# depends on the CPU).  Only ``_each``, ``_rect``, ``_select``,
+# ``_has_zero`` and ``_quotient`` tell floats from arrays, by
+# ``isinstance(x, np.ndarray)``.  Where the float path raises, or takes a
+# branch the array path does not reproduce, the array path raises
+# ``ArithmeticError`` or ``ValueError`` and the caller replays the samples
+# one by one.
 
 
 def _each(fn, *args, dtype=np.float64):
@@ -235,14 +237,17 @@ def _quotient(num, den):
 
     On arrays numerator and denominator are divided through by the larger
     part of the denominator (Smith's method), each branch chosen by a mask;
-    a NaN part takes neither branch and gives NaN.
+    a NaN part takes neither branch and gives NaN.  A float denominator of
+    array numerators takes them as numpy values, so a zero part divides as
+    in an array.
     """
     if _has_zero(den):
         raise ZeroDivisionError("division by the zero element")
     (a_re, a_fu), (b_re, b_fu) = num, den
-    if not isinstance(b_re, np.ndarray):
+    if not (isinstance(a_re, np.ndarray) or isinstance(b_re, np.ndarray)):
         q = complex(a_re, a_fu) / complex(b_re, b_fu)
         return q.real, q.imag
+    b_re, b_fu = np.asarray(b_re), np.asarray(b_fu)
     abs_re, abs_fu = np.abs(b_re), np.abs(b_fu)
     by_re = abs_re >= abs_fu
     by_fu = ~by_re & (abs_fu >= abs_re)
@@ -381,10 +386,10 @@ def from_polar(p: PolarForm) -> LcNumber:
 
 def _pow_int(z, n: int):
     """``pow_int`` per entry: a zero entry gives zero, or raises for ``n < 0``."""
-    zero = _is_zero(z)
     if n == 0:
         # one at every entry, the zero element's included
-        return _select(zero, 1.0, 1.0), _select(zero, 0.0, 0.0)
+        return 1.0, 0.0
+    zero = _is_zero(z)
     if n < 0 and _has_zero(z):
         raise ZeroDivisionError("negative power of the zero element")
     k = abs(n)

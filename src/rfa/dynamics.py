@@ -55,6 +55,7 @@ __all__ = [
     "solve_linear_analytic",
     "solve_linear_psi_analytic",
     "system_record",
+    "time_grid",
 ]
 
 Field = Callable[[float, Sequence[float]], Sequence[float]]

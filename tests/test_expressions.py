@@ -299,6 +299,12 @@ def _parts_outcome(fn):
 def test_every_array_operation_gives_the_scalar_bits_or_raises(key, data):
     n = data.draw(st.integers(1, 6), label="samples")
     elements = st.lists(_EDGE_ELEMENTS, min_size=n, max_size=n)
+    reference, array = _REFERENCE[key], expressions._ARRAY[key]
+    if key == "const":
+        constant = LcNumber(*data.draw(_EDGE_ELEMENTS, label="constant"))
+        re, fu = array(constant)
+        assert (re.hex(), fu.hex()) == _parts_outcome(lambda: reference(constant))
+        return
     operands, options = [data.draw(elements, label="operand")], {}
     if key in ("+", "-", "*", "/", "psi_mul"):
         operands.append(data.draw(elements, label="second operand"))
@@ -308,20 +314,21 @@ def test_every_array_operation_gives_the_scalar_bits_or_raises(key, data):
         options["pos"] = 0
     if key == "psi_mul":
         options["a1"] = data.draw(st.sampled_from([0.0, 1.175, -0.4]), label="a1")
-    reference, array = _REFERENCE[key], expressions._ARRAY[key]
-    if key == "const":
-        constant = LcNumber(*operands[0][0])
-        expected = [_parts_outcome(lambda: reference(constant, 1))] * n
-        call = lambda: array(constant, n)
-    else:
-        expected = [
-            _parts_outcome(lambda: reference(*(LcNumber(*operand[i]) for operand in operands), **options))
-            for i in range(n)
-        ]
-        call = lambda: array(*(tuple(map(np.array, zip(*operand))) for operand in operands), **options)
+    # an array pass meets a constant as one float pair next to the samples
+    arguments = [tuple(map(np.array, zip(*operand))) for operand in operands]
+    if len(operands) == 2:
+        side = data.draw(st.sampled_from([None, 0, 1]), label="constant operand")
+        if side is not None:
+            operands[side] = [operands[side][0]] * n
+            arguments[side] = operands[side][0]
+    expected = [
+        _parts_outcome(lambda: reference(*(LcNumber(*operand[i]) for operand in operands), **options))
+        for i in range(n)
+    ]
     try:
         with np.errstate(all="ignore"):
-            re, fu = call()
+            # a constant base under a power, or a zeroth power, is one float pair
+            re, fu = (np.broadcast_to(part, n) for part in array(*arguments, **options))
     except (ArithmeticError, ValueError):
         event("the array pass raised")
         return
@@ -386,6 +393,12 @@ def _outcome(fn):
 @example("(z)^2", [complex(-0.0, -0.0), 1 + 1j], 1.0, 5, "trapezoid", 0.0)
 @example("sqrt(z)", [complex(3.0, -0.0), complex(-2.0, -0.0)], 1.0, 4, "trapezoid", 0.0)
 @example("psi_mul(z, (k + z))", [1 + 1j, -2 + 0.5j], 1.0, 9, "trapezoid", 1.175)
+# constants next to samples: a float-pair denominator, a transcendental
+# computed once, a power of zero and a constant that raises at every sample
+@example("z/A", [1 + 0.5j, complex(-0.0, 2.0), -1 + 0j], 1.0, 7, "trapezoid", 0.0)
+@example("exp(1+2*A)*z", [-1 + 0.5j, 0.7 - 0.2j], 1.0, 9, "simpson", 0.0)
+@example("z^0*z", [0j, 1 + 1j], 1.0, 5, "trapezoid", 0.0)
+@example("log(0)*z", [1 + 0j, 2 + 1j], 1.0, 5, "trapezoid", 0.0)
 # crisp exponents and branches that vary from sample to sample
 @example("(z)^norm(z)", [1 + 0j, 2 + 1j], 1.0, 9, "trapezoid", 0.0)
 @example("log(z, z)", [1 + 0j, 3 + 0j], 1.0, 3, "trapezoid", 0.0)
@@ -425,6 +438,25 @@ def test_array_evaluation_matches_the_closures_bit_for_bit(expr, vertices, scale
     assert with_batch == _outcome(lambda: contour_integral(mapping, path, scheme))
 
 
+def test_an_array_pass_computes_a_constant_subtree_once(monkeypatch):
+    scale = exp_rfa(LcNumber(1.0, 2.0))
+    calls = []
+
+    class CountedMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            calls.append(x)
+            return math.exp(x)
+
+    monkeypatch.setattr("rfa.analytic.math", CountedMath())
+    z = np.linspace(-1.0, 1.0, 1000) + 0.5j
+    values = eval_expression_batch("exp(1+2*A)*z", {"z": z})
+    assert calls == [1.0]
+    assert values.tolist() == [complex(scale * LcNumber(v.real, v.imag)) for v in z.tolist()]
+
+
 def _integrate(monkeypatch, *argv):
     """``rfa integrate`` in process; its exit code, output and per-sample calls."""
     cli_main = importlib.import_module("rfa.cli.main")
@@ -456,6 +488,8 @@ def test_integrate_takes_the_array_pass(monkeypatch):
         (*_POLYNOMIAL, *path, "--scheme", "trapezoid"): "3.3189666248139886 + 1.360483331426773*A\n",
         (*_POLYNOMIAL, *path, "--scheme", "simpson"): "3.3189666666666664 + 1.3604833333333335*A\n",
         ("sqrt(z)", *path, "--scheme", "simpson"): "1.161473884514942 + 1.7289019868205207*A\n",
+        # a constant denominator whose real part is zero
+        ("z/A", *path, "--scheme", "simpson"): "1.7 + 0.15500000000000005*A\n",
     }
     for argv, digits in runs.items():
         assert _integrate(monkeypatch, *argv) == (0, digits, 0), argv
