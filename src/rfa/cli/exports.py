@@ -118,7 +118,7 @@ def _split(a):
     return hi, a - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_PARTS = np.stack([_POW10, *_split(_POW10)])  # 10^q and its halves, one column a q
 
 
 def _exact_product(a, b, bh, bl):
@@ -131,23 +131,29 @@ def _exact_product(a, b, bh, bl):
     return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-# Each cell fills a slot of 48 bytes, twelve ``<u4`` words, that holds the
+# Each cell fills a slot of 48 bytes, six ``<u8`` words, that holds the
 # 17 digits D0..D16 of N twice:
 #   0 sign ("-" or NUL), 1 "0", 2 NUL, 3..19 D0..D16, 20..23 ".000",
-#   24..26 NUL, 27..43 D0..D16 again, 44..47 the separator, NUL-padded
+#   24..47 the same again, its last 4 bytes the separator, NUL-padded
 # The text at exponent k with sig significant digits is the slot ANDed with
 # one mask row, which keeps the sign, then D0..Dk of the first copy and "."
 # and D(k+1)..D(sig-1) of the second for k >= 0 (for an integral JSON cell
 # ".0" of ".000" instead), or "0", "." and -k-1 zeros of ".000" before
-# D0..D(sig-1) of the second for k < 0, then the separator.  Each kept byte
-# lies after the one before it, so nothing moves.  A cell the kernel leaves
-# keeps only its separator, and its text (at most 24 characters) is written
-# over the start of the slot.  The NULs are deleted from the finished block.
+# D0..D(sig-1) of the second for k < 0, then the separator.  No row keeps
+# bytes 2 and 24..26.  Each kept byte lies after the one before it, so
+# nothing moves.  So the kernel gathers the cell's mask row, ANDs its three
+# words into either half, and stores the separator over the second ".000".
+# A cell the kernel leaves keeps only its separator, and its text (at most
+# 24 characters) is written over the start of the slot.  The NULs are
+# deleted from the finished block.
 _SIGN, _ZERO, _INTEGER, _POINT, _FRACTION, _SEPARATOR = 0, 1, 3, 20, 27, 44
 
 
 def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(4, b"\0"), "little")
+
+
+_HEADS = (np.arange(10, dtype=np.uint64) + ord("0")) << 24 | ord("0") << 8  # "0", NUL and D0
 
 
 def _masks(integral, zero) -> np.ndarray:
@@ -185,7 +191,7 @@ _JSON = _Cells(_masks([_POINT, _POINT + 1], [_ZERO, _POINT, _POINT + 1]), 15, Tr
 _ZERO_ROW, _LEFT_ROW = -2, -1  # the last two rows of every table
 
 
-def _shortest(ax, q, p, e, n17):
+def _shortest(ax, scale, p, e, n17):
     """The 17-digit N of the shortest digits that read back as ``ax``, and where the kernel decides them.
 
     p is rounded and its ulp is 2 to 16, so the remainder r of p past the
@@ -199,7 +205,7 @@ def _shortest(ax, q, p, e, n17):
     every one).
     """
     whole = p.astype(np.int64)
-    half_ulp = np.spacing(ax) * _POW10[q] * 0.5
+    half_ulp = np.spacing(ax) * scale * 0.5
     r15 = whole % 100
     r16 = r15 % 10
     s15, s16 = r15 + e, r16 + e  # p + e = whole - r + s, exactly
@@ -213,54 +219,75 @@ def _shortest(ax, q, p, e, n17):
     return n, s16 % 10 != 5
 
 
-def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
-    """The text of every cell of ``block``, each followed by the separator of its column."""
-    x = block.ravel()
-    n = len(x)
+def _decimal(x, kind: _Cells):
+    """Each cell's 17 digits N at the decimal exponent 16 - q, q, and whether the kernel writes the cell."""
     ax = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.floor(np.log10(ax))
     fixed = (k >= -4) & (k <= kind.k_max)  # false for zeros, inf, nan
-    # a cell left to the text function computes as 1.0, so every cast below is defined
-    k = np.where(fixed, k, 0.0).astype(np.intp)
+    # a cell left to the text function computes as 1.0 at q = 16, so every cast below is defined
+    q = np.where(fixed, 16.0 - k, 16.0).astype(np.intp)
     ax = np.where(fixed, ax, 1.0)
-    q = 16 - k
-    p, e = _exact_product(ax, _POW10[q], _POW10_HI[q], _POW10_LO[q])  # exact |x| * 10^q = p + e
+    scale, scale_hi, scale_lo = _POW10_PARTS.take(q, axis=1)
+    p, e = _exact_product(ax, scale, scale_hi, scale_lo)  # exact |x| * 10^q = p + e
     digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
     fixed &= (p > 1e16) | ((p == 1e16) & (e >= 0))
     if kind.shortest:
-        digits, decided = _shortest(ax, q, p, e, digits)
+        digits, decided = _shortest(ax, scale, p, e, digits)
         fixed &= decided
     fixed &= digits < 10**17
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    groups = np.empty((4, n), np.int64)  # D1..D4, D5..D8, D9..D12, D13..D16
-    groups[0] = upper // 10**4
-    groups[1] = upper - groups[0] * 10**4
-    groups[2] = lower // 10**4
-    groups[3] = lower - groups[2] * 10**4
-    trailing = np.zeros(n, np.intp)
-    for g in groups:
-        # zeros after the last nonzero digit; the lead digit of a fixed cell is nonzero
-        trailing = np.where(g == 0, trailing + 4, _TRAILING_ZEROS.take(g))
-    slots = np.empty((n, 2, 6), "<u4")  # the slot's words 0..5 and 6..11
-    head = (lead.astype(np.uint32) + np.uint32(ord("0"))) << 24
-    slots[:, 1, 0] = head
-    slots[:, 0, 0] = head + (np.signbit(x) * np.uint32(ord("-")) + np.uint32(ord("0") << 8))
-    slots[:, :, 1:5] = _GROUPS.take(groups).T[:, None]
-    slots[:, 0, 5] = _word(b".000")
-    slots.reshape(block.shape + (12,))[..., 11] = separators
-    which = np.where(fixed, (k + 4) * 17 + 16 - trailing, np.where(x == 0.0, _ZERO_ROW, _LEFT_ROW))
-    out = slots.view("<u8").reshape(n, 6)
-    out &= kind.masks.take(which, axis=0)
-    out = out.view(np.uint8)
+    return digits, q, fixed
+
+
+def _slot_words(x, kind: _Cells):
+    """Each cell's mask row, and the three words that fill either half of its slot."""
+    digits, q, fixed = _decimal(x, kind)
+    # D0..D4, D5..D12 and D13..D16, then D0 and D1..D4; ``//`` by a constant
+    # multiplies, where ``%`` divides
+    top = digits // 10**12
+    rest = digits - top * 10**12
+    middle = rest // 10**4
+    last = rest - middle * 10**4
+    lead = top // 10**4
+    first = top - lead * 10**4
+    pair = np.empty((len(x), 2), np.int64)  # D5..D8 and D9..D12, the groups of one word
+    pair[:, 0] = middle // 10**4
+    pair[:, 1] = middle - pair[:, 0] * 10**4
+    # zeros after the last nonzero digit, from the last group and, where that is
+    # "0000", the groups before it; the lead digit of a fixed cell is nonzero
+    trailing = _TRAILING_ZEROS.take(last)
+    zero = np.flatnonzero(last == 0)
+    if len(zero):
+        run = 0
+        for g in (first[zero], *pair[zero].T):
+            run = np.where(g == 0, run + 4, _TRAILING_ZEROS.take(g))
+        trailing[zero] += run
+    which = 356 - 17 * q - trailing  # (k + 4) * 17 + sig - 1 with k = 16 - q and sig = 17 - trailing
+    left = np.flatnonzero(~fixed)
+    which[left] = np.where(x[left] == 0.0, _ZERO_ROW, _LEFT_ROW)
+    # the head, then D1..D4 above it; a left cell's lead can pass 9, and it is masked off
+    head = np.left_shift(_GROUPS.take(first), 32, dtype=np.uint64)
+    head |= _HEADS.take(lead, mode="clip")
+    head |= np.signbit(x).view(np.uint8) * np.uint64(ord("-"))
+    tail = np.bitwise_or(_GROUPS.take(last), _word(b".000") << 32, dtype=np.uint64)  # D13..D16, then ".000"
+    return which, (head, _GROUPS.take(pair).view("<u8")[:, 0], tail)
+
+
+def _cells(block: np.ndarray, separators: np.ndarray, kind: _Cells) -> bytes:
+    """The text of every cell of ``block``, each followed by the separator of its column."""
+    x = block.ravel()
+    which, words = _slot_words(x, kind)
+    slots = kind.masks.take(which, axis=0)
+    for i, word in enumerate(words):
+        slots[:, i] &= word
+        slots[:, i + 3] &= word
+    slots.view("<u4").reshape(block.shape + (12,))[..., _SEPARATOR // 4] = separators
+    out = slots.view(np.uint8)
     left = np.flatnonzero(which == _LEFT_ROW)
     if len(left):
         texts = np.array([kind.text(v) for v in x[left].tolist()], "S24")
         out[left, :24] = texts.view(np.uint8).reshape(-1, 24)
-    return out.tobytes().translate(None, b"\0")
+    return out.tobytes().translate(None, b"\0")  # bytes translate faster than a bytearray
 
 
 def _blocks(rows: np.ndarray) -> list[np.ndarray]:
@@ -289,15 +316,16 @@ def export_csv(table: ExportTable, path) -> None:
 #
 # The body is read in chunks of about ``_CHUNK_BYTES``, each cut after its
 # last line end (LF, CRLF or a lone CR); the partial row after the cut is
-# carried into the next chunk.  Separators split a chunk into cells, an
-# empty line is skipped, and every other line must hold one cell per
-# column.  A cell of at most 24 bytes that is an optional "-", then digits
-# with at most one "." among them, is read from the three 8-byte words
-# that end where it ends: "0" is written over the bytes before its digits
-# and over the dot, and each word gives the value of its 8 digits at once
+# carried into the next chunk.  Every byte that is not a digit is an event.
+# Separators among them split a chunk into cells, an empty line is skipped,
+# and every other line must hold one cell per column.  A cell of at most
+# 24 bytes whose only events are an optional leading "-", at most one "."
+# and its separator is read from the three 8-byte words that end where it
+# ends: each byte keeps its low 4 bits, the bytes before its digits and
+# the dot keep none, and each word gives the value of its 8 digits at once
 # (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  With the dot
 # read as 0 the window holds W, and with f digits after the dot the cell
-# holds V = W - 9 * (W - W mod 10^f) / 10 (V = W without a dot), read as
+# holds V = W - 9 * 10^f * (W // 10^(f + 1)) (V = W without a dot), read as
 # the double nearest V / 10^f:
 #   V <= 2^53, f <= 22: V and 10^f are doubles, and one division rounds
 #   V / 10^f correctly (Clinger, "How to Read Floating Point Numbers
@@ -318,38 +346,36 @@ def export_csv(table: ExportTable, path) -> None:
 # Every other cell is read on its own by ``_number`` as ``np.loadtxt``
 # reads it: exponent notation, inf, nan, "+", spaces, more than 17
 # digits, a cell neither candidate passes and what is not a number.
+#
+# A chunk of 160 KiB holds about 8500 cells of a full-resolution table, so
+# a numpy pass over it costs more than the call that makes it.  Its
+# temporaries peak in ``_nearest`` at about 115 bytes a cell, under 1 MB.
 
-_CHUNK_BYTES = 1 << 17
+_CHUNK_BYTES = 5 << 15
 _PAD = 24  # bytes before a chunk, so the window of its first cell lies in the buffer
 
 
-def _low(n: int) -> int:
-    """The low ``n`` bytes of a word, for n clipped to 0..8."""
-    return (1 << 8 * min(max(n, 0), 8)) - 1
-
-
-# Word k (bytes 8k..8k+7) of the window of a cell whose first j bytes lie
-# before its digits: _KEEP[k, j] keeps the bytes from the j-th on, and
-# _ADD[k, 25 * j + t] then turns the bytes before them into "0", and a
-# "." t bytes before the window's end into "0" too (t = 0: no dot).
-_KEEP = np.array([[_low(8) ^ _low(j - 8 * k) for j in range(25)] for k in range(3)], np.uint64)
-_FILL = np.array([[0x3030303030303030 & _low(j - 8 * k) for j in range(25)] for k in range(3)], np.uint64)
-_DOT = np.array([[(0 < t and 24 - t >> 3 == k) * (2 << 8 * (-t % 8)) for t in range(25)] for k in range(3)], np.uint64)
-_ADD = (_FILL[:, :, None] + _DOT[:, None]).reshape(3, 625)
-_POW10_INT = np.array([10**q for q in range(19)], np.int64)
+# Column 25 * digits + t, for the bytes after a cell's sign clipped to
+# 0..25 and its dot t bytes before its end (t = 0: none): the three words
+# of a mask that keeps the low 4 bits of each digit of the window, and
+# whether the kernel reads the cell, which needs a digit, at most 24 bytes
+# and f = t - 1 <= 22.
+_DIGITS, _DOT_AT = np.divmod(np.arange(26 * 25), 25)
+_WINDOWS = (
+    ((np.arange(24) >= 24 - _DIGITS[:, None]) & (np.arange(24) != 24 - _DOT_AT[:, None])) * np.uint8(15)
+).view("<u8").T.copy()
+_READABLE = (_DIGITS - (_DOT_AT > 0) >= 1) & (_DIGITS <= 24) & (_DOT_AT <= 23)
+# by t: 9 * 10^f and 10^(f + 1), which turn W into V (0 and 1 without a
+# dot; 10^(f + 1) past 10^18 exceeds every W), and 10^f and its halves
+_DOT_DIGITS = np.array([
+    [9 * 10 ** (t - 1) if 0 < t <= 18 else 0 for t in range(25)],
+    [10 ** min(t, 18) for t in range(25)],
+])
+_DOT_SCALES = _POW10_PARTS.take(np.clip(np.arange(25) - 1, 0, 22), axis=1)
 
 
 def _eight_digits(w):
-    """Read each word of ``w`` in place as the value of its 8 ASCII digits, first digit in the low byte.
-
-    Returns an array that is nonzero where a word is not 8 digits.
-    """
-    bad = w + 0x0606060606060606
-    bad &= 0xF0F0F0F0F0F0F0F0
-    bad >>= 4
-    bad |= w & 0xF0F0F0F0F0F0F0F0
-    bad ^= 0x3333333333333333
-    w &= 0x0F0F0F0F0F0F0F0F
+    """Turn each word of ``w`` in place into the value of its 8 digits, one a byte, first digit in the low byte."""
     w *= 2561
     w >>= 8
     w &= 0x00FF00FF00FF00FF
@@ -358,31 +384,39 @@ def _eight_digits(w):
     w &= 0x0000FFFF0000FFFF
     w *= 42949672960001
     w >>= 32
-    return bad
 
 
-def _misses(c, v, f):
-    """Where ``v / 10^f`` lies from the rounding interval of the double ``c``: 0 strictly inside, else -1 or 1."""
-    scale = _POW10.take(f)
-    p, e = _exact_product(c, scale, _POW10_HI.take(f), _POW10_LO.take(f))
-    off = (v - p.astype(np.int64)).astype(np.float64) - e  # v - c * 10^f, rounded once
+def _misses(c, v, scale, scale_hi, scale_lo):
+    """Where ``v / scale`` lies from the rounding interval of the double ``c``: 0 strictly inside, else -1 or 1.
+
+    ``scale`` is 10^f, and ``scale_hi + scale_lo`` its split.
+    """
+    p, e = _exact_product(c, scale, scale_hi, scale_lo)
+    off = (v - p.astype(np.int64)).astype(np.float64)
+    off -= e  # v - c * 10^f, rounded once
+    del p, e
     bits = c.view(np.int64)
-    above = ((bits >> 52) - 53 << 52).view(np.float64) * scale  # half the gap to the next double, times 10^f
+    above = ((bits >> 52) - 53 << 52).view(np.float64)
+    above *= scale  # half the gap to the next double, times 10^f
     below = np.where(bits & (2**52 - 1), above, above * 0.5)  # a power of two has the gap below halved
-    return (off >= above).astype(np.int64) - (off <= -below)
+    return np.subtract(off >= above, off <= -below, dtype=np.int64)
 
 
-def _nearest(c, v, f):
-    """Where candidate ``c > 0`` or its neighbour toward ``v / 10^f`` is the double nearest it; ``c`` takes that one."""
-    miss = _misses(c, v, f)
-    found = miss == 0
-    away = np.flatnonzero(~found)
+def _nearest(c, v, scales, fast):
+    """Where ``fast`` and V > 2^53, the candidate ``c`` becomes the double nearest ``v / 10^f`` if that is it
+    or its neighbour toward it; ``fast`` is cleared where it is neither.
+
+    ``scales`` holds 10^f and its split, one column a cell.
+    """
+    with np.errstate(all="ignore"):  # a cell that is not checked computes on whatever it holds
+        miss = _misses(c, v, *scales)
+    miss *= fast & (v > 2**53)
+    away = np.flatnonzero(miss)
     # a positive double's bits count its neighbours off by one
     near = (c[away].view(np.int64) + miss[away]).view(np.float64)
-    hit = _misses(near, v[away], f[away]) == 0
+    hit = _misses(near, v[away], *scales[:, away]) == 0
     c[away[hit]] = near[hit]
-    found[away[hit]] = True
-    return found
+    fast[away[~hit]] = False
 
 
 def _number(cell: bytes, encoding: str) -> float:
@@ -394,74 +428,101 @@ def _number(cell: bytes, encoding: str) -> float:
 
 
 def _split_lines(b: np.ndarray, width: int):
-    """Where each cell of the whole lines ``b`` starts and ends, how far before its end its last dot lies, and the rows.
+    """Each cell of the whole lines ``b``: where it starts and ends, how far before its end its dot lies,
+    whether it starts with "-", whether those and its separator are its only events; and the rows.
 
     An empty line is skipped, and every other line must hold ``width``
     cells.
     """
-    at = np.flatnonzero(b < 47)  # separators and dots, and signs, spaces and the like
-    kind = b[at]
-    cr = kind == 13
-    crlf = np.zeros_like(cr)
-    crlf[:-1] = cr[:-1] & (kind[1:] == 10) & (at[1:] == at[:-1] + 1)
-    closes = cr | (kind == 10)
-    closes[1:] &= ~crlf[:-1]  # the LF of a CRLF ends nothing: its CR ends the line
+    at = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # every byte but a digit
+    kind = b.take(at)
+    closes = kind == 13
+    crlf = np.flatnonzero(closes)
+    crlf = crlf[b.take(at.take(crlf) + 1, mode="clip") == 10]
+    closes |= kind == 10
+    closes[crlf + 1] = False  # the LF of a CRLF ends nothing: its CR ends the line
     cell = np.flatnonzero(closes | (kind == 44))  # the separator that ends each cell
+    lines = np.flatnonzero(closes.take(cell))  # the last cell of each line
     ends = at.take(cell)
+    # the event before a cell's separator is its dot, else its sign, else the
+    # end of the cell before (before the first cell lies the chunk's last
+    # event, a line end)
+    inner = cell - 1
+    dot = at.take(inner)
+    np.subtract(ends, dot, out=dot)
+    dot *= kind.take(inner) == 46
+    inner[1:] -= cell[:-1]  # events before each separator since the one before
+    inner[0] += 1
     starts = np.empty_like(ends)
     starts[0] = 0
-    starts[1:] = ends[:-1] + 1 + crlf.take(cell[:-1])
-    # a dot just before the separator; a cell with another one fails as digits
-    # (before the first cell lies the chunk's last event, a line end)
-    dot = np.where(kind.take(cell - 1) == 46, ends - at.take(cell - 1), 0)
-    closes = np.flatnonzero(closes.take(cell))  # the last cell of each line
-    counts = np.diff(closes, prepend=-1)
-    blank = (counts == 1) & (ends[closes] == starts[closes])
+    np.add(ends[:-1], 1, out=starts[1:])
+    # a cell after a CRLF starts after its LF, which is none of the cell's events
+    after = np.searchsorted(cell, crlf) + 1
+    after = after[after < len(ends)]
+    starts[after] += 1
+    inner[after] -= 1
+    neg = b.take(starts) == 45
+    inner -= neg
+    plain = inner == (dot > 0)
+    counts = np.diff(lines, prepend=-1)
+    blank = (counts == 1) & (ends[lines] == starts[lines])
     wrong = np.flatnonzero(~blank & (counts != width))
     if len(wrong):
         raise ValueError(f"a row holds {counts[wrong[0]]} cells, but the header names {width} columns")
     if blank.any():
         keep = np.repeat(~blank, counts)
-        starts, ends, dot = starts[keep], ends[keep], dot[keep]
-    return starts, ends, dot, len(ends) // width
+        starts, ends, dot, neg, plain = starts[keep], ends[keep], dot[keep], neg[keep], plain[keep]
+    return starts, ends, dot, neg, plain, len(ends) // width
 
 
-def _fixed(buf: np.ndarray, lo: int, starts, ends, dot):
-    """Each cell's digits V, its digits f after the dot, its sign, and whether the kernel reads it.
+def _fixed(buf: np.ndarray, lo: int, starts, ends, dot, neg, plain):
+    """Each cell's digits V and whether the kernel reads it.
 
-    ``starts``, ``ends`` and ``dot`` are as ``_split_lines`` gives them for
-    ``buf[lo:]``, which ``_PAD`` bytes precede.
+    ``starts``, ``ends``, ``dot``, ``neg`` and ``plain`` are as
+    ``_split_lines`` gives them for ``buf[lo:]``, which ``_PAD`` bytes
+    precede.
     """
-    neg = buf.take(starts + lo) == 45
-    digits = (ends - starts) - neg
-    fast = (digits >= 1 + (dot > 0)) & (digits <= 24)
-    dot = np.minimum(dot, 24)
-    j = np.clip(24 - digits, 0, 24)
-    # the 24-byte window that ends with the cell, from aligned words; then "0"
-    # over the bytes before the digits and over the dot
+    index = ends - starts
+    index -= neg
+    np.minimum(index, 25, out=index)
+    index *= 25
+    index += dot
+    fast = plain & _READABLE.take(index, mode="clip")
+    # the 24-byte window that ends with the cell, from the aligned words it spans
     start = ends + (lo - 24)
-    aligned = buf.view("<u8")
-    at = start >> 3
-    right = ((start & 7) << 3).astype(np.uint64)
+    right = start & 7
+    right <<= 3
+    right = right.view(np.uint64)
+    start >>= 3
+    w = np.empty((4, len(ends)), np.uint64)
+    for word in w:
+        np.take(buf.view("<u8"), start, out=word, mode="clip")
+        start += 1
     left = 64 - right  # a shift by 64 gives 0
-    fix = j * 25 + dot
-    values = []
-    word = aligned.take(at)
     for k in range(3):
-        w = word >> right
-        word = aligned.take(at + (k + 1))
-        w |= word << left
-        w &= _KEEP[k].take(j)
-        w += _ADD[k].take(fix)
-        fast &= _eight_digits(w) == 0
-        values.append(w)
-    fast &= values[0] < 100
-    whole = (values[0] * 10**16 + values[1] * 10**8 + values[2]).view(np.int64)  # the digits, the dot read as 0
-    f = np.maximum(dot - 1, 0)
-    fast &= f <= 22
-    f[~fast] = 0  # a cell left to ``_number`` reads as V / 1 meanwhile
-    after = np.where(dot > 0, whole % _POW10_INT.take(np.minimum(f, 18)), whole)
-    return whole - 9 * ((whole - after) // 10), f, neg, fast
+        w[k] >>= right
+        w[k] |= w[k + 1] << left
+    for k in range(3):  # word 3 holds each mask in turn
+        np.take(_WINDOWS[k], index, out=w[3], mode="clip")
+        w[k] &= w[3]
+    # V < 10^18: the first 6 bytes are zeros, and the next 2 give V // 10^16
+    fast &= w[0] << 16 == 0
+    top = w[0]
+    top >>= 48
+    top *= 2561
+    top >>= 8
+    top &= 0xFF
+    _eight_digits(w[1:3])
+    v = w[1] * 10**8
+    v += w[2]
+    top *= 10**16
+    v += top
+    v = v.view(np.int64)  # the digits, the dot read as 0
+    tens = _DOT_DIGITS[1].take(dot, mode="clip")
+    np.floor_divide(v, tens, out=tens)
+    tens *= _DOT_DIGITS[0].take(dot, mode="clip")
+    v -= tens
+    return v, fast
 
 
 def _lines(buf: np.ndarray, lo: int, hi: int, width: int, encoding: str):
@@ -470,22 +531,29 @@ def _lines(buf: np.ndarray, lo: int, hi: int, width: int, encoding: str):
     ``buf`` holds ``_PAD`` bytes before ``lo`` and a multiple of 8 bytes.
     """
     b = buf[lo:hi]
-    starts, ends, dot, rows = _split_lines(b, width)
-    v, f, neg, fast = _fixed(buf, lo, starts, ends, dot)
-    x = v.astype(np.float64) / _POW10.take(f)
-    big = np.flatnonzero(fast & (v > 2**53))
-    c = x[big]
-    fast[big] = _nearest(c, v[big], f[big])
-    x[big] = c
+    starts, ends, dot, neg, plain, rows = _split_lines(b, width)
+    v, fast = _fixed(buf, lo, starts, ends, dot, neg, plain)
+    scales = _DOT_SCALES.take(dot, axis=1, mode="clip")
+    del dot  # spent before the chunk's peak in ``_nearest``
+    x = v.astype(np.float64)
+    x /= scales[0]
+    _nearest(x, v, scales, fast)
     np.negative(x, out=x, where=neg)
     for i in np.flatnonzero(~fast).tolist():
         x[i] = _number(b[starts[i] : ends[i]].tobytes(), encoding)
     return x, rows
 
 
+def _tail_density(fd: int, begin: int, size: int) -> float:
+    """Cells a byte in the last chunk of the ``size`` bytes from ``begin`` on: commas and line ends, a CRLF once."""
+    tail = os.pread(fd, _CHUNK_BYTES, begin + max(size - _CHUNK_BYTES, 0))
+    return (tail.count(b",") + max(tail.count(b"\n"), tail.count(b"\r"))) / max(len(tail), 1)
+
+
 def _body(fh, width: int, encoding: str) -> np.ndarray:
     """The rows of the binary file ``fh`` from its position on, read in chunks of whole lines."""
     size = os.fstat(fh.fileno()).st_size - fh.tell()
+    tail = _tail_density(fh.fileno(), fh.tell(), size)
     buf = bytearray(_PAD + _CHUNK_BYTES + 8)  # 8 bytes of room to end a last line
     out = np.empty(0)
     n_cells = n_rows = read = 0
@@ -505,12 +573,10 @@ def _body(fh, width: int, encoding: str) -> np.ndarray:
             cells, rows = _lines(np.frombuffer(buf, np.uint8), _PAD, cut, width, encoding)
             read += cut - _PAD
             need = n_cells + len(cells)
-            if need > len(out):  # room for the cells the rest of the file holds at this density
-                room = max(need * size // read, len(out) * 9 // 8, need)
-                if len(out):
-                    out.resize(room, refcheck=False)  # realloc moves the pages, and no copy is held
-                else:
-                    out = np.empty(room)  # pages past the last cell are never touched
+            if not len(out):  # room for the rest at the mean density of this chunk and of the file's end
+                out = np.empty(need + int((size - read) * (need / read + tail) / 2))
+            elif need > len(out):  # short of the estimate: realloc moves the pages, and no copy is held
+                out.resize(max(need, len(out) * 9 // 8), refcheck=False)
             out[n_cells:need] = cells
             n_cells, n_rows = need, n_rows + rows
         if not got:

@@ -139,7 +139,11 @@ def _cmd_integrate(args) -> int:
 
 
 def _run_and_report(scenario, args) -> int:
-    _, written = run_scenario(scenario, out_dir=args.out_dir, formats=_formats(args.formats))
+    formats = _formats(args.formats)
+    if not (scenario.formats if formats is None else formats):
+        # a run that writes nothing would simulate in full and print nothing
+        raise ConfigError("no output format: name one or more of csv,json,svg")
+    _, written = run_scenario(scenario, out_dir=args.out_dir, formats=formats)
     for target in written:
         print(target)
     return 0

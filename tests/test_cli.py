@@ -1001,7 +1001,7 @@ def _expected_run(command, source, fig, config, projection, formats):
         name = f"{fig}-phase"
     else:
         name = _PHASE_CONFIGS[config][1] if source == "config" else None
-    if name is None or chosen is None:
+    if name is None or not chosen:  # no format at all is refused too
         return 2, set()
     return 0, {f"{name}.{fmt}" for fmt in chosen}
 
@@ -1048,6 +1048,35 @@ def test_preset_and_phase_keep_the_exit_code_contract(command, source, fig, conf
             assert set(os.listdir(out_dir)) == expected_files
         written = {os.path.join(out_dir, name) for name in expected_files}
         assert set(out.getvalue().splitlines()) == written
+
+
+@pytest.mark.parametrize(
+    "command, formats",
+    [
+        *((command, option) for command in ("solve", "preset", "phase") for option in ("", ",")),
+        ("solve", None),  # "formats": [] in the config
+        ("phase", None),
+    ],
+)
+def test_a_run_without_an_output_format_is_refused_before_it_simulates(
+    capsys, tmp_path, monkeypatch, command, formats
+):
+    def simulate(*args, **kwargs):
+        raise AssertionError("a run that writes nothing simulated")
+
+    monkeypatch.setattr(presets, "simulate_system", simulate)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({**_OSC_CONFIG, "formats": ["csv"] if formats else []}))
+    argv = {
+        "solve": ["solve", "oscillator", "--config", "config.json"],
+        "preset": ["preset", "fig6"],
+        "phase": ["phase", "--config", "config.json", "--projection", PROJECTIONS[0]],
+    }[command]
+    argv += ["--out-dir", "out"] + (["--formats", formats] if formats is not None else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and "csv,json,svg" in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @settings(max_examples=200, deadline=None)

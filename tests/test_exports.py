@@ -339,6 +339,24 @@ def test_writers_match_the_reference_bytes_on_every_power_of_two(tmp_path):
         assert_same_bytes(fast, reference, suffix, table, tmp_path)
 
 
+# cells whose last one, two, three or four 4-digit groups of D1..D16 are "0000"
+ZERO_GROUP_CELLS = [1.234567890123, 1.2345678901, 1234.5678, 1.2345, 1.5, 0.25, 3.0, 1e-4, 1e5, 1e15, 5e15, 7.0, 4096.0]
+
+
+def test_writers_take_trailing_zeros_from_every_zero_group_across_a_block_cut(tmp_path):
+    width = 7
+    step = exports._CELLS_PER_BLOCK // width  # the rows of one block
+    rng = np.random.default_rng(13)
+    rows = rng.standard_normal((2 * step, width)) * 10.0 ** rng.integers(-3, 6, (2 * step, width))
+    cells = np.array(ZERO_GROUP_CELLS + [-v for v in ZERO_GROUP_CELLS])
+    # the last rows of the first block and the first rows of the second
+    rows[step - 2 : step + 2] = np.resize(cells, (4, width))
+    rows[step + 2 : step + 2 + len(cells), 3] = cells
+    table = ExportTable([f"c{k}" for k in range(width)], rows)
+    for fast, reference, suffix in WRITERS:
+        assert_same_bytes(fast, reference, suffix, table, tmp_path)
+
+
 def _near_powers_of_ten():
     """Six doubles on either side of each power of ten from 10^-8 to 10^19, and the power."""
     cells = []
@@ -497,8 +515,8 @@ def _full_resolution_table():
 
 def test_writers_hold_a_block_not_the_document(tmp_path):
     # A writer that builds the whole document as one string peaks above the file
-    # size (22 MB here); the block writers measured 279-280 bytes per cell of a
-    # block, 4.4 MiB, and the n x 28 gather index they replaced 441-464.
+    # size (22 MB here); the block writers measured 181-182 bytes per cell of a
+    # block, 2.8 MiB (279-280 while every temporary lived to the end of the block).
     table = _full_resolution_table()
     for writer in (export_csv, export_json):
         target = tmp_path / f"big.{writer.__name__}"
