@@ -114,7 +114,7 @@ def _power(lhs, rhs, pos: int):
     if not math.isfinite(x):
         raise ValueError(f"exponent {x} is not a finite number")
     if x == int(x):
-        return _pow_int(lhs, int(x))
+        return _pow_int(lhs, x)
     return _pow_real(lhs, x)
 
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from ..analytic import Path, contour_integral, derivative_cr
 from ..core import BasisNumber, LcNumber, LcSpace
-from ..dynamics import PROJECTIONS, SYSTEMS, system_record
+from ..dynamics import PROJECTIONS
 from .expressions import ExprError, calls_psi_mul, eval_expression, eval_expression_batch
 from .literals import parse_fuzzy_literal, print_literal
 from .presets import ConfigError, load_config, preset_config, run_scenario
@@ -150,11 +150,7 @@ def _run_and_report(scenario, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    scenario = load_config(args.config)
-    wanted = system_record(args.system).name
-    if scenario.system != wanted:
-        raise ConfigError(f"config declares system {scenario.system!r} but the command asked for {wanted!r}")
-    return _run_and_report(scenario, args)
+    return _run_and_report(load_config(args.config), args)
 
 
 def _cmd_preset(args) -> int:
@@ -220,9 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--formats", help="comma-separated subset of csv,json,svg")
 
     p_solve = sub.add_parser("solve", help="run a configured scenario")
-    p_solve.add_argument(
-        "system", choices=[name for record in SYSTEMS.values() for name in (record.name, *record.aliases)]
-    )
     p_solve.add_argument("--config", required=True)
     add_output_options(p_solve)
     p_solve.set_defaults(handler=_cmd_solve)

@@ -117,8 +117,6 @@ class Scenario:
             raise ConfigError(f"alpha levels must differ at 6 significant digits, got {alphas}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.method == "analytic" and system.closed_form is None:
-            raise ConfigError(f"{system.name} has no analytic solution; use rk4")
         stride = self.stride
         if stride is not None and (not isinstance(stride, Integral) or isinstance(stride, bool) or stride < 1):
             raise ConfigError(f"stride must be a positive integer, got {stride!r}")

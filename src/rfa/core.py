@@ -384,8 +384,12 @@ def from_polar(p: PolarForm) -> LcNumber:
     return _wrap(complex(*_rect(p.modulus, p.argument)))
 
 
-def _pow_int(z, n: int):
-    """``pow_int`` per entry: a zero entry gives zero, or raises for ``n < 0``."""
+def _pow_int(z, n: int | float):
+    """``pow_int`` per entry: a zero entry gives zero, or raises for ``n < 0``.
+
+    ``n`` may be an integral float, which an error names by its shortest
+    digits: ``5.0`` as ``5``, ``1e300`` as ``1e+300``.
+    """
     if n == 0:
         # one at every entry, the zero element's included
         return 1.0, 0.0
@@ -407,7 +411,7 @@ def _pow_int(z, n: int):
                 raise OverflowError("the power underflows to zero")
             return _quotient((1.0, 0.0), power)
     except OverflowError as exc:
-        raise OverflowError(f"power {_show(z)}^{n} is out of range") from exc
+        raise OverflowError(f"power {_show(z)}^{str(n).removesuffix('.0')} is out of range") from exc
     return _select(zero, 0.0, power[0]), _select(zero, 0.0, power[1])
 
 

@@ -617,7 +617,7 @@ def linearized_lv(params: LvParams) -> OscillatorParams:
 # ---------------------------------------------------------------------------
 # front door
 
-METHODS = ("auto", "analytic", "rk4")
+METHODS = ("auto", "rk4")
 PROJECTIONS = ("x-vs-s", "r-vs-y")
 
 
@@ -695,8 +695,6 @@ def simulate_system(
         raise ValueError(f"{system} needs a basis with a single-point 1-level")
     a1 = basis.one_level_value() if record.needs_a1 else None
     if method == "rk4" or record.closed_form is None:
-        if method == "analytic":
-            raise ValueError(f"{system} has no analytic solution; use rk4")
         if record.generator is None:
             times, states = record.rk4(params, t_span, dt)
         else:  # the state is every real part, then every fuzzy coefficient

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -12,7 +11,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rfa
@@ -89,23 +88,30 @@ def test_integrate_command(capsys):
 def test_solve_command_writes_outputs(capsys, tmp_path):
     cfg = linear_config(tmp_path)
     out_dir = tmp_path / "out"
-    code, out, _ = run(capsys, "solve", "linear", "--config", str(cfg), "--out-dir", str(out_dir))
+    code, out, _ = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(out_dir))
     assert code == 0
     assert (out_dir / "quick.csv").exists()
     assert (out_dir / "quick.json").exists()
     assert (out_dir / "quick.svg").exists()
 
 
-def test_solve_system_mismatch_is_config_error(capsys, tmp_path):
-    cfg = linear_config(tmp_path)
-    code, _, err = run(capsys, "solve", "lv", "--config", str(cfg))
-    assert code == 2
-    assert "error" in err
+def test_solve_takes_no_system_argument(capsys, tmp_path, monkeypatch):
+    # the config names its system; a system before or after --config is an argparse error
+    monkeypatch.chdir(tmp_path)
+    cfg = str(linear_config(tmp_path))
+    for system in ("linear", "lv"):
+        for argv in (["solve", system, "--config", cfg], ["solve", "--config", cfg, system]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"unrecognized arguments: {system}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_solve_rejects_symmetric_basis(capsys, tmp_path):
     cfg = linear_config(tmp_path, basis="tri(-1;0;1)")
-    code, _, err = run(capsys, "solve", "linear", "--config", str(cfg))
+    code, _, err = run(capsys, "solve", "--config", str(cfg))
     assert code == 2
     assert "symmetric" in err
 
@@ -120,7 +126,7 @@ def test_asymmetric_basis_near_the_double_limit_loads(tmp_path):
 
 def test_solve_rejects_empty_time_span(capsys, tmp_path):
     cfg = linear_config(tmp_path, t_span=[1.0, 1.0])
-    code, _, err = run(capsys, "solve", "linear", "--config", str(cfg))
+    code, _, err = run(capsys, "solve", "--config", str(cfg))
     assert code == 2
 
 
@@ -193,7 +199,7 @@ def test_integrator_abort_exits_3(capsys, tmp_path):
         dt=1.0,
         name="diverges",
     )
-    code, _, err = run(capsys, "solve", "oscillator", "--config", str(cfg), "--out-dir", str(tmp_path))
+    code, _, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 3
     assert "aborted" in err
     # the fused Lotka-Volterra kernel: predators past the double range within 7 steps
@@ -206,14 +212,14 @@ def test_integrator_abort_exits_3(capsys, tmp_path):
         "dt": 1e-3,
         "name": "blowup",
     }))
-    code, out, err = run(capsys, "solve", "lv", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert (code, out, err) == (3, "", "numeric error: integration aborted at t=0.007: non-finite state\n")
     assert not (tmp_path / "out").exists()
 
 
 def test_closed_form_overflow_names_the_flow(capsys, tmp_path):
     cfg = linear_config(tmp_path, params={"lambda": "800"}, name="overflows")
-    code, out, err = run(capsys, "solve", "linear", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert out == ""
     assert err == "numeric error: linear flow: e^(lambda*t) with lambda=LcNumber(800.0, 0.0) overflows at t=0.89\n"
@@ -233,14 +239,14 @@ def test_band_overflow_exits_3_and_writes_nothing(capsys, tmp_path):
     }))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "solve", "oscillator", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert (code, out, err) == (3, "", "numeric error: alpha-band of x at alpha=0.0 is not finite at t=0.0\n")
     assert not (tmp_path / "out").exists()
 
 
 def test_cross_product_flow_needs_a_point_one_level(capsys, tmp_path):
     cfg = linear_config(tmp_path, system="linear_psi", basis="trap(-0.5;0;0.2;0.8)")
-    code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert out == ""
     assert err.startswith("error: linear_psi needs a basis with a single-point 1-level: 1-level of the basis is")
@@ -252,14 +258,14 @@ def test_cross_product_flow_on_a_triangular_basis_with_an_inexact_one_level(caps
     scenario = rfa.cli.load_config(cfg)
     assert scenario.space.basis.one_level_value() == 1.175
     out_dir = tmp_path / "out"
-    code, out, err = run(capsys, "solve", "linear-psi", "--config", str(cfg), "--out-dir", str(out_dir))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(out_dir))
     assert (code, err) == (0, "")
     assert (out_dir / "quick.csv").exists()
 
 
 def test_closed_form_product_overflow_exits_3_and_writes_nothing(capsys, tmp_path):
     cfg = linear_config(tmp_path, params={"lambda": "10"}, initial={"w": "1e300"}, t_span=[0, 10], dt=0.5)
-    code, out, err = run(capsys, "solve", "linear", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert out == ""
     assert err.startswith("numeric error: linear flow: w0*e^(lambda*t)") and err.endswith("overflows at t=2.0\n")
@@ -281,10 +287,7 @@ def _unit_config(record, **overrides):
     return {"system": record.name, "basis": "tri(-1;0;1.01)", **sections, **overrides}
 
 
-def _solve_choices():
-    parser = _build_parser()
-    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    return next(action for action in sub.choices["solve"]._actions if action.dest == "system").choices
+_SPELLINGS = [name for record in SYSTEMS.values() for name in (record.name, *record.aliases)]
 
 
 def test_plot_variables_are_the_simulated_names():
@@ -297,40 +300,30 @@ def test_plot_variables_are_the_simulated_names():
             assert traj.names == record.variables, (record.name, method)
 
 
-def test_solve_choices_name_every_system():
-    assert {_normalize_system(choice).name for choice in _solve_choices()} == set(SYSTEMS)
-    spellings = [name for record in SYSTEMS.values() for name in (record.name, *record.aliases)]
-    assert sorted(_solve_choices()) == sorted(spellings)
-
-
-@pytest.mark.parametrize("spelling", [name for record in SYSTEMS.values() for name in (record.name, *record.aliases)])
+@pytest.mark.parametrize("spelling", _SPELLINGS)
 def test_solve_takes_every_spelling_of_a_system(capsys, tmp_path, spelling):
     cfg = tmp_path / "unit.json"
-    cfg.write_text(json.dumps(_unit_config(_normalize_system(spelling), t_span=[0.0, 0.1], dt=0.01, name="unit")))
-    code, out, err = run(capsys, "solve", spelling, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    unit = _unit_config(_normalize_system(spelling), system=spelling, t_span=[0.0, 0.1], dt=0.01, name="unit")
+    cfg.write_text(json.dumps(unit))
+    code, out, err = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert (code, err) == (0, "")
     assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["unit.csv", "unit.json", "unit.svg"]
 
 
-@pytest.mark.parametrize(
-    "spelling",
-    sorted({*_solve_choices(), *(name for record in SYSTEMS.values() for name in (record.name, *record.aliases))}),
-)
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
 def test_every_spelling_resolves_to_a_record_and_its_methods(spelling):
     record = _normalize_system(spelling)
     assert SYSTEMS[record.name] is record
     scenario = load_config(_unit_config(record, system=spelling))
     assert (scenario.system, type(scenario.params)) == (record.name, record.params)
-    analytic = _unit_config(record, system=spelling, method="analytic")
-    if record.closed_form is not None:
-        assert load_config(analytic).method == "analytic"
+    for method in rfa.dynamics.METHODS:
+        assert load_config(_unit_config(record, system=spelling, method=method)).method == method
+    # "auto" already takes every closed form, so no method asks for one
+    with pytest.raises(ValueError) as library:
         rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic", basis=scenario.space.basis)
-        return
-    with pytest.raises(ValueError, match="no analytic solution"):
-        rfa.simulate_system(record.name, scenario.params, (0.0, 0.01), dt=0.01, method="analytic")
-    with pytest.raises(ConfigError) as info:
-        load_config(analytic)
-    assert str(info.value) == f"{record.name} has no analytic solution; use rk4"
+    with pytest.raises(ConfigError) as config:
+        load_config(_unit_config(record, system=spelling, method="analytic"))
+    assert str(library.value) == str(config.value) == "unknown method 'analytic'"
 
 
 def test_unknown_system_has_one_message_in_the_library_and_the_config():
@@ -641,7 +634,7 @@ def test_bad_config_is_config_error_and_writes_nothing(capsys, tmp_path, config,
         target = tmp_path / "config.json"
         target.write_text(config if isinstance(config, str) else json.dumps(config))
     out_dir = tmp_path / "out" / "nested"
-    code, out, err = run(capsys, "solve", "linear", "--config", str(target), "--out-dir", str(out_dir))
+    code, out, err = run(capsys, "solve", "--config", str(target), "--out-dir", str(out_dir))
     assert code == 2, err
     assert err.startswith("error: ") and message in err
     assert out == ""
@@ -696,10 +689,15 @@ def test_bad_arguments_exit_2(capsys, argv):
 
 
 def test_power_overflow_names_the_power(capsys):
-    code, out, err = run(capsys, "eval", "2^1e20")
-    assert code == 3
-    assert out == ""
-    assert err == "numeric error: power LcNumber(2.0, 0.0)^100000000000000000000 is out of range\n"
+    # an expression's exponent is a float, named by its shortest digits: not
+    # int(1e300) written out in 301 digits, and no ".0" on an integer
+    for expr, power in [
+        ("2^1e20", "LcNumber(2.0, 0.0)^1e+20"),
+        ("(1+A)^1e20", "LcNumber(1.0, 1.0)^1e+20"),
+        ("(1+A)^1e300", "LcNumber(1.0, 1.0)^1e+300"),
+        ("(1+A)^2048.0", "LcNumber(1.0, 1.0)^2048"),
+    ]:
+        assert run(capsys, "eval", expr) == (3, "", f"numeric error: power {power} is out of range\n")
 
 
 def test_a_negative_power_names_the_exponent_as_written(capsys):
@@ -712,7 +710,7 @@ def test_a_negative_power_names_the_exponent_as_written(capsys):
 
 def test_a_power_whose_angle_multiple_overflows_is_out_of_range(capsys):
     # 1e308 times the argument is inf, while the modulus 0.51^1e308 underflows to 0
-    message = f"numeric error: power LcNumber(-0.5, 0.1)^{int(1e308)} is out of range\n"
+    message = "numeric error: power LcNumber(-0.5, 0.1)^1e+308 is out of range\n"
     assert run(capsys, "eval", "(-0.5+0.1*A)^1e308") == (3, "", message)
     # the array pass raises, and the per-sample replay names the first sample
     path = ("--path", "0, 1", "--samples", "11")
@@ -722,7 +720,7 @@ def test_a_power_whose_angle_multiple_overflows_is_out_of_range(capsys):
 @pytest.mark.parametrize(
     "expr, integrand, path, power",
     [
-        ("(0.5)^-1e300", "z^-1e300", "0.5, 0.6", f"LcNumber(0.5, 0.0)^{int(-1e300)}"),
+        ("(0.5)^-1e300", "z^-1e300", "0.5, 0.6", "LcNumber(0.5, 0.0)^-1e+300"),
         ("(1e-300*A)^-2", "z^-2", "0+1e-300*A, 0+2e-300*A", "LcNumber(0.0, 1e-300)^-2"),
     ],
 )
@@ -967,7 +965,7 @@ def test_solve_keeps_the_exit_code_contract(config):
         out_dir = os.path.join(tmp, "out")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["solve", "linear", "--config", target, "--out-dir", out_dir])
+            code = main(["solve", "--config", target, "--out-dir", out_dir])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         if code != 0:
@@ -1068,7 +1066,7 @@ def test_a_run_without_an_output_format_is_refused_before_it_simulates(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps({**_OSC_CONFIG, "formats": ["csv"] if formats else []}))
     argv = {
-        "solve": ["solve", "oscillator", "--config", "config.json"],
+        "solve": ["solve", "--config", "config.json"],
         "preset": ["preset", "fig6"],
         "phase": ["phase", "--config", "config.json", "--projection", PROJECTIONS[0]],
     }[command]
@@ -1077,6 +1075,96 @@ def test_a_run_without_an_output_format_is_refused_before_it_simulates(
     assert (code, out) == (2, "")
     assert "Traceback" not in err and "csv,json,svg" in err
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+# One argv fuzz over all six subcommands: each draws values for its
+# positionals, its required options and some of its other options, then a
+# junk token may go in anywhere.  Config files and outputs live
+# under the test's tmp_path, the working directory of every call.
+_ARGV_FILES = {
+    "run.json": {**_OSC_CONFIG, "t_span": [0.0, 0.05], "name": "fuzzed"},
+    "rk4.json": {**LINEAR_CONFIG, "method": "rk4"},
+    "analytic.json": {**LINEAR_CONFIG, "method": "analytic"},
+    "junk.json": "{not json",
+}
+_EDGE_LITERALS = ["0", "-0", "1e308", "-1e308", "1e-320", "nan", "inf", "1e309", "-1+2*A", "0+1e308*A", "tri(0;1;2)", ""]
+_OPTION_VALUES = {
+    "expr": ["z", "z^2", "1/z", "log(z)", "exp(exp(z))", "psi_mul(z, z)", "(1+A)^1e300", "z^-1e300", "1+2*A", "((", "ghost"],
+    "--basis": ["tri(-0.5;0;0.51)", "trap(-0.5;0;0.2;0.8)", "tri(-1;0;1)", "1+2*A"],
+    "--bind": ["z=1+A", "z=tri(0;1;2)", "1z=2", "z", "A=1"],
+    "--at": _EDGE_LITERALS,
+    "--step": ["1e-5", "0", "-1", "nan", "1e308", "5e-324", "x"],
+    "--path": ["0,1", "0, 1+1*A", "-1,0+1*A,1", "1e308, -1e308", "0", ",", *_EDGE_LITERALS],
+    "--samples": ["2", "11", "1", "0", "1000001", "abc"],
+    "--scheme": ["trapezoid", "simpson", "euler"],
+    "--config": [*_ARGV_FILES, "missing.json", "", "."],
+    "--out-dir": ["out", "nested/out", "run.json", ""],
+    "--formats": ["csv", "svg", "csv,json", "", ",", "pdf"],
+    "fig": ["fig2", "fig3", "fig6", "fig16", "fig1", "fig99", ""],
+    "--projection": [*PROJECTIONS, "sideways"],
+}
+_OPTION_VALUES["--preset"] = _OPTION_VALUES["fig"]
+# (positionals and required options, other options)
+_ARGV_GRAMMAR = {
+    "eval": (["expr"], ["--basis", "--bind"]),
+    "derive": (["expr", "--at"], ["--step", "--basis", "--bind"]),
+    "integrate": (["expr", "--path"], ["--samples", "--scheme", "--basis", "--bind"]),
+    "solve": (["--config"], ["--out-dir", "--formats"]),
+    "preset": (["fig"], ["--out-dir", "--formats"]),
+    "phase": (["--projection"], ["--preset", "--config", "--out-dir", "--formats"]),
+}
+_JUNK_TOKENS = ["--bogus", "-", "--", "-lv", "linear", "fig6", "--out-dir", "--config", "=", "\x00", "−1"]
+# argvs whose outcome is fixed: solve takes its system from the config alone
+_PINNED_ARGVS = {
+    ("solve", "--config", "run.json"): 0,
+    ("solve", "--config", "rk4.json", "--formats", "csv"): 0,
+    ("solve", "--config", "analytic.json"): 2,
+    ("solve", "linear", "--config", "rk4.json"): 2,
+    ("solve",): 2,
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(list(_ARGV_GRAMMAR)))
+    required, options = _ARGV_GRAMMAR[command]
+    argv = [command]
+    for name in required + draw(st.lists(st.sampled_from(options), max_size=3)):
+        value = draw(st.sampled_from(_OPTION_VALUES[name]))
+        if not name.startswith("-"):
+            argv.append(value)
+        else:
+            argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    for token in draw(st.lists(st.sampled_from(_JUNK_TOKENS), max_size=1)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+def _pinned(test):
+    """``test`` with one explicit example per argv of ``_PINNED_ARGVS``."""
+    for argv in _PINNED_ARGVS:
+        test = example(list(argv))(test)
+    return test
+
+
+# the fixtures hold across examples: each example writes the config files again
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+@_pinned
+def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the default output directory ./rfa_out lands here too
+    monkeypatch.delenv("RFA_OUT_DIR", raising=False)
+    for name, config in _ARGV_FILES.items():
+        (tmp_path / name).write_text(config if isinstance(config, str) else json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code == _PINNED_ARGVS.get(tuple(argv), code), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

@@ -371,6 +371,9 @@ def test_pow_int_examples():
     assert pow_int(LcNumber(0, 0), 5) == LcNumber(0, 0)
     with pytest.raises(ZeroDivisionError):
         pow_int(LcNumber(0, 0), -1)
+    # an int exponent is named as given, every digit of it
+    with pytest.raises(OverflowError, match=r"^power LcNumber\(1\.0, 1\.0\)\^100000000000000000000 is out of range$"):
+        pow_int(LcNumber(1, 1), 10**20)
 
 
 def test_pow_int_negative_matches_reciprocal():

@@ -42,6 +42,7 @@ from rfa import (
 )
 from rfa.analytic import derivative_cr
 from rfa.dynamics import (
+    METHODS,
     SYSTEMS,
     check_curve_chain_rule,
     matrix_field,
@@ -577,13 +578,15 @@ def test_simulate_validates():
     params = LinearParams(LcNumber(0, 1), LcNumber(2, 2))
     with pytest.raises(ValueError):
         simulate_system("unknown", params, (0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'analytic'"):
         simulate_system("oscillator", OscillatorParams(LcNumber(1, 0), LcNumber(1, 0)), (0.0, 1.0), method="analytic")
     with pytest.raises(ValueError, match="linear_psi needs a basis with a single-point 1-level"):
         simulate_system("linear_psi", params, (0.0, 1.0))
 
 
 def test_simulate_refuses_an_unknown_method():
+    # "auto" takes every closed form and "rk4" integrates every system
+    assert METHODS == ("auto", "rk4")
     with pytest.raises(ValueError, match="unknown method 'euler'"):
         simulate_system("linear", LinearParams(LcNumber(0, 1), LcNumber(2, 2)), (0.0, 1.0), method="euler")
 
